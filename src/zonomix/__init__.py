@@ -10,115 +10,37 @@ together with every computable step of its reduction: the generator-matrix
 form, the two-valued generating points with their closed forms, the square
 identity in the aggregate weights s1..s4, the quadratic minor-coordinate
 formulation, and the sharpness witnesses on both sides.
+
+The top level exports the headline names only; everything else (the
+reduction steps, minor coordinates, polytope witnesses, the random
+generator, the integer kernels) lives in the submodules.
 """
 
-from .grassmann import (
-    GPResidual,
-    PlueckerVector,
-    abs_map,
-    check_gp3,
-    check_quad_ineq,
-    pluecker,
-    render_pluecker_csv,
-)
-from .numeric import (
-    E1,
-    E2,
-    E3,
-    Mat3xM,
-    Rat,
-    Vec3,
-    ZERO3,
-    approx_str,
-    cross,
-    det2,
-    det3,
-    dot,
-    mat_det,
-    mat_vec,
-    minor3,
-    parse_matrix,
-    parse_rational,
-    render_matrix,
-    render_rational,
-    vec3,
-)
-from .reduction import (
-    BraidCell,
-    SStats,
-    TwoValuePattern,
-    biconvexity_probe,
-    braid_cell_of,
-    extremal_config,
-    f_closed_form,
-    f_direct,
-    g_closed_form,
-    g_direct,
-    generating_point,
-    s_stats,
-    slack_identity,
-)
-from .rng import SplitMix64, random_rational, random_vec3, random_vectors, random_zonotope
+from .numeric import Mat3xM, Vec3, parse_matrix, render_matrix, vec3
 from .verify import (
     FuzzConfig,
     FuzzSummary,
     IneqReport,
-    af_square_report,
     check_af_square,
     check_bezout,
     check_lemma_matrix,
     fuzz,
-    ineq_report,
-    lemma_lhs,
-    lemma_rhs,
     tightness_ratio,
-)
-from .witness import (
-    PolytopeV,
-    mv_body_body_seg,
-    mv_seg_seg,
-    parse_polytope,
-    polytope_of_zonotope,
-    pyramid_equality_report,
-    render_polytope,
-    square_pyramid,
-    volume_polytope,
 )
 from .zonotope import (
     Zonotope3,
-    apply_linear,
-    canonicalize,
-    minkowski_sum,
     mixed_volume,
-    mixed_volume_float,
     mixed_volume_repeated,
-    mv_zz_segment,
     parse_zonotope,
     render_zonotope,
-    scale_zonotope,
     volume,
-    volume_float,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BraidCell", "E1", "E2", "E3", "FuzzConfig", "FuzzSummary", "GPResidual",
-    "IneqReport", "Mat3xM", "PlueckerVector", "PolytopeV", "Rat", "SStats",
-    "SplitMix64", "TwoValuePattern", "Vec3", "ZERO3", "Zonotope3",
-    "abs_map", "af_square_report", "apply_linear", "approx_str",
-    "biconvexity_probe", "braid_cell_of", "canonicalize", "check_af_square",
-    "check_bezout", "check_gp3", "check_lemma_matrix", "check_quad_ineq",
-    "cross", "det2", "det3", "dot", "extremal_config", "f_closed_form",
-    "f_direct", "fuzz", "g_closed_form", "g_direct", "generating_point",
-    "ineq_report", "lemma_lhs", "lemma_rhs", "mat_det", "mat_vec",
-    "minkowski_sum", "minor3", "mixed_volume", "mixed_volume_float",
-    "mixed_volume_repeated", "mv_body_body_seg", "mv_seg_seg",
-    "mv_zz_segment", "parse_matrix", "parse_polytope", "parse_rational",
-    "parse_zonotope", "pluecker", "polytope_of_zonotope",
-    "pyramid_equality_report", "random_rational", "random_vec3",
-    "random_vectors", "random_zonotope", "render_matrix", "render_polytope",
-    "render_pluecker_csv", "render_rational", "render_zonotope",
-    "s_stats", "scale_zonotope", "slack_identity", "square_pyramid",
-    "tightness_ratio", "vec3", "volume", "volume_float", "volume_polytope",
+    "FuzzConfig", "FuzzSummary", "IneqReport", "Mat3xM", "Vec3", "Zonotope3",
+    "check_af_square", "check_bezout", "check_lemma_matrix", "fuzz",
+    "mixed_volume", "mixed_volume_repeated", "parse_matrix", "parse_zonotope",
+    "render_matrix", "render_zonotope", "tightness_ratio", "vec3", "volume",
 ]

@@ -2,8 +2,10 @@
 
 Subcommands: mixedvol, volume, check, fuzz, extremal, grassmann-sample,
 report.  Exit codes: 0 all checks hold, 1 a violation was found, 2 usage or
-input error.  Exact mode is the default everywhere; --mode float is accepted
-only by mixedvol and volume (verification must be exact).
+input error.  Each subcommand accepts only the flags it reads: every one
+takes --out; --mode (exact or float) exists only on mixedvol and volume,
+since verification is always exact; --seed on fuzz, grassmann-sample and
+report; --output on check, fuzz, grassmann-sample and report.
 """
 
 from __future__ import annotations
@@ -48,16 +50,10 @@ from .zonotope import (
 _CHECK_ARITY = {"bezout": 3, "lemma": 1, "af-square": 4, "grassmann": 1}
 
 
-def _load_zonotope(path: str) -> Zonotope3:
+def _load(parse, path: str):
+    """Parse one input file with `parse`; errors name the path."""
     try:
-        return parse_zonotope(Path(path).read_text())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from exc
-
-
-def _load_matrix(path: str) -> Mat3xM:
-    try:
-        return parse_matrix(Path(path).read_text())
+        return parse(Path(path).read_text())
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -87,22 +83,18 @@ def _report_text(report: IneqReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _report_csv(report: IneqReport, name: str = "") -> str:
+_CSV_HEADER = "lhs,rhs,slack,ratio,holds"
+
+
+def _csv_row(report: IneqReport) -> str:
+    """One CSV row under _CSV_HEADER, without a line end."""
     ratio = render_rational(report.ratio) if report.ratio is not None else ""
-    prefix = f"{name}," if name else ""
-    header = "name," if name else ""
-    return (f"{header}lhs,rhs,slack,ratio,holds\n"
-            f"{prefix}{render_rational(report.lhs)},{render_rational(report.rhs)},"
-            f"{render_rational(report.slack)},{ratio},{report.holds}\n")
-
-
-def _require_exact(args) -> None:
-    if args.mode == "float":
-        raise ValueError(f"subcommand {args.command!r} runs in exact mode only")
+    return (f"{render_rational(report.lhs)},{render_rational(report.rhs)},"
+            f"{render_rational(report.slack)},{ratio},{report.holds}")
 
 
 def cmd_mixedvol(args) -> int:
-    bodies = [_load_zonotope(p) for p in args.files]
+    bodies = [_load(parse_zonotope, p) for p in args.files]
     if args.mode == "float":
         _emit(f"{mixed_volume_float(*bodies)!r}\n", args)
     else:
@@ -112,7 +104,7 @@ def cmd_mixedvol(args) -> int:
 
 
 def cmd_volume(args) -> int:
-    body = _load_zonotope(args.file)
+    body = _load(parse_zonotope, args.file)
     if args.mode == "float":
         _emit(f"{volume_float(body)!r}\n", args)
     else:
@@ -122,7 +114,7 @@ def cmd_volume(args) -> int:
 
 
 def _check_grassmann(args) -> int:
-    mat = _load_matrix(args.files[0])
+    mat = _load(parse_matrix, args.files[0])
     point = pluecker(mat)
     residuals = check_gp3(point)
     bad = [r for r in residuals if r.value != 0]
@@ -134,7 +126,7 @@ def _check_grassmann(args) -> int:
         quad = check_quad_ineq(abs_map(point), mat.m - 2)
         ok = ok and quad.holds
     if args.output == "csv" and quad is not None:
-        _emit(_report_csv(quad, name="quad-ineq"), args)
+        _emit(f"name,{_CSV_HEADER}\nquad-ineq,{_csv_row(quad)}\n", args)
     else:
         text = "\n".join(lines) + "\n"
         if quad is not None:
@@ -144,7 +136,6 @@ def _check_grassmann(args) -> int:
 
 
 def cmd_check(args) -> int:
-    _require_exact(args)
     expected = _CHECK_ARITY[args.target]
     if len(args.files) != expected:
         raise ValueError(f"check {args.target} needs {expected} input file(s), "
@@ -152,19 +143,19 @@ def cmd_check(args) -> int:
     if args.target == "grassmann":
         return _check_grassmann(args)
     if args.target == "lemma":
-        mat = _load_matrix(args.files[0])
+        mat = _load(parse_matrix, args.files[0])
         report = check_lemma_matrix(mat.columns)
         witness = render_matrix(mat)
     elif args.target == "bezout":
-        bodies = [_load_zonotope(p) for p in args.files]
+        bodies = [_load(parse_zonotope, p) for p in args.files]
         report = check_bezout(*bodies)
         witness = "".join(render_zonotope(b) for b in bodies)
     else:
-        bodies = [_load_zonotope(p) for p in args.files]
+        bodies = [_load(parse_zonotope, p) for p in args.files]
         report = check_af_square(*bodies)
         witness = "".join(render_zonotope(b) for b in bodies)
     if args.output == "csv":
-        _emit(_report_csv(report), args)
+        _emit(f"{_CSV_HEADER}\n{_csv_row(report)}\n", args)
     else:
         _emit(_report_text(report), args)
     if not report.holds:
@@ -174,7 +165,6 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    _require_exact(args)
     target = args.target.replace("-", "_")
     config = FuzzConfig(target=target, trials=args.trials, m_max=args.m_max,
                         coeff_bound=args.coeff_bound, seed=args.seed)
@@ -209,7 +199,6 @@ def cmd_fuzz(args) -> int:
 
 
 def cmd_extremal(args) -> int:
-    _require_exact(args)
     s = SStats(*(parse_rational(v) for v in (args.s1, args.s2, args.s3, args.s4)))
     lo, hi = parse_rational(args.lo), parse_rational(args.hi)
     lo2, hi2 = parse_rational(args.lo2), parse_rational(args.hi2)
@@ -235,7 +224,6 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_grassmann_sample(args) -> int:
-    _require_exact(args)
     if args.n < 3:
         raise ValueError(f"--n must be >= 3, got {args.n}")
     rng = SplitMix64(args.seed)
@@ -257,7 +245,6 @@ def cmd_grassmann_sample(args) -> int:
 
 def cmd_report(args) -> int:
     """Run the built-in showcase battery; exit 0 only if everything holds."""
-    _require_exact(args)
     checks: list[tuple[str, IneqReport]] = []
 
     equality = extremal_config(SStats(*(Fraction(1),) * 4),
@@ -272,10 +259,10 @@ def cmd_report(args) -> int:
     checks.append(("generator-matrix form on the cube", check_lemma_matrix(cube.generators)))
 
     mat6 = Mat3xM(equality[0].generators + seg1.generators + seg2.generators)
-    residuals = check_gp3(pluecker(mat6))
-    gp_ok = all(r.value == 0 for r in residuals)
+    minors = pluecker(mat6)
+    gp_ok = all(r.value == 0 for r in check_gp3(minors))
     checks.append(("quadratic minor inequality (6 columns)",
-                   check_quad_ineq(abs_map(pluecker(mat6)), 4)))
+                   check_quad_ineq(abs_map(minors), 4)))
 
     fuzz_lines = []
     all_hold = gp_ok
@@ -289,11 +276,9 @@ def cmd_report(args) -> int:
                           f"min_slack={render_rational(summary.min_slack)}")
 
     if args.output == "csv":
-        lines = ["name,lhs,rhs,slack,ratio,holds"]
+        lines = [f"name,{_CSV_HEADER}"]
         for name, report in checks:
-            ratio = render_rational(report.ratio) if report.ratio is not None else ""
-            lines.append(f"{name},{render_rational(report.lhs)},{render_rational(report.rhs)},"
-                         f"{render_rational(report.slack)},{ratio},{report.holds}")
+            lines.append(f"{name},{_csv_row(report)}")
             all_hold = all_hold and report.holds
         _emit("\n".join(lines) + "\n", args)
     else:
@@ -308,13 +293,16 @@ def cmd_report(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--mode", choices=("exact", "float"), default="exact",
-                        help="scalar mode; float is for throughput experiments only")
-    common.add_argument("--output", choices=("text", "csv"), default="text",
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output to this path")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument("--mode", choices=("exact", "float"), default="exact",
+                      help="scalar mode; float is for throughput experiments only")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", choices=("text", "csv"), default="text",
                         help="output format")
-    common.add_argument("--out", default=None, help="write output to this path")
-    common.add_argument("--seed", type=int, default=1, help="64-bit RNG seed")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=1, help="64-bit RNG seed")
 
     parser = argparse.ArgumentParser(
         prog="zonomix",
@@ -323,22 +311,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "V(A,A,A)V(A,B,C) <= (3/2)V(A,A,B)V(A,A,C).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mixedvol", parents=[common],
+    p = sub.add_parser("mixedvol", parents=[out, mode],
                        help="mixed volume of three zonotope files")
     p.add_argument("files", nargs=3, metavar="ZONOTOPE")
     p.set_defaults(func=cmd_mixedvol)
 
-    p = sub.add_parser("volume", parents=[common], help="volume of a zonotope file")
+    p = sub.add_parser("volume", parents=[out, mode], help="volume of a zonotope file")
     p.add_argument("file", metavar="ZONOTOPE")
     p.set_defaults(func=cmd_volume)
 
-    p = sub.add_parser("check", parents=[common],
+    p = sub.add_parser("check", parents=[out, output],
                        help="check one inequality on explicit inputs")
     p.add_argument("target", choices=sorted(_CHECK_ARITY))
     p.add_argument("files", nargs="+", metavar="FILE")
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("fuzz", parents=[common],
+    p = sub.add_parser("fuzz", parents=[out, output, seed],
                        help="randomized exact checking with a deterministic seed")
     p.add_argument("--target", required=True,
                    choices=("bezout", "lemma", "af-square", "af_square"))
@@ -347,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound")
     p.set_defaults(func=cmd_fuzz)
 
-    p = sub.add_parser("extremal", parents=[common],
+    p = sub.add_parser("extremal", parents=[out],
                        help="build the 4-generator tight configuration and report it")
     p.add_argument("--s1", default="1")
     p.add_argument("--s2", default="1")
@@ -359,13 +347,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hi2", default="1", help="second y-slope value")
     p.set_defaults(func=cmd_extremal)
 
-    p = sub.add_parser("grassmann-sample", parents=[common],
+    p = sub.add_parser("grassmann-sample", parents=[out, output, seed],
                        help="random matrix -> minor coordinates (CSV) + relation check")
     p.add_argument("--n", type=int, default=6, help="number of columns")
     p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound")
     p.set_defaults(func=cmd_grassmann_sample)
 
-    p = sub.add_parser("report", parents=[common],
+    p = sub.add_parser("report", parents=[out, output, seed],
                        help="named witnesses plus a short fuzz pass on every checker")
     p.add_argument("--trials", type=int, default=200)
     p.set_defaults(func=cmd_report)

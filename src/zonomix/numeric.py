@@ -1,10 +1,11 @@
-"""Exact rational scalars, 3-vectors, and small fixed-size determinants.
+"""Exact rational scalars, 3-vectors, small fixed-size determinants, text I/O.
 
-Every scalar in this package is a ``fractions.Fraction`` (aliased ``Rat``),
-which keeps canonical form (positive denominator, gcd 1) after every
-operation, so equality tests are exact and unambiguous.  A floating-point
-lane exists only for throughput experiments; nothing that verifies an
-inequality ever touches it.
+Every scalar in this package is a ``fractions.Fraction``, which keeps
+canonical form (positive denominator, gcd 1) after every operation, so
+equality tests are exact and unambiguous.  A floating-point lane exists only
+for throughput experiments; nothing that verifies an inequality ever touches
+it.  The three text formats (zonotope, polytope, matrix) share one reader,
+`parse_rows`, and one writer, `render_rows`.
 """
 
 from __future__ import annotations
@@ -15,8 +16,6 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Sequence
-
-Rat = Fraction
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
@@ -39,10 +38,13 @@ def render_rational(q: Fraction) -> str:
     return str(q)
 
 
-def approx_str(q: Fraction, digits: int = 12) -> str:
+_APPROX_DIGITS = 12
+
+
+def approx_str(q: Fraction) -> str:
     """Decimal annotation for human-readable output; never parsed back."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = _APPROX_DIGITS
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)
 
@@ -68,10 +70,6 @@ def vadd(a: Vec3, b: Vec3) -> Vec3:
     return Vec3(a.x + b.x, a.y + b.y, a.z + b.z)
 
 
-def vsub(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a.x - b.x, a.y - b.y, a.z - b.z)
-
-
 def vneg(a: Vec3) -> Vec3:
     return Vec3(-a.x, -a.y, -a.z)
 
@@ -93,20 +91,15 @@ def det2(a, b, c, d):
     return a * d - b * c
 
 
-def det3t(a, b, c):
+def det3(a, b, c):
     """Determinant of the 3x3 matrix with columns a, b, c (any numeric 3-tuples).
 
-    Direct cofactor expansion along the first column; no pivoting is ever
-    needed at this size.
+    Exact for Vec3 and for integer triples alike.  Direct cofactor expansion
+    along the first column; no pivoting is ever needed at this size.
     """
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
-
-
-def det3(a: Vec3, b: Vec3, c: Vec3) -> Fraction:
-    """Exact determinant of the 3x3 matrix with columns a, b, c."""
-    return det3t(a, b, c)
 
 
 @dataclass(frozen=True)
@@ -249,51 +242,62 @@ def sum_abs_det2_pairs(us, vs):
 
 
 # ---------------------------------------------------------------------------
-# Matrix text format: first line "matrix 3 n", then 3 rows of n rational
-# literals.  "#" starts a comment line; blank lines are ignored.
+# Text formats.  Each is a header line followed by rows of whitespace-separated
+# rational literals; "#" starts a comment line and blank lines are ignored.
+#   zonotope: "zonotope3", then one generator "x y z" per row;
+#   polytope: "polytope3", then one vertex "x y z" per row;
+#   matrix:   "matrix 3 n", then 3 rows of n entries (none when n = 0).
 
-def _data_lines(text: str) -> list[str]:
-    out = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        out.append(line)
-    return out
+def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
+    """The header line and the parsed rows of a `kind` file ("zonotope", ...)."""
+    lines = [line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#")]
+    if not lines:
+        raise ValueError(f"empty {kind} file")
+    return lines[0], [[parse_rational(e) for e in line.split()] for line in lines[1:]]
+
+
+def parse_vec3_rows(text: str, kind: str, item: str) -> tuple[Vec3, ...]:
+    """The rows of a file with header "<kind>3" and one 3-vector `item` per row."""
+    header, rows = parse_rows(text, kind)
+    if header != f"{kind}3":
+        raise ValueError(f"expected header '{kind}3', got {header!r}")
+    for row in rows:
+        if len(row) != 3:
+            raise ValueError(f"{kind}: expected 3 coordinates per {item}, got {len(row)}")
+    return tuple(Vec3(*row) for row in rows)
+
+
+def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:
+    """The header line, then one line of canonical rationals per row."""
+    lines = [header]
+    for row in rows:
+        lines.append(" ".join(render_rational(q) for q in row))
+    return "\n".join(lines) + "\n"
 
 
 def parse_matrix(text: str) -> Mat3xM:
-    lines = _data_lines(text)
-    if not lines:
-        raise ValueError("empty matrix file")
-    header = lines[0].split()
-    if len(header) != 3 or header[0] != "matrix" or header[1] != "3":
-        raise ValueError(f"expected header 'matrix 3 n', got {lines[0]!r}")
+    header, rows = parse_rows(text, "matrix")
+    fields = header.split()
+    if len(fields) != 3 or fields[0] != "matrix" or fields[1] != "3":
+        raise ValueError(f"expected header 'matrix 3 n', got {header!r}")
     try:
-        n = int(header[2])
+        n = int(fields[2])
     except ValueError:
-        raise ValueError(f"invalid column count in header: {lines[0]!r}") from None
+        raise ValueError(f"invalid column count in header: {header!r}") from None
     if n < 0:
-        raise ValueError(f"negative column count in header: {lines[0]!r}")
-    body = lines[1:]
+        raise ValueError(f"negative column count in header: {header!r}")
     if n == 0:
-        if body:
+        if rows:
             raise ValueError("matrix with 0 columns must have no rows")
         return Mat3xM(())
-    if len(body) != 3:
-        raise ValueError(f"expected 3 matrix rows, got {len(body)}")
-    rows = []
-    for line in body:
-        entries = line.split()
-        if len(entries) != n:
-            raise ValueError(f"expected {n} entries per row, got {len(entries)}: {line!r}")
-        rows.append([parse_rational(e) for e in entries])
+    if len(rows) != 3:
+        raise ValueError(f"expected 3 matrix rows, got {len(rows)}")
+    for row in rows:
+        if len(row) != n:
+            raise ValueError(f"matrix: expected {n} entries per row, got {len(row)}")
     return Mat3xM.from_rows(rows)
 
 
 def render_matrix(mat: Mat3xM) -> str:
-    lines = [f"matrix 3 {mat.m}"]
-    if mat.m > 0:
-        for row in mat.rows():
-            lines.append(" ".join(render_rational(q) for q in row))
-    return "\n".join(lines) + "\n"
+    return render_rows(f"matrix 3 {mat.m}", mat.rows() if mat.m > 0 else ())

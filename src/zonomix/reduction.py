@@ -66,9 +66,7 @@ def _require_same_length(*vectors) -> int:
 
 def generating_point(pattern: TwoValuePattern, z: Sequence[Fraction]) -> RatVector:
     """The vector x with x_i = lo*z_i on marked indices and hi*z_i elsewhere."""
-    if len(pattern.membership) != len(z):
-        raise ValueError(
-            f"pattern length {len(pattern.membership)} != vector length {len(z)}")
+    _require_same_length(pattern.membership, z)
     return tuple(pattern.lo * zi if inside else pattern.hi * zi
                  for inside, zi in zip(pattern.membership, z))
 
@@ -86,9 +84,7 @@ def g_closed_form(pattern: TwoValuePattern, z: Sequence[Fraction]) -> Fraction:
     side are proportional and vanish, cross pairs each contribute
     |lo - hi| |z_i| |z_j|.
     """
-    if len(pattern.membership) != len(z):
-        raise ValueError(
-            f"pattern length {len(pattern.membership)} != vector length {len(z)}")
+    _require_same_length(pattern.membership, z)
     inside = sum(abs(zi) for sel, zi in zip(pattern.membership, z) if sel)
     outside = sum(abs(zi) for sel, zi in zip(pattern.membership, z) if not sel)
     return abs(pattern.lo - pattern.hi) * Fraction(inside) * Fraction(outside)
@@ -112,6 +108,13 @@ def f_direct(x: Sequence[Fraction], y: Sequence[Fraction],
     return lemma_lhs([Vec3(xi, yi, zi) for xi, yi, zi in zip(x, y, z)])
 
 
+def _e3_e1(s: SStats) -> Fraction:
+    """e3(s) * e1(s): elementary symmetric polynomials of degree 3 and 1 in s1..s4."""
+    s1, s2, s3, s4 = s.s1, s.s2, s.s3, s.s4
+    e3 = s2 * s3 * s4 + s1 * s3 * s4 + s1 * s2 * s4 + s1 * s2 * s3
+    return e3 * (s1 + s2 + s3 + s4)
+
+
 def f_closed_form(s: SStats, dl: Fraction, dm: Fraction) -> Fraction:
     """Value of the triple-minor side at a pair of two-valued points.
 
@@ -123,10 +126,7 @@ def f_closed_form(s: SStats, dl: Fraction, dm: Fraction) -> Fraction:
         raise ValueError(f"dl must be nonnegative, got {dl}")
     if dm < 0:
         raise ValueError(f"dm must be nonnegative, got {dm}")
-    s1, s2, s3, s4 = s.s1, s.s2, s.s3, s.s4
-    e3 = s2 * s3 * s4 + s1 * s3 * s4 + s1 * s2 * s4 + s1 * s2 * s3
-    e1 = s1 + s2 + s3 + s4
-    return dl * dm * e3 * e1
+    return dl * dm * _e3_e1(s)
 
 
 def slack_identity(s: SStats) -> tuple[Fraction, Fraction]:
@@ -140,9 +140,7 @@ def slack_identity(s: SStats) -> tuple[Fraction, Fraction]:
     """
     s1, s2, s3, s4 = s.s1, s.s2, s.s3, s.s4
     prod4 = (s1 + s2) * (s3 + s4) * (s1 + s3) * (s2 + s4)
-    e3 = s2 * s3 * s4 + s1 * s3 * s4 + s1 * s2 * s4 + s1 * s2 * s3
-    e1 = s1 + s2 + s3 + s4
-    return prod4 - e3 * e1, (s1 * s4 - s2 * s3) ** 2
+    return prod4 - _e3_e1(s), (s1 * s4 - s2 * s3) ** 2
 
 
 def braid_cell_of(x: Sequence[Fraction], z: Sequence[Fraction]) -> BraidCell:

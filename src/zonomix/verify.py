@@ -97,19 +97,12 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
 
 def lemma_lhs(vectors: Sequence[Vec3]) -> Fraction:
     """(sum over i<j<k of |det3|) * (sum of |z_i|) for a vector collection."""
-    ints, scale = int_scaled(vectors)
-    triples = sum_abs_det3_combos(ints)
-    zsum = sum(v[2] if v[2] >= 0 else -v[2] for v in ints)
-    return Fraction(triples * zsum, scale ** 4)
+    return check_lemma_matrix(vectors).lhs
 
 
 def lemma_rhs(vectors: Sequence[Vec3]) -> Fraction:
     """(sum over i<j of |y_i z_j - y_j z_i|) * (sum over i<j of |x_i z_j - x_j z_i|)."""
-    ints, scale = int_scaled(vectors)
-    xs = [v[0] for v in ints]
-    ys = [v[1] for v in ints]
-    zs = [v[2] for v in ints]
-    return Fraction(sum_abs_det2_pairs(ys, zs) * sum_abs_det2_pairs(xs, zs), scale ** 4)
+    return check_lemma_matrix(vectors).rhs
 
 
 def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:

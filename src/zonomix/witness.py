@@ -26,10 +26,11 @@ from .numeric import (
     Vec3,
     ZERO3,
     cross,
+    det3,
     dot,
     int_scaled,
-    parse_rational,
-    render_rational,
+    parse_vec3_rows,
+    render_rows,
     vadd,
     vec3,
 )
@@ -91,14 +92,8 @@ def _sub(p: _IntPoint, q: _IntPoint) -> _IntPoint:
     return (p[0] - q[0], p[1] - q[1], p[2] - q[2])
 
 
-def _det3i(u: _IntPoint, v: _IntPoint, w: _IntPoint) -> int:
-    return (u[0] * (v[1] * w[2] - v[2] * w[1])
-            - u[1] * (v[0] * w[2] - v[2] * w[0])
-            + u[2] * (v[0] * w[1] - v[1] * w[0]))
-
-
 def _orient(a: _IntPoint, b: _IntPoint, c: _IntPoint, d: _IntPoint) -> int:
-    return _det3i(_sub(b, a), _sub(c, a), _sub(d, a))
+    return det3(_sub(b, a), _sub(c, a), _sub(d, a))
 
 
 def _cross_i(u: _IntPoint, v: _IntPoint) -> _IntPoint:
@@ -158,7 +153,7 @@ def _six_volume(pts: list[_IntPoint]) -> int:
     if facets is None:
         return 0
     origin = pts[0]
-    return sum(_det3i(_sub(pts[i], origin), _sub(pts[j], origin), _sub(pts[k], origin))
+    return sum(det3(_sub(pts[i], origin), _sub(pts[j], origin), _sub(pts[k], origin))
                for (i, j, k) in facets)
 
 
@@ -214,31 +209,12 @@ def pyramid_equality_report() -> IneqReport:
 
 
 # ---------------------------------------------------------------------------
-# Polytope text format: first non-comment line "polytope3", then one vertex
-# per line as three rational literals.  "#" starts a comment line.
+# Polytope text format: header "polytope3", then one vertex per row (see
+# numeric.parse_rows).
 
 def parse_polytope(text: str) -> PolytopeV:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    if not lines:
-        raise ValueError("empty polytope file")
-    if lines[0] != "polytope3":
-        raise ValueError(f"expected header 'polytope3', got {lines[0]!r}")
-    verts = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 coordinates per vertex, got {line!r}")
-        verts.append(Vec3(*(parse_rational(p) for p in parts)))
-    return PolytopeV(tuple(verts))
+    return PolytopeV(parse_vec3_rows(text, "polytope", "vertex"))
 
 
 def render_polytope(poly: PolytopeV) -> str:
-    lines = ["polytope3"]
-    for v in poly.vertices:
-        lines.append(" ".join(render_rational(q) for q in v))
-    return "\n".join(lines) + "\n"
+    return render_rows("polytope3", poly.vertices)

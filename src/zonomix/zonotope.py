@@ -20,8 +20,8 @@ from .numeric import (
     cross,
     int_scaled,
     mat_vec,
-    parse_rational,
-    render_rational,
+    parse_vec3_rows,
+    render_rows,
     sum_abs_det3_combos,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
@@ -112,9 +112,7 @@ def volume(a: Zonotope3) -> Fraction:
 
 def mv_zz_segment(a: Zonotope3, u: Vec3) -> Fraction:
     """V(A, A, [0,u]) = (1/3) sum over pairs i < j of |det(a_i, a_j, u)|."""
-    ga, la = int_scaled(a.generators)
-    gu, lu = int_scaled([u])
-    return Fraction(sum_abs_det3_pairs(ga, gu), 3 * la * la * lu)
+    return mixed_volume_repeated(a, Zonotope3((u,)))
 
 
 def apply_linear(zono: Zonotope3, mat: Mat3xM) -> Zonotope3:
@@ -140,32 +138,12 @@ def volume_float(a: Zonotope3) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Zonotope text format: first non-comment line "zonotope3", then one
-# generator per line as three whitespace-separated rational literals.
-# "#" starts a comment line; blank lines are ignored.
+# Zonotope text format: header "zonotope3", then one generator per row (see
+# numeric.parse_rows).
 
 def parse_zonotope(text: str) -> Zonotope3:
-    lines = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        lines.append(line)
-    if not lines:
-        raise ValueError("empty zonotope file")
-    if lines[0] != "zonotope3":
-        raise ValueError(f"expected header 'zonotope3', got {lines[0]!r}")
-    gens = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 3:
-            raise ValueError(f"expected 3 coordinates per generator, got {line!r}")
-        gens.append(Vec3(*(parse_rational(p) for p in parts)))
-    return Zonotope3(tuple(gens))
+    return Zonotope3(parse_vec3_rows(text, "zonotope", "generator"))
 
 
 def render_zonotope(zono: Zonotope3) -> str:
-    lines = ["zonotope3"]
-    for g in zono.generators:
-        lines.append(" ".join(render_rational(q) for q in g))
-    return "\n".join(lines) + "\n"
+    return render_rows("zonotope3", zono.generators)

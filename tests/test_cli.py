@@ -83,8 +83,10 @@ class TestCheck:
         assert main(["check", "bezout", files["cube"]]) == 2
 
     def test_float_mode_refused(self, files, capsys):
-        assert main(["check", "bezout", files["cube"], files["e1"], files["e2"],
-                     "--mode", "float"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["check", "bezout", files["cube"], files["e1"], files["e2"],
+                  "--mode", "float"])
+        assert exc.value.code == 2
 
     def test_unknown_target_is_usage_error(self, files):
         with pytest.raises(SystemExit) as exc:
@@ -115,8 +117,9 @@ class TestFuzzCommand:
         assert main(["fuzz", "--target", "bezout", "--trials", "0"]) == 2
 
     def test_float_mode_refused(self, files):
-        assert main(["fuzz", "--target", "bezout", "--trials", "5",
-                     "--mode", "float"]) == 2
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--target", "bezout", "--trials", "5", "--mode", "float"])
+        assert exc.value.code == 2
 
 
 class TestExtremalCommand:
@@ -173,3 +176,39 @@ class TestReportCommand:
         assert main(["report", "--trials", "20", "--output", "csv"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines[0] == "name,lhs,rhs,slack,ratio,holds"
+
+
+# Each subcommand accepts only the flags it reads; these are the pairs that
+# are refused as usage errors.
+REFUSED_FLAGS = [
+    ("check", ["--mode", "exact"]),
+    ("fuzz", ["--mode", "exact"]),
+    ("extremal", ["--mode", "exact"]),
+    ("grassmann-sample", ["--mode", "exact"]),
+    ("report", ["--mode", "exact"]),
+    ("mixedvol", ["--seed", "3"]),
+    ("volume", ["--seed", "3"]),
+    ("check", ["--seed", "3"]),
+    ("extremal", ["--seed", "3"]),
+    ("mixedvol", ["--output", "csv"]),
+    ("volume", ["--output", "csv"]),
+    ("extremal", ["--output", "csv"]),
+]
+
+
+@pytest.mark.parametrize("command,flag", REFUSED_FLAGS,
+                         ids=[f"{c} {f[0]}" for c, f in REFUSED_FLAGS])
+def test_unread_flag_is_usage_error(command, flag, files, capsys):
+    valid = {
+        "mixedvol": [files["cube"], files["e1"], files["e2"]],
+        "volume": [files["cube"]],
+        "check": ["bezout", files["cube"], files["e1"], files["e2"]],
+        "fuzz": ["--target", "bezout", "--trials", "2"],
+        "extremal": [],
+        "grassmann-sample": ["--n", "4"],
+        "report": ["--trials", "1"],
+    }
+    with pytest.raises(SystemExit) as exc:
+        main([command, *valid[command], *flag])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
