@@ -145,20 +145,19 @@ def cmd_check(args) -> int:
     if args.target == "lemma":
         mat = _load(parse_matrix, args.files[0])
         report = check_lemma_matrix(mat.columns)
-        witness = render_matrix(mat)
     elif args.target == "bezout":
         bodies = [_load(parse_zonotope, p) for p in args.files]
         report = check_bezout(*bodies)
-        witness = "".join(render_zonotope(b) for b in bodies)
     else:
         bodies = [_load(parse_zonotope, p) for p in args.files]
         report = check_af_square(*bodies)
-        witness = "".join(render_zonotope(b) for b in bodies)
     if args.output == "csv":
         _emit(f"{_CSV_HEADER}\n{_csv_row(report)}\n", args)
     else:
         _emit(_report_text(report), args)
     if not report.holds:
+        witness = (render_matrix(mat) if args.target == "lemma"
+                   else "".join(render_zonotope(b) for b in bodies))
         sys.stderr.write("violated by input:\n" + witness)
         return 1
     return 0

@@ -165,7 +165,11 @@ def mat_det(mat: Mat3xM) -> Fraction:
 #
 # Clearing denominators once and summing plain-int determinants is much
 # faster than Fraction arithmetic in the inner loops, and stays exact: all
-# results are divided back by the scale factors as a single Fraction.
+# results are divided back by the scale factors as a single Fraction.  The
+# clearing itself is integer-only: a coordinate p/q scaled by L (a multiple
+# of q) is p * (L // q), with no Fraction product to build and normalise.
+# A zonotope is cleared at most once: `Zonotope3.scaled` caches the result
+# per body, so every volume of a check reads the same integer generators.
 
 def int_scaled(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int]:
     """Scale vectors by the lcm of all coordinate denominators.
@@ -176,7 +180,8 @@ def int_scaled(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int
     scale = 1
     for v in vectors:
         scale = lcm(scale, v.x.denominator, v.y.denominator, v.z.denominator)
-    out = [(int(v.x * scale), int(v.y * scale), int(v.z * scale)) for v in vectors]
+    out = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator),
+            z.numerator * (scale // z.denominator)) for x, y, z in vectors]
     return out, scale
 
 

@@ -3,6 +3,11 @@
 The generator is splitmix64: a fixed 64-bit state transition with a finalizer
 mix.  It produces the same stream on every platform and Python version, which
 makes fuzz summaries and CSV outputs byte-reproducible.
+
+`random_rational` reads the stream directly (two `next64` draws per
+rational), and the zonotopes built here are cleared to integer generators
+once, on first use by a volume (`Zonotope3.scaled`), with integer
+arithmetic only.
 """
 
 from __future__ import annotations
@@ -38,8 +43,14 @@ class SplitMix64:
 
 
 def random_rational(rng: SplitMix64, bound: int) -> Fraction:
-    """Numerator in [-bound, bound], denominator in [1, bound]; zero included."""
-    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+    """Numerator in [-bound, bound], denominator in [1, bound]; zero included.
+
+    Draws the numerator and then the denominator straight from `next64`:
+    the same two draws, in the same order, as `randint(-bound, bound)` and
+    `randint(1, bound)`, without their per-draw call chain.
+    """
+    next64 = rng.next64
+    return Fraction(next64() % (2 * bound + 1) - bound, next64() % bound + 1)
 
 
 def random_vec3(rng: SplitMix64, bound: int) -> Vec3:

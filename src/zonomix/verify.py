@@ -118,10 +118,9 @@ def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
     xs = [v[0] for v in ints]
     ys = [v[1] for v in ints]
     zs = [v[2] for v in ints]
-    s4 = Fraction(1, scale ** 4)
-    lhs = triples * zsum * s4
-    f1 = sum_abs_det2_pairs(ys, zs) * Fraction(1, scale ** 2)
-    f2 = sum_abs_det2_pairs(xs, zs) * Fraction(1, scale ** 2)
+    lhs = Fraction(triples * zsum, scale ** 4)
+    f1 = Fraction(sum_abs_det2_pairs(ys, zs), scale ** 2)
+    f2 = Fraction(sum_abs_det2_pairs(xs, zs), scale ** 2)
     return ineq_report(lhs, f1, f2)
 
 

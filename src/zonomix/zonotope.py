@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable
 
 from .numeric import (
@@ -44,6 +45,17 @@ class Zonotope3:
     @classmethod
     def from_generators(cls, gens: Iterable) -> "Zonotope3":
         return cls(tuple(g if isinstance(g, Vec3) else vec3(*g) for g in gens))
+
+    @cached_property
+    def scaled(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
+        """`int_scaled(generators)`, computed on first use and kept with the body.
+
+        The cache lives in the instance dict, outside the dataclass fields,
+        so equality, hashing and repr see the generators only.  The integer
+        generators are a tuple because every volume of the body shares them.
+        """
+        ints, scale = int_scaled(self.generators)
+        return tuple(ints), scale
 
 
 def minkowski_sum(a: Zonotope3, b: Zonotope3) -> Zonotope3:
@@ -87,16 +99,16 @@ def mixed_volume(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
 
     Symmetric in its arguments, Minkowski-linear in each, and nonnegative.
     """
-    ga, la = int_scaled(a.generators)
-    gb, lb = int_scaled(b.generators)
-    gc, lc = int_scaled(c.generators)
+    ga, la = a.scaled
+    gb, lb = b.scaled
+    gc, lc = c.scaled
     return Fraction(sum_abs_det3_triples(ga, gb, gc), 6 * la * lb * lc)
 
 
 def mixed_volume_repeated(a: Zonotope3, b: Zonotope3) -> Fraction:
     """V(A, A, B), evaluated over generator pairs of A rather than all triples."""
-    ga, la = int_scaled(a.generators)
-    gb, lb = int_scaled(b.generators)
+    ga, la = a.scaled
+    gb, lb = b.scaled
     return Fraction(sum_abs_det3_pairs(ga, gb), 3 * la * la * lb)
 
 
@@ -106,7 +118,7 @@ def volume(a: Zonotope3) -> Fraction:
     Equals mixed_volume(A, A, A); zero whenever fewer than three
     independent generators exist.
     """
-    ga, la = int_scaled(a.generators)
+    ga, la = a.scaled
     return Fraction(sum_abs_det3_combos(ga), la ** 3)
 
 

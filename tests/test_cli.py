@@ -1,7 +1,12 @@
+from fractions import Fraction
+from pathlib import Path
+
 import pytest
 
+from zonomix import cli
 from zonomix.cli import main
 from zonomix.numeric import E1, E2, E3, Mat3xM, render_matrix, vec3
+from zonomix.verify import IneqReport
 from zonomix.zonotope import Zonotope3, render_zonotope
 
 
@@ -92,6 +97,29 @@ class TestCheck:
         with pytest.raises(SystemExit) as exc:
             main(["check", "frobnicate", files["cube"]])
         assert exc.value.code == 2
+
+    def test_input_rendered_only_on_violation(self, files, capsys, monkeypatch):
+        def unrendered(*args):
+            raise AssertionError("input rendered although the check held")
+
+        monkeypatch.setattr(cli, "render_zonotope", unrendered)
+        monkeypatch.setattr(cli, "render_matrix", unrendered)
+        assert main(["check", "bezout", files["cube"], files["e1"], files["e2"]]) == 0
+        assert main(["check", "lemma", files["mat"]]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("target,checker,names", [
+        ("bezout", "check_bezout", ("cube", "e1", "e2")),
+        ("af-square", "check_af_square", ("cube", "e1", "e2", "cube")),
+        ("lemma", "check_lemma_matrix", ("mat",)),
+    ])
+    def test_violation_prints_input(self, target, checker, names, files, capsys, monkeypatch):
+        violated = IneqReport(lhs=Fraction(2), rhs=Fraction(1), slack=Fraction(-1),
+                              holds=False, ratio=Fraction(2))
+        monkeypatch.setattr(cli, checker, lambda *args: violated)
+        assert main(["check", target, *(files[n] for n in names)]) == 1
+        texts = [Path(files[n]).read_text() for n in names]
+        assert capsys.readouterr().err == "violated by input:\n" + "".join(texts)
 
 
 class TestFuzzCommand:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +12,7 @@ from zonomix.numeric import (
     Vec3,
     det2,
     det3,
+    int_scaled,
     minor3,
     parse_matrix,
     parse_rational,
@@ -89,6 +91,42 @@ def test_minor3_rejects_bad_indices():
         minor3(_M4, (0, 1, 2))
     with pytest.raises(ValueError):
         minor3(_M4, (2, 3, 5))
+
+
+def _scaled_by_fraction_product(vectors):
+    """int_scaled's contract by its definition: L = lcm of denominators, int(q * L)."""
+    scale = lcm(1, *(q.denominator for v in vectors for q in v))
+    return [tuple(int(q * scale) for q in v) for v in vectors], scale
+
+
+BIG = Fraction(3 ** 50 + 1, 2 ** 70 + 3)  # numerator and denominator above 64 bits
+
+
+@pytest.mark.parametrize("vectors", [
+    [],
+    [vec3(0, 0, 0)],
+    [vec3(0, 0, 0), vec3(-1, -2, -3)],
+    [vec3("-1/2", "-7/3", -5), vec3("5/6", 0, "-1/4")],
+    [vec3("1/2", "1/3", "1/5"), vec3("2/7", "-3/11", "9/13"), vec3(4, "1/6", "-1/10")],
+    [vec3(BIG, -BIG, 1), vec3(2 ** 65 + 1, "1/3", -BIG * 7)],
+], ids=["empty", "zero", "negative", "mixed-sign", "mixed-denominator", "large"])
+def test_int_scaled_matches_fraction_product(vectors):
+    ints, scale = int_scaled(vectors)
+    assert (ints, scale) == _scaled_by_fraction_product(vectors)
+    assert all(type(c) is int for v in ints for c in v)
+
+
+@given(st.lists(vectors, max_size=6))
+def test_int_scaled_is_exactly_l_times_the_input(vs):
+    ints, scale = int_scaled(vs)
+    assert (ints, scale) == _scaled_by_fraction_product(vs)
+    assert [Vec3(*(Fraction(c, scale) for c in v)) for v in ints] == vs
+
+
+@given(vectors, vectors, vectors)
+def test_int_scaled_determinant_matches_oracle(a, b, c):
+    ints, scale = int_scaled([a, b, c])
+    assert Fraction(det3(*ints), scale ** 3) == leibniz_det3(a, b, c)
 
 
 class TestRationalLiterals:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from zonomix import zonotope
 from zonomix.numeric import E1, E2, E3, Vec3, vec3
 from zonomix.rng import SplitMix64, random_vectors, random_zonotope
 from zonomix.verify import (
@@ -48,6 +49,35 @@ class TestBezout:
     def test_ratio_none_when_factor_vanishes(self):
         report = check_bezout(SEG1, SEG1, SEG2)
         assert report.ratio is None
+
+
+class TestScalingPerCheck:
+    """Each body is cleared to integers once per check, not once per volume."""
+
+    @pytest.fixture
+    def scaled_calls(self, monkeypatch):
+        calls = []
+        inner = zonotope.int_scaled
+        monkeypatch.setattr(zonotope, "int_scaled", lambda gens: calls.append(gens) or inner(gens))
+        return calls
+
+    def test_bezout_scales_three_bodies_once_each(self, scaled_calls):
+        rng = SplitMix64(35)  # 4, 5 and 6 generators; every volume is nonzero
+        a, b, c = (random_zonotope(rng, 6, 16) for _ in range(3))
+        report = check_bezout(a, b, c)
+        assert scaled_calls == [a.generators, b.generators, c.generators]
+        assert report.ratio is not None and report.ratio > 0
+        assert report == check_bezout(*(Zonotope3(z.generators) for z in (a, b, c)))
+        ga, gb, gc = a.generators, b.generators, c.generators
+        assert (report.lhs, report.rhs) == (
+            brute_volume(ga) * brute_mixed_volume(ga, gb, gc),
+            Fraction(3, 2) * brute_mixed_volume(ga, ga, gb) * brute_mixed_volume(ga, ga, gc))
+
+    def test_af_square_scales_four_bodies_once_each(self, scaled_calls):
+        rng = SplitMix64(32)
+        bodies = [random_zonotope(rng, 5, 16) for _ in range(4)]
+        check_af_square(*bodies)
+        assert len(scaled_calls) == 4
 
 
 class TestTightnessRatio:

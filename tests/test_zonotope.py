@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+from zonomix import zonotope
 from zonomix.numeric import E1, E2, E3, Mat3xM, mat_det, vec3
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.zonotope import (
@@ -131,6 +132,39 @@ class TestVolume:
         for _ in range(30):
             a = random_zonotope(rng, 6, 9)
             assert volume(a) == mixed_volume(a, a, a)
+
+
+class TestScaledCache:
+    GENS = [(1, "-1/2", 0), ("2/3", 4, "-5/7"), (0, 0, 0)]
+
+    def test_scaled_once_per_body(self, monkeypatch):
+        calls = []
+        inner = zonotope.int_scaled
+        monkeypatch.setattr(zonotope, "int_scaled", lambda gens: calls.append(gens) or inner(gens))
+        body = Zonotope3.from_generators(self.GENS)
+        first = volume(body)
+        assert volume(body) == mixed_volume(body, body, body) == first
+        assert mixed_volume_repeated(body, body) == first
+        assert calls == [body.generators]
+        assert body.scaled is body.scaled
+
+    def test_cache_does_not_leak_into_identity(self):
+        body = Zonotope3.from_generators(self.GENS)
+        fresh = Zonotope3.from_generators(self.GENS)
+        before = (repr(body), hash(body))
+        volume(body)
+        assert "scaled" in vars(body) and "scaled" not in vars(fresh)
+        assert body == fresh and fresh == body
+        assert (repr(body), hash(body)) == before == (repr(fresh), hash(fresh))
+        assert repr(body) == f"Zonotope3(generators={body.generators!r})"
+        assert len({body, fresh}) == 1
+
+    def test_cached_volumes_match_oracle(self):
+        body = Zonotope3.from_generators(self.GENS + [(3, 1, "1/2")])
+        for _ in range(2):
+            assert volume(body) == brute_volume(body.generators)
+            assert mixed_volume(body, CUBE, TIGHT) == \
+                brute_mixed_volume(body.generators, CUBE.generators, TIGHT.generators)
 
 
 class TestSegmentForm:
