@@ -117,7 +117,7 @@ def _check_grassmann(args) -> int:
     mat = _load(parse_matrix, args.files[0])
     point = pluecker(mat)
     residuals = check_gp3(point)
-    bad = [r for r in residuals if r.value != 0]
+    bad = [r for r in residuals if r != 0]
     lines = [f"columns = {mat.m}, minor coordinates = {len(point.coords)}",
              f"exchange relations checked = {len(residuals)}, nonzero residuals = {len(bad)}"]
     ok = not bad
@@ -232,7 +232,7 @@ def cmd_grassmann_sample(args) -> int:
         _emit(render_pluecker_csv(point), args)
         return 0
     residuals = check_gp3(point)
-    bad = sum(1 for r in residuals if r.value != 0)
+    bad = sum(1 for r in residuals if r != 0)
     text = (f"# random 3x{args.n} matrix, seed {args.seed}\n"
             + render_matrix(mat)
             + f"# minor coordinates ({len(point.coords)}):\n"
@@ -259,7 +259,7 @@ def cmd_report(args) -> int:
 
     mat6 = Mat3xM(equality[0].generators + seg1.generators + seg2.generators)
     minors = pluecker(mat6)
-    gp_ok = all(r.value == 0 for r in check_gp3(minors))
+    gp_ok = all(r == 0 for r in check_gp3(minors))
     checks.append(("quadratic minor inequality (6 columns)",
                    check_quad_ineq(abs_map(minors), 4)))
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from .numeric import Mat3xM, minor3, render_rational
 from .verify import IneqReport, ineq_report
@@ -33,14 +32,6 @@ class PlueckerVector:
         if sorted(self.coords) != expected:
             raise ValueError(f"coords must carry exactly the {len(expected)} "
                              f"3-subsets of 1..{self.n}")
-
-
-class GPResidual(NamedTuple):
-    """One quadratic exchange relation: residual is 0 on realizable vectors."""
-
-    pair: tuple[int, int]
-    quad: tuple[int, int, int, int]
-    value: Fraction
 
 
 def pluecker(mat: Mat3xM) -> PlueckerVector:
@@ -67,12 +58,14 @@ def _sorted_with_sign(pair: tuple[int, int], extra: int) -> tuple[Subset3, int]:
     return (a, extra, b), -1
 
 
-def check_gp3(p: PlueckerVector) -> list[GPResidual]:
+def check_gp3(p: PlueckerVector) -> list[Fraction]:
     """Residuals of the quadratic exchange relations, one per (2-subset, 4-subset) pair.
 
     For each 2-subset S and each disjoint 4-subset T = {t1 < t2 < t3 < t4},
     the alternating sum over k of q[S + t_k] * q[T - t_k] vanishes on every
     minor vector of an actual matrix (signs adjusted for sorting S + t_k).
+    Returns the residual values, C(n,2) * C(n-2,4) of them, ordered by S and
+    then by T, both lexicographically; every one is 0 on a realizable vector.
     Nonempty only for n >= 6.  This family is a realizability smoke test, not
     a completeness claim.
     """
@@ -88,7 +81,7 @@ def check_gp3(p: PlueckerVector) -> list[GPResidual]:
                 remainder = t[:k] + t[k + 1:]
                 sign = sort_sign if k % 2 == 0 else -sort_sign
                 value += sign * coords[key] * coords[remainder]
-            residuals.append(GPResidual(pair=s, quad=t, value=value))
+            residuals.append(value)
     return residuals
 
 

@@ -1,11 +1,11 @@
-"""Exact rational scalars, 3-vectors, small fixed-size determinants, text I/O.
+"""Exact rational scalars, 3-vectors, 3x3 determinants, text I/O.
 
 Every scalar in this package is a ``fractions.Fraction``, which keeps
 canonical form (positive denominator, gcd 1) after every operation, so
 equality tests are exact and unambiguous.  A floating-point lane exists only
 for throughput experiments; nothing that verifies an inequality ever touches
-it.  The three text formats (zonotope, polytope, matrix) share one reader,
-`parse_rows`, and one writer, `render_rows`.
+it.  The two text formats (zonotope, matrix) share one reader, `parse_rows`,
+and one writer, `render_rows`.
 """
 
 from __future__ import annotations
@@ -78,17 +78,13 @@ def vscale(q: Fraction, a: Vec3) -> Vec3:
     return Vec3(q * a.x, q * a.y, q * a.z)
 
 
-def cross(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a.y * b.z - a.z * b.y, a.z * b.x - a.x * b.z, a.x * b.y - a.y * b.x)
+def cross(a, b) -> Vec3:
+    """Cross product of two 3-tuples; like det3, exact for Vec3 and integer triples."""
+    return Vec3(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def dot(a: Vec3, b: Vec3) -> Fraction:
     return a.x * b.x + a.y * b.y + a.z * b.z
-
-
-def det2(a, b, c, d):
-    """Determinant of the 2x2 matrix (a b; c d)."""
-    return a * d - b * c
 
 
 def det3(a, b, c):
@@ -111,16 +107,6 @@ class Mat3xM:
     @classmethod
     def from_columns(cls, cols: Iterable) -> "Mat3xM":
         return cls(tuple(c if isinstance(c, Vec3) else vec3(*c) for c in cols))
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence]) -> "Mat3xM":
-        if len(rows) != 3:
-            raise ValueError(f"expected 3 rows, got {len(rows)}")
-        widths = {len(r) for r in rows}
-        if len(widths) > 1:
-            raise ValueError("rows have inconsistent lengths")
-        m = widths.pop() if widths else 0
-        return cls(tuple(vec3(rows[0][j], rows[1][j], rows[2][j]) for j in range(m)))
 
     @property
     def m(self) -> int:
@@ -152,12 +138,6 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
         raise ValueError(f"need a square 3x3 matrix, got 3x{mat.m}")
     c1, c2, c3 = mat.columns
     return vadd(vadd(vscale(v.x, c1), vscale(v.y, c2)), vscale(v.z, c3))
-
-
-def mat_det(mat: Mat3xM) -> Fraction:
-    if mat.m != 3:
-        raise ValueError(f"need a square 3x3 matrix, got 3x{mat.m}")
-    return det3(*mat.columns)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +230,6 @@ def sum_abs_det2_pairs(us, vs):
 # Text formats.  Each is a header line followed by rows of whitespace-separated
 # rational literals; "#" starts a comment line and blank lines are ignored.
 #   zonotope: "zonotope3", then one generator "x y z" per row;
-#   polytope: "polytope3", then one vertex "x y z" per row;
 #   matrix:   "matrix 3 n", then 3 rows of n entries (none when n = 0).
 
 def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
@@ -260,17 +239,6 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
     if not lines:
         raise ValueError(f"empty {kind} file")
     return lines[0], [[parse_rational(e) for e in line.split()] for line in lines[1:]]
-
-
-def parse_vec3_rows(text: str, kind: str, item: str) -> tuple[Vec3, ...]:
-    """The rows of a file with header "<kind>3" and one 3-vector `item` per row."""
-    header, rows = parse_rows(text, kind)
-    if header != f"{kind}3":
-        raise ValueError(f"expected header '{kind}3', got {header!r}")
-    for row in rows:
-        if len(row) != 3:
-            raise ValueError(f"{kind}: expected 3 coordinates per {item}, got {len(row)}")
-    return tuple(Vec3(*row) for row in rows)
 
 
 def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:
@@ -301,7 +269,7 @@ def parse_matrix(text: str) -> Mat3xM:
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix: expected {n} entries per row, got {len(row)}")
-    return Mat3xM.from_rows(rows)
+    return Mat3xM(tuple(Vec3(*col) for col in zip(*rows)))
 
 
 def render_matrix(mat: Mat3xM) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeric import E1, E2, Vec3, sum_abs_det2_pairs, vec3
-from .verify import lemma_lhs
+from .verify import check_lemma_matrix
 from .zonotope import Zonotope3
 
 RatVector = tuple[Fraction, ...]
@@ -105,7 +105,7 @@ def f_direct(x: Sequence[Fraction], y: Sequence[Fraction],
              z: Sequence[Fraction]) -> Fraction:
     """(sum over i<j<k of |det3 of columns (x_i,y_i,z_i)|) * (sum of |z_i|)."""
     _require_same_length(x, y, z)
-    return lemma_lhs([Vec3(xi, yi, zi) for xi, yi, zi in zip(x, y, z)])
+    return check_lemma_matrix([Vec3(xi, yi, zi) for xi, yi, zi in zip(x, y, z)]).lhs
 
 
 def _e3_e1(s: SStats) -> Fraction:

@@ -70,13 +70,11 @@ def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
 
 def tightness_ratio(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
     """V(A,A,A)*V(A,B,C) / (V(A,A,B)*V(A,A,C)); at most 3/2 on zonotopes."""
-    vaab = mixed_volume_repeated(a, b)
-    if vaab == 0:
-        raise ZeroDivisionError("V(A,A,B) = 0: tightness ratio undefined")
-    vaac = mixed_volume_repeated(a, c)
-    if vaac == 0:
-        raise ZeroDivisionError("V(A,A,C) = 0: tightness ratio undefined")
-    return volume(a) * mixed_volume(a, b, c) / (vaab * vaac)
+    ratio = check_bezout(a, b, c).ratio
+    if ratio is None:
+        zero = "V(A,A,B)" if mixed_volume_repeated(a, b) == 0 else "V(A,A,C)"
+        raise ZeroDivisionError(f"{zero} = 0: tightness ratio undefined")
+    return ratio
 
 
 def af_square_report(v_aad: Fraction, v_bcd: Fraction, v_abd: Fraction,
@@ -93,16 +91,6 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
     """
     return af_square_report(mixed_volume_repeated(a, d), mixed_volume(b, c, d),
                             mixed_volume(a, b, d), mixed_volume(a, c, d))
-
-
-def lemma_lhs(vectors: Sequence[Vec3]) -> Fraction:
-    """(sum over i<j<k of |det3|) * (sum of |z_i|) for a vector collection."""
-    return check_lemma_matrix(vectors).lhs
-
-
-def lemma_rhs(vectors: Sequence[Vec3]) -> Fraction:
-    """(sum over i<j of |y_i z_j - y_j z_i|) * (sum over i<j of |x_i z_j - x_j z_i|)."""
-    return check_lemma_matrix(vectors).rhs
 
 
 def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:

@@ -29,8 +29,6 @@ from .numeric import (
     det3,
     dot,
     int_scaled,
-    parse_vec3_rows,
-    render_rows,
     vadd,
     vec3,
 )
@@ -96,12 +94,6 @@ def _orient(a: _IntPoint, b: _IntPoint, c: _IntPoint, d: _IntPoint) -> int:
     return det3(_sub(b, a), _sub(c, a), _sub(d, a))
 
 
-def _cross_i(u: _IntPoint, v: _IntPoint) -> _IntPoint:
-    return (u[1] * v[2] - u[2] * v[1],
-            u[2] * v[0] - u[0] * v[2],
-            u[0] * v[1] - u[1] * v[0])
-
-
 def _hull_facets(pts: list[_IntPoint]) -> Optional[list[tuple[int, int, int]]]:
     """Outward-oriented facet triangles of conv(pts); None if affinely dependent.
 
@@ -112,7 +104,7 @@ def _hull_facets(pts: list[_IntPoint]) -> Optional[list[tuple[int, int, int]]]:
         return None
     a, b = 0, 1
     c = next((j for j in range(2, n)
-              if _cross_i(_sub(pts[b], pts[a]), _sub(pts[j], pts[a])) != (0, 0, 0)), None)
+              if cross(_sub(pts[b], pts[a]), _sub(pts[j], pts[a])) != (0, 0, 0)), None)
     if c is None:
         return None
     d = next((j for j in range(2, n)
@@ -206,15 +198,3 @@ def pyramid_equality_report() -> IneqReport:
         mv_body_body_seg(pyramid, E1),
         mv_body_body_seg(pyramid, E2),
     )
-
-
-# ---------------------------------------------------------------------------
-# Polytope text format: header "polytope3", then one vertex per row (see
-# numeric.parse_rows).
-
-def parse_polytope(text: str) -> PolytopeV:
-    return PolytopeV(parse_vec3_rows(text, "polytope", "vertex"))
-
-
-def render_polytope(poly: PolytopeV) -> str:
-    return render_rows("polytope3", poly.vertices)

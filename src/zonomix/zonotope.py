@@ -21,7 +21,7 @@ from .numeric import (
     cross,
     int_scaled,
     mat_vec,
-    parse_vec3_rows,
+    parse_rows,
     render_rows,
     sum_abs_det3_combos,
     sum_abs_det3_pairs,
@@ -122,11 +122,6 @@ def volume(a: Zonotope3) -> Fraction:
     return Fraction(sum_abs_det3_combos(ga), la ** 3)
 
 
-def mv_zz_segment(a: Zonotope3, u: Vec3) -> Fraction:
-    """V(A, A, [0,u]) = (1/3) sum over pairs i < j of |det(a_i, a_j, u)|."""
-    return mixed_volume_repeated(a, Zonotope3((u,)))
-
-
 def apply_linear(zono: Zonotope3, mat: Mat3xM) -> Zonotope3:
     """Image of the zonotope under a linear map given by its 3 columns."""
     return Zonotope3(tuple(mat_vec(mat, g) for g in zono.generators))
@@ -154,7 +149,13 @@ def volume_float(a: Zonotope3) -> float:
 # numeric.parse_rows).
 
 def parse_zonotope(text: str) -> Zonotope3:
-    return Zonotope3(parse_vec3_rows(text, "zonotope", "generator"))
+    header, rows = parse_rows(text, "zonotope")
+    if header != "zonotope3":
+        raise ValueError(f"expected header 'zonotope3', got {header!r}")
+    for row in rows:
+        if len(row) != 3:
+            raise ValueError(f"zonotope: expected 3 coordinates per generator, got {len(row)}")
+    return Zonotope3(tuple(Vec3(*row) for row in rows))
 
 
 def render_zonotope(zono: Zonotope3) -> str:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from zonomix.grassmann import abs_map, check_gp3, check_quad_ineq, pluecker
-from zonomix.numeric import E1, E2, Mat3xM, Vec3, mat_det, vec3
+from zonomix.numeric import E1, E2, Mat3xM, Vec3, det3, vec3
 from zonomix.reduction import (
     SStats,
     TwoValuePattern,
@@ -31,8 +31,6 @@ from zonomix.verify import (
     check_af_square,
     check_lemma_matrix,
     fuzz,
-    lemma_lhs,
-    lemma_rhs,
     tightness_ratio,
 )
 from zonomix.witness import (
@@ -48,7 +46,6 @@ from zonomix.zonotope import (
     minkowski_sum,
     mixed_volume,
     mixed_volume_repeated,
-    mv_zz_segment,
     scale_zonotope,
     volume,
 )
@@ -95,7 +92,7 @@ def test_criterion_01_mixed_volume_axioms():
             mat = Mat3xM((random_vec3(rng, 16), random_vec3(rng, 16),
                           random_vec3(rng, 16)))
             assert mixed_volume(apply_linear(a, mat), apply_linear(b, mat),
-                                apply_linear(c, mat)) == abs(mat_det(mat)) * base
+                                apply_linear(c, mat)) == abs(det3(*mat.columns)) * base
             # parallel segments kill the mixed volume
             u = random_vec3(rng, 16)
             lam = random_rational(rng, 16)
@@ -149,8 +146,9 @@ def test_criterion_04_matrix_form_bridge():
         for _ in range(1000):
             a = random_zonotope(rng, 6, 16)
             vectors = list(a.generators)
-            assert lemma_lhs(vectors) == 6 * volume(a) * mixed_volume(a, SEG1, SEG2)
-            assert lemma_rhs(vectors) == 9 * mixed_volume_repeated(a, SEG1) * \
+            report = check_lemma_matrix(vectors)
+            assert report.lhs == 6 * volume(a) * mixed_volume(a, SEG1, SEG2)
+            assert report.rhs == 9 * mixed_volume_repeated(a, SEG1) * \
                 mixed_volume_repeated(a, SEG2)
 
 
@@ -205,7 +203,7 @@ def test_criterion_07_minor_coordinate_form():
         for _ in range(1000):
             mat = Mat3xM(tuple(random_vec3(rng, 9) for _ in range(6)))
             point = pluecker(mat)
-            assert all(r.value == 0 for r in check_gp3(point))
+            assert all(r == 0 for r in check_gp3(point))
             assert check_quad_ineq(abs_map(point), 4).holds
 
         for _ in range(500):
@@ -243,7 +241,7 @@ def test_criterion_09_polytope_pipeline_cross_check():
             v = random_vec3(rng, 8)
             assert mv_seg_seg(poly, u, v) == \
                 mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
-            assert mv_body_body_seg(poly, u) == mv_zz_segment(zono, u)
+            assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
 
 
 def test_criterion_10_fuzz_determinism(tmp_path):

@@ -16,7 +16,6 @@ import pytest
 from zonomix.cli import main
 from zonomix.numeric import Mat3xM, render_matrix, vec3
 from zonomix.rng import SplitMix64, random_rational
-from zonomix.witness import PolytopeV, render_polytope
 from zonomix.zonotope import Zonotope3, render_zonotope
 
 INPUTS = {
@@ -174,11 +173,6 @@ def test_render_zonotope():
     body = Zonotope3.from_generators([(1, "-1/2", 0), (0, 0, 0), ("7/3", 4, -5)])
     assert render_zonotope(body) == "zonotope3\n1 -1/2 0\n0 0 0\n7/3 4 -5\n"
     assert render_zonotope(Zonotope3(())) == "zonotope3\n"
-
-
-def test_render_polytope():
-    poly = PolytopeV.from_vertices([(0, 0, 0), ("1/2", 0, 0), (0, -3, "2/9")])
-    assert render_polytope(poly) == "polytope3\n0 0 0\n1/2 0 0\n0 -3 2/9\n"
 
 
 def test_render_matrix():

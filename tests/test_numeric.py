@@ -10,7 +10,6 @@ from zonomix.numeric import (
     E3,
     Mat3xM,
     Vec3,
-    det2,
     det3,
     int_scaled,
     minor3,
@@ -26,12 +25,6 @@ from oracles import leibniz_det3
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 vectors = st.builds(Vec3, rationals, rationals, rationals)
-
-
-def test_det2_examples():
-    assert det2(1, 0, 0, 1) == 1
-    assert det2(1, 2, 3, 4) == -2
-    assert det2(0, 1, 1, 0) == -1
 
 
 def test_det3_identity_and_repeats():

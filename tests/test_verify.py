@@ -11,8 +11,6 @@ from zonomix.verify import (
     check_bezout,
     check_lemma_matrix,
     fuzz,
-    lemma_lhs,
-    lemma_rhs,
     tightness_ratio,
 )
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
@@ -123,22 +121,23 @@ class TestAfSquare:
 
 class TestLemma:
     def test_basis_vectors(self):
-        vectors = [E1, E2, E3]
-        assert lemma_lhs(vectors) == 1
-        assert lemma_rhs(vectors) == 1
+        report = check_lemma_matrix([E1, E2, E3])
+        assert report.lhs == 1
+        assert report.rhs == 1
 
     def test_equality_configuration(self):
         vectors = list(TIGHT.generators)
         # brute force: triple-minor sum 4, z-sum 4; each pair-minor sum 4
         assert brute_volume(vectors) * 4 == 16
-        assert lemma_lhs(vectors) == 16
-        assert lemma_rhs(vectors) == 16
+        report = check_lemma_matrix(vectors)
+        assert report.lhs == 16
+        assert report.rhs == 16
 
     def test_small_and_flat(self):
         vectors = [vec3(1, 0, 0), vec3(0, 1, 0)]
-        assert lemma_lhs(vectors) == 0
-        assert lemma_rhs(vectors) == 0
         report = check_lemma_matrix(vectors)
+        assert report.lhs == 0
+        assert report.rhs == 0
         assert report.holds and report.ratio is None
 
     def test_agrees_with_brute_force(self):
@@ -148,8 +147,9 @@ class TestLemma:
             xs = [v.x for v in vectors]
             ys = [v.y for v in vectors]
             zs = [v.z for v in vectors]
-            assert lemma_lhs(vectors) == brute_volume(vectors) * sum(abs(z) for z in zs)
-            assert lemma_rhs(vectors) == \
+            report = check_lemma_matrix(vectors)
+            assert report.lhs == brute_volume(vectors) * sum(abs(z) for z in zs)
+            assert report.rhs == \
                 brute_pair_abs_sum(ys, zs) * brute_pair_abs_sum(xs, zs)
 
     def test_bridge_to_mixed_volumes(self):
@@ -157,10 +157,10 @@ class TestLemma:
         for _ in range(40):
             vectors = random_vectors(rng, 6, 9)
             a = Zonotope3(tuple(vectors))
-            assert lemma_lhs(vectors) == 6 * volume(a) * mixed_volume(a, SEG1, SEG2)
-            assert lemma_rhs(vectors) == \
-                9 * mixed_volume_repeated(a, SEG1) * mixed_volume_repeated(a, SEG2)
             lemma_report = check_lemma_matrix(vectors)
+            assert lemma_report.lhs == 6 * volume(a) * mixed_volume(a, SEG1, SEG2)
+            assert lemma_report.rhs == \
+                9 * mixed_volume_repeated(a, SEG1) * mixed_volume_repeated(a, SEG2)
             bezout_report = check_bezout(a, SEG1, SEG2)
             assert lemma_report.holds == bezout_report.holds
             assert lemma_report.slack == 6 * bezout_report.slack

@@ -8,14 +8,12 @@ from zonomix.witness import (
     PolytopeV,
     mv_body_body_seg,
     mv_seg_seg,
-    parse_polytope,
     polytope_of_zonotope,
     pyramid_equality_report,
-    render_polytope,
     square_pyramid,
     volume_polytope,
 )
-from zonomix.zonotope import Zonotope3, mixed_volume, mv_zz_segment, volume
+from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
 
 F = Fraction
 
@@ -114,25 +112,5 @@ class TestCrossModuleAgreement:
             v = random_vec3(rng, 6)
             assert mv_seg_seg(poly, u, v) == \
                 mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
-            assert mv_body_body_seg(poly, u) == mv_zz_segment(zono, u)
+            assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
 
-
-class TestPolytopeFormat:
-    def test_round_trip(self):
-        poly = square_pyramid()
-        assert parse_polytope(render_polytope(poly)) == poly
-
-    def test_comments(self):
-        text = "# tetra\npolytope3\n0 0 0\n1 0 0\n0 1 0\n0 0 1\n"
-        assert parse_polytope(text) == TETRA
-
-    @pytest.mark.parametrize("bad", [
-        "",
-        "polytope3\n",
-        "zonotope3\n1 1 1\n",
-        "polytope3\n1 2\n",
-        "polytope3\n1 2 3/0\n",
-    ])
-    def test_malformed(self, bad):
-        with pytest.raises(ValueError):
-            parse_polytope(bad)

@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from zonomix import zonotope
-from zonomix.numeric import E1, E2, E3, Mat3xM, mat_det, vec3
+from zonomix.numeric import E1, E2, E3, Mat3xM, det3, vec3
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.zonotope import (
     Zonotope3,
@@ -14,7 +14,6 @@ from zonomix.zonotope import (
     mixed_volume,
     mixed_volume_float,
     mixed_volume_repeated,
-    mv_zz_segment,
     parse_zonotope,
     render_zonotope,
     scale_zonotope,
@@ -168,21 +167,24 @@ class TestScaledCache:
 
 
 class TestSegmentForm:
+    """V(A, A, [0,u]) through mixed_volume_repeated with a one-segment body."""
+
     def test_cube_axis(self):
-        assert mv_zz_segment(CUBE, E1) == Fraction(1, 3)
+        assert mixed_volume_repeated(CUBE, Zonotope3((E1,))) == Fraction(1, 3)
 
     def test_four_generator_example(self):
-        assert mv_zz_segment(TIGHT, E1) == Fraction(4, 3)
+        assert mixed_volume_repeated(TIGHT, Zonotope3((E1,))) == Fraction(4, 3)
 
     def test_single_generator(self):
-        assert mv_zz_segment(Zonotope3((E1,)), vec3(2, 5, 7)) == 0
+        assert mixed_volume_repeated(Zonotope3((E1,)), Zonotope3((vec3(2, 5, 7),))) == 0
 
     def test_matches_mixed_volume(self):
         rng = SplitMix64(12)
         for _ in range(30):
             a = random_zonotope(rng, 5, 9)
             u = random_vec3(rng, 9)
-            assert mv_zz_segment(a, u) == mixed_volume(a, a, Zonotope3((u,)))
+            seg = Zonotope3((u,))
+            assert mixed_volume_repeated(a, seg) == mixed_volume(a, a, seg)
 
 
 class TestApplyLinear:
@@ -208,7 +210,7 @@ class TestApplyLinear:
             a, b, c = (random_zonotope(rng, 4, 6) for _ in range(3))
             assert mixed_volume(apply_linear(a, mat), apply_linear(b, mat),
                                 apply_linear(c, mat)) == \
-                abs(mat_det(mat)) * mixed_volume(a, b, c)
+                abs(det3(*mat.columns)) * mixed_volume(a, b, c)
 
 
 class TestZonotopeFormat:
