@@ -18,6 +18,7 @@ from .numeric import Vec3
 from .zonotope import Zonotope3
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # the golden-ratio increment of splitmix64
 
 
 class SplitMix64:
@@ -27,7 +28,7 @@ class SplitMix64:
         self._state = seed & _MASK
 
     def next64(self) -> int:
-        self._state = (self._state + 0x9E3779B97F4A7C15) & _MASK
+        self._state = (self._state + _GAMMA) & _MASK
         z = self._state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
@@ -40,6 +41,21 @@ class SplitMix64:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in the inclusive range [lo, hi]."""
         return lo + self.below(hi - lo + 1)
+
+
+def trial_seed(seed: int, trial: int) -> int:
+    """Seed of the stream that fuzz trial `trial` of a run seeded `seed` draws from.
+
+    Following the split construction of Steele, Lea and Flood (OOPSLA 2014),
+    the run seed is first mixed into a fresh state, and trial t takes output
+    t of the splitmix64 stream started there.  The trials of one run get
+    distinct seeds (the output mix is a bijection); two runs share a trial
+    seed only by chance, where seed XOR t made runs s and s ^ 1 identical;
+    and trial t depends on (seed, t) alone, so a longer run extends a
+    shorter one.
+    """
+    start = SplitMix64(seed).next64()
+    return SplitMix64(start + trial * _GAMMA).next64()
 
 
 def random_rational(rng: SplitMix64, bound: int) -> Fraction:

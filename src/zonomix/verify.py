@@ -23,7 +23,7 @@ from .numeric import (
     sum_abs_det2_pairs,
     sum_abs_det3_combos,
 )
-from .rng import SplitMix64, random_vectors, random_zonotope
+from .rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from .zonotope import (
     Zonotope3,
     mixed_volume,
@@ -189,8 +189,8 @@ def fuzz(config: FuzzConfig,
     """Run `config.trials` random checks of the target inequality, exactly.
 
     Trial t draws its inputs from a fresh splitmix64 stream seeded with
-    seed XOR t, so runs are reproducible and trials are independent of trial
-    count.  The summary keeps the input of the minimum-slack trial (first one
+    `trial_seed(seed, t)`, so runs are reproducible, runs with different
+    seeds draw different trials, and trials are independent of trial count.  The summary keeps the input of the minimum-slack trial (first one
     on ties) serialized in the matching text format.
     """
     config.validate()
@@ -200,7 +200,7 @@ def fuzz(config: FuzzConfig,
     max_ratio: Optional[Fraction] = None
     worst_case = ""
     for t in range(config.trials):
-        rng = SplitMix64(config.seed ^ t)
+        rng = SplitMix64(trial_seed(config.seed, t))
         report, m, serialize = run_trial(rng, config)
         if not report.holds:
             failures += 1

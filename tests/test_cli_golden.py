@@ -3,10 +3,9 @@
 Every expected string below is pinned byte for byte, so any change to a
 value, a label, the decimal annotation or the CSV layout shows up here.
 `fuzz` and `report` are pinned only through the sampler: the first draws of
-`random_rational` and one bezout CSV digest.  The trial streams are expected
-to change once trial seeds are derived by mixing (seed, trial) instead of
-seed XOR trial; those pins are then updated on purpose, and nothing else here
-should move.
+`random_rational` and one bezout CSV digest.  The digest was updated on
+purpose when trial seeds changed from seed XOR trial to `rng.trial_seed`,
+which mixes (seed, trial); the sampler draws did not move.
 """
 
 import hashlib
@@ -200,4 +199,4 @@ def test_bezout_fuzz_csv_is_pinned(capsys):
     out = capsys.readouterr().out
     assert out.count("\n") == 51
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "f997ed61a2e6f386d721fe4881e9db65fa5a7a255c2908755504e000de058080"
+        "0479bae2cc978c5df64bf801575e63847a6b4dea158b2fa3d76f4bf9c37cc559"

@@ -4,8 +4,9 @@ import pytest
 
 from zonomix import zonotope
 from zonomix.numeric import E1, E2, E3, Vec3, vec3
-from zonomix.rng import SplitMix64, random_vectors, random_zonotope
+from zonomix.rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from zonomix.verify import (
+    TARGETS,
     FuzzConfig,
     check_af_square,
     check_bezout,
@@ -204,6 +205,28 @@ class TestFuzz:
              on_trial=lambda t, m, rep: seen.append((t, m, rep.holds)))
         assert [t for t, _, _ in seen] == list(range(25))
         assert all(ok for _, _, ok in seen)
+
+    @pytest.mark.parametrize("seeds", [(0, 1), (42, 43)])
+    def test_neighbouring_seeds_share_no_trial(self, seeds):
+        # With seed XOR t as the trial seed, these pairs ran the same trials.
+        first, second = ({trial_seed(s, t) for t in range(10_000)} for s in seeds)
+        assert len(first) == len(second) == 10_000
+        assert first.isdisjoint(second)
+
+    def test_neighbouring_seeds_give_different_runs(self):
+        runs = [fuzz(FuzzConfig(target="lemma", trials=30, seed=s)) for s in (0, 1)]
+        # Same multiset of trials under seed XOR t, hence the same max ratio.
+        assert runs[0].max_ratio != runs[1].max_ratio
+
+    @pytest.mark.parametrize("target", TARGETS)
+    def test_shorter_run_is_a_prefix(self, target):
+        def run(trials):
+            seen = []
+            fuzz(FuzzConfig(target=target, trials=trials, m_max=4, coeff_bound=7, seed=11),
+                 on_trial=lambda t, m, rep: seen.append((t, m, rep)))
+            return seen
+
+        assert run(40)[:15] == run(15)
 
     @pytest.mark.parametrize("bad", [
         dict(target="nope", trials=10),
