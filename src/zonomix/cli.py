@@ -16,7 +16,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .grassmann import abs_map, check_gp3, check_quad_ineq, pluecker, render_pluecker_csv
+from .grassmann import (
+    MAX_COLUMNS,
+    abs_map,
+    check_gp3,
+    check_quad_ineq,
+    pluecker,
+    render_pluecker_csv,
+)
 from .numeric import (
     Mat3xM,
     approx_str,
@@ -225,6 +232,8 @@ def cmd_extremal(args) -> int:
 def cmd_grassmann_sample(args) -> int:
     if args.n < 3:
         raise ValueError(f"--n must be >= 3, got {args.n}")
+    if args.n > MAX_COLUMNS:
+        raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
     rng = SplitMix64(args.seed)
     mat = Mat3xM(tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n)))
     point = pluecker(mat)

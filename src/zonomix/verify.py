@@ -34,6 +34,11 @@ from .zonotope import (
 
 TARGETS = ("bezout", "lemma", "af_square")
 
+# Largest fuzz m_max.  A trial draws up to m_max generators per body, and a
+# bezout trial evaluates O(m^3) determinants: 0.16 s with 64 generators in
+# each body, so a larger bound turns a fuzz run into a hang.
+MAX_M_MAX = 64
+
 
 @dataclass(frozen=True)
 class IneqReport:
@@ -132,6 +137,8 @@ class FuzzConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.m_max < 1:
             raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+        if self.m_max > MAX_M_MAX:
+            raise ValueError(f"m_max must be <= {MAX_M_MAX}, got {self.m_max}")
         if self.coeff_bound < 1:
             raise ValueError(f"coeff_bound must be >= 1, got {self.coeff_bound}")
 

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from zonomix import cli
+from zonomix import cli, grassmann, verify
 from zonomix.cli import main
+from zonomix.grassmann import MAX_COLUMNS
 from zonomix.numeric import E1, E2, E3, Mat3xM, render_matrix, vec3
-from zonomix.verify import IneqReport
+from zonomix.verify import MAX_M_MAX, IneqReport
 from zonomix.zonotope import Zonotope3, render_zonotope
 
 
@@ -191,6 +192,42 @@ class TestGrassmannSample:
 
     def test_bad_n(self, capsys):
         assert main(["grassmann-sample", "--n", "2"]) == 2
+
+
+class TestResourceGuards:
+    """A size just over each limit exits 2 with the limit, before any work on it."""
+
+    @staticmethod
+    def _never(*args):
+        raise AssertionError("reached the allocation the guard should prevent")
+
+    def test_grassmann_sample_columns(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "random_vec3", self._never)
+        assert main(["grassmann-sample", "--n", str(MAX_COLUMNS + 1)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --n must be <= {MAX_COLUMNS}, got {MAX_COLUMNS + 1}\n"
+
+    def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
+        wide = tmp_path / "wide.mat"
+        wide.write_text(render_matrix(Mat3xM((E1,) * (MAX_COLUMNS + 1))))
+        monkeypatch.setattr(grassmann, "minor3", self._never)
+        assert main(["check", "grassmann", str(wide)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: need at most {MAX_COLUMNS} columns, got {MAX_COLUMNS + 1}\n"
+
+    @pytest.mark.parametrize("target", ["bezout", "lemma", "af-square"])
+    def test_fuzz_m_max(self, target, capsys, monkeypatch):
+        monkeypatch.setattr(verify, "random_zonotope", self._never)
+        monkeypatch.setattr(verify, "random_vectors", self._never)
+        assert main(["fuzz", "--target", target, "--trials", "1",
+                     "--m-max", str(MAX_M_MAX + 1)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: m_max must be <= {MAX_M_MAX}, got {MAX_M_MAX + 1}\n"
+
+    def test_limits_admit_the_defaults(self):
+        # grassmann-sample --n 12 and fuzz at m_max 6 are benchmark workloads.
+        assert MAX_COLUMNS >= 12
+        verify.FuzzConfig(target="bezout", trials=1, m_max=MAX_M_MAX).validate()
 
 
 class TestReportCommand:

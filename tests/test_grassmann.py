@@ -1,9 +1,11 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
 from zonomix.grassmann import (
+    MAX_COLUMNS,
     PlueckerVector,
     abs_map,
     check_gp3,
@@ -46,6 +48,12 @@ class TestPluecker:
         with pytest.raises(ValueError):
             pluecker(Mat3xM((E1, E2)))
 
+    def test_column_limit(self):
+        # C(n,3) minors are cheap at the limit; check_gp3 never runs this wide here.
+        assert len(pluecker(Mat3xM((E1,) * MAX_COLUMNS)).coords) == comb(MAX_COLUMNS, 3)
+        with pytest.raises(ValueError, match=f"at most {MAX_COLUMNS} columns"):
+            pluecker(Mat3xM((E1,) * (MAX_COLUMNS + 1)))
+
     def test_column_permutation_equivariance_up_to_sign(self):
         rng = SplitMix64(41)
         for _ in range(20):
@@ -85,8 +93,10 @@ class TestExchangeRelations:
 
     def test_relation_count(self):
         rng = SplitMix64(44)
-        residuals = check_gp3(pluecker(_random_matrix(rng, 6)))
-        assert len(residuals) == 15  # C(6,2) pairs, one disjoint 4-subset each
+        for n in (6, 7, 8, 9):
+            residuals = check_gp3(pluecker(_random_matrix(rng, n)))
+            # one relation per 2-subset and disjoint 4-subset: 15, 105, 420, 1260
+            assert len(residuals) == comb(n, 2) * comb(n - 2, 4)
 
     def test_perturbation_breaks_realizability(self):
         rng = SplitMix64(45)
