@@ -20,8 +20,9 @@ from .verify import IneqReport, ineq_report
 Subset3 = tuple[int, int, int]
 
 # Largest column count `pluecker` accepts.  check_gp3 walks C(n,2) * C(n-2,4)
-# exchange relations at about 25 us each: 13,860 (0.4 s) at n = 12 and
-# 120,120 (3 s) at n = 16, but 813,960 at n = 21 and O(n^6) beyond.
+# exchange relations at about 25 us each (Python 3.11, Intel Xeon): 13,860
+# (0.4 s) at n = 12 and 120,120 (3 s) at n = 16, but 813,960 at n = 21 and
+# O(n^6) beyond.
 MAX_COLUMNS = 16
 
 

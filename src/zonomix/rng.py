@@ -49,10 +49,9 @@ def trial_seed(seed: int, trial: int) -> int:
     Following the split construction of Steele, Lea and Flood (OOPSLA 2014),
     the run seed is first mixed into a fresh state, and trial t takes output
     t of the splitmix64 stream started there.  The trials of one run get
-    distinct seeds (the output mix is a bijection); two runs share a trial
-    seed only by chance, where seed XOR t made runs s and s ^ 1 identical;
-    and trial t depends on (seed, t) alone, so a longer run extends a
-    shorter one.
+    distinct seeds (the output mix is a bijection), two runs share a trial
+    seed only by chance, and trial t depends on (seed, t) alone, so a longer
+    run extends a shorter one.
     """
     start = SplitMix64(seed).next64()
     return SplitMix64(start + trial * _GAMMA).next64()

@@ -36,7 +36,8 @@ TARGETS = ("bezout", "lemma", "af_square")
 
 # Largest fuzz m_max.  A trial draws up to m_max generators per body, and a
 # bezout trial evaluates O(m^3) determinants: 0.16 s with 64 generators in
-# each body, so a larger bound turns a fuzz run into a hang.
+# each body (Python 3.11, Intel Xeon).  The cap bounds the memory and the
+# time of every trial before any is drawn.
 MAX_M_MAX = 64
 
 
@@ -197,8 +198,9 @@ def fuzz(config: FuzzConfig,
 
     Trial t draws its inputs from a fresh splitmix64 stream seeded with
     `trial_seed(seed, t)`, so runs are reproducible, runs with different
-    seeds draw different trials, and trials are independent of trial count.  The summary keeps the input of the minimum-slack trial (first one
-    on ties) serialized in the matching text format.
+    seeds draw different trials, and trials are independent of trial count.
+    The summary keeps the input of the minimum-slack trial (first one on
+    ties) serialized in the matching text format.
     """
     config.validate()
     run_trial = _TRIALS[config.target]
