@@ -120,22 +120,25 @@ def cmd_volume(args) -> int:
     return 0
 
 
+def _relation_verdict(point) -> tuple[str, bool]:
+    """The exchange-relation line for a minor vector, and whether no residual is nonzero."""
+    residuals = check_gp3(point)
+    bad = sum(1 for r in residuals if r != 0)
+    return (f"exchange relations checked = {len(residuals)}, nonzero residuals = {bad}",
+            bad == 0)
+
+
 def _check_grassmann(args) -> int:
     mat = _load(parse_matrix, args.files[0])
     point = pluecker(mat)
-    residuals = check_gp3(point)
-    bad = [r for r in residuals if r != 0]
-    lines = [f"columns = {mat.m}, minor coordinates = {len(point.coords)}",
-             f"exchange relations checked = {len(residuals)}, nonzero residuals = {len(bad)}"]
-    ok = not bad
-    quad = None
-    if mat.m >= 5:
-        quad = check_quad_ineq(abs_map(point), mat.m - 2)
+    relations, ok = _relation_verdict(point)
+    quad = check_quad_ineq(abs_map(point)) if mat.m >= 5 else None
+    if quad is not None:
         ok = ok and quad.holds
     if args.output == "csv" and quad is not None:
         _emit(f"name,{_CSV_HEADER}\nquad-ineq,{_csv_row(quad)}\n", args)
     else:
-        text = "\n".join(lines) + "\n"
+        text = f"columns = {mat.m}, minor coordinates = {len(point.coords)}\n{relations}\n"
         if quad is not None:
             text += _report_text(quad)
         _emit(text, args)
@@ -240,15 +243,14 @@ def cmd_grassmann_sample(args) -> int:
     if args.output == "csv":
         _emit(render_pluecker_csv(point), args)
         return 0
-    residuals = check_gp3(point)
-    bad = sum(1 for r in residuals if r != 0)
+    relations, ok = _relation_verdict(point)
     text = (f"# random 3x{args.n} matrix, seed {args.seed}\n"
             + render_matrix(mat)
             + f"# minor coordinates ({len(point.coords)}):\n"
             + render_pluecker_csv(point)
-            + f"# exchange relations checked = {len(residuals)}, nonzero residuals = {bad}\n")
+            + f"# {relations}\n")
     _emit(text, args)
-    return 0 if bad == 0 else 1
+    return 0 if ok else 1
 
 
 def cmd_report(args) -> int:
@@ -268,32 +270,24 @@ def cmd_report(args) -> int:
 
     mat6 = Mat3xM(equality[0].generators + seg1.generators + seg2.generators)
     minors = pluecker(mat6)
-    gp_ok = all(r == 0 for r in check_gp3(minors))
-    checks.append(("quadratic minor inequality (6 columns)",
-                   check_quad_ineq(abs_map(minors), 4)))
+    _, gp_ok = _relation_verdict(minors)
+    checks.append(("quadratic minor inequality (6 columns)", check_quad_ineq(abs_map(minors))))
 
     fuzz_lines = []
-    all_hold = gp_ok
+    all_hold = gp_ok and all(report.holds for _, report in checks)
     for target in ("bezout", "lemma", "af_square"):
         summary = fuzz(FuzzConfig(target=target, trials=args.trials, m_max=6,
                                   coeff_bound=12, seed=args.seed))
-        ok = summary.failures == 0
-        all_hold = all_hold and ok
+        all_hold = all_hold and summary.failures == 0
         fuzz_lines.append(f"fuzz {target:<9} trials={summary.trials} "
                           f"failures={summary.failures} "
                           f"min_slack={render_rational(summary.min_slack)}")
 
     if args.output == "csv":
-        lines = [f"name,{_CSV_HEADER}"]
-        for name, report in checks:
-            lines.append(f"{name},{_csv_row(report)}")
-            all_hold = all_hold and report.holds
-        _emit("\n".join(lines) + "\n", args)
+        rows = [f"{name},{_csv_row(report)}" for name, report in checks]
+        _emit("\n".join([f"name,{_CSV_HEADER}"] + rows) + "\n", args)
     else:
-        blocks = []
-        for name, report in checks:
-            blocks.append(f"== {name}\n{_report_text(report)}")
-            all_hold = all_hold and report.holds
+        blocks = [f"== {name}\n{_report_text(report)}" for name, report in checks]
         blocks.append(f"== exchange-relation residuals all zero: {'yes' if gp_ok else 'NO'}\n")
         blocks.append("\n".join(fuzz_lines) + "\n")
         _emit("\n".join(blocks), args)

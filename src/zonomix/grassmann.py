@@ -56,47 +56,40 @@ def abs_map(p: PlueckerVector) -> PlueckerVector:
     return PlueckerVector(n=p.n, coords={k: abs(v) for k, v in p.coords.items()})
 
 
-def _sorted_with_sign(pair: tuple[int, int], extra: int) -> tuple[Subset3, int]:
-    # Sign of sorting (a, b, extra) ascending, a < b, extra distinct from both.
-    a, b = pair
-    if extra > b:
-        return (a, b, extra), 1
-    if extra < a:
-        return (extra, a, b), 1
-    return (a, extra, b), -1
-
-
 def check_gp3(p: PlueckerVector) -> list[Fraction]:
     """Residuals of the quadratic exchange relations, one per (2-subset, 4-subset) pair.
 
-    For each 2-subset S and each disjoint 4-subset T = {t1 < t2 < t3 < t4},
-    the alternating sum over k of q[S + t_k] * q[T - t_k] vanishes on every
-    minor vector of an actual matrix (signs adjusted for sorting S + t_k).
-    Returns the residual values, C(n,2) * C(n-2,4) of them, ordered by S and
-    then by T, both lexicographically; every one is 0 on a realizable vector.
-    Nonempty only for n >= 6.  This family is a realizability smoke test, not
-    a completeness claim.
+    Write q[i,j,k] for distinct indices in any order: the coordinate of the
+    sorted triple, negated when the order is an odd permutation of it.  For
+    each 2-subset S and each disjoint 4-subset T = {t1 < t2 < t3 < t4},
+
+        q[S+t1] q[t2,t3,t4] - q[S+t2] q[t1,t3,t4]
+            + q[S+t3] q[t1,t2,t4] - q[S+t4] q[t1,t2,t3]
+
+    vanishes on every minor vector of an actual matrix.  Returns the residual
+    values, C(n,2) * C(n-2,4) of them, ordered by S and then by T, both
+    lexicographically; every one is 0 on a realizable vector.  Nonempty only
+    for n >= 6.  This family is a realizability smoke test, not a
+    completeness claim.
     """
+    q = {}
+    for (i, j, k), v in p.coords.items():
+        q[i, j, k] = q[j, k, i] = q[k, i, j] = v
+        q[j, i, k] = q[i, k, j] = q[k, j, i] = -v
     residuals = []
     indices = range(1, p.n + 1)
-    coords = p.coords
-    for s in combinations(indices, 2):
-        rest = [i for i in indices if i not in s]
-        for t in combinations(rest, 4):
-            value = Fraction(0)
-            for k, tk in enumerate(t):
-                key, sort_sign = _sorted_with_sign(s, tk)
-                remainder = t[:k] + t[k + 1:]
-                sign = sort_sign if k % 2 == 0 else -sort_sign
-                value += sign * coords[key] * coords[remainder]
-            residuals.append(value)
+    for a, b in combinations(indices, 2):
+        rest = [i for i in indices if i not in (a, b)]
+        for t1, t2, t3, t4 in combinations(rest, 4):
+            residuals.append(q[a, b, t1] * q[t2, t3, t4] - q[a, b, t2] * q[t1, t3, t4]
+                             + q[a, b, t3] * q[t1, t2, t4] - q[a, b, t4] * q[t1, t2, t3])
     return residuals
 
 
-def check_quad_ineq(q: PlueckerVector, m: int) -> IneqReport:
+def check_quad_ineq(q: PlueckerVector) -> IneqReport:
     """The zonotope inequality as a quadratic in nonnegative minor coordinates.
 
-    For q with n = m + 2 columns (generators then the two unit columns):
+    For q with n = m + 2 columns (m generators then the two unit columns):
 
         (sum of q_I over 3-subsets I of 1..m) * (sum over i of q_{i,m+1,m+2})
             <= (sum over 2-subsets S of q_{S+(m+1,)}) * (same with m+2).
@@ -104,8 +97,7 @@ def check_quad_ineq(q: PlueckerVector, m: int) -> IneqReport:
     Holds whenever q is the componentwise absolute value of a realizable
     minor vector.
     """
-    if q.n != m + 2:
-        raise ValueError(f"coordinate count n = {q.n} does not match m + 2 = {m + 2}")
+    m = q.n - 2
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     for key, value in q.coords.items():

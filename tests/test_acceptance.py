@@ -204,17 +204,17 @@ def test_criterion_07_minor_coordinate_form():
             mat = Mat3xM(tuple(random_vec3(rng, 9) for _ in range(6)))
             point = pluecker(mat)
             assert all(r == 0 for r in check_gp3(point))
-            assert check_quad_ineq(abs_map(point), 4).holds
+            assert check_quad_ineq(abs_map(point)).holds
 
         for _ in range(500):
             gens = tuple(random_vec3(rng, 9) for _ in range(4))
-            quad = check_quad_ineq(abs_map(pluecker(Mat3xM(gens + (E1, E2)))), 4)
+            quad = check_quad_ineq(abs_map(pluecker(Mat3xM(gens + (E1, E2)))))
             lemma = check_lemma_matrix(list(gens))
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
 
         equality_gens = tuple(
             vec3(*t) for t in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
-        report = check_quad_ineq(abs_map(pluecker(Mat3xM(equality_gens + (E1, E2)))), 4)
+        report = check_quad_ineq(abs_map(pluecker(Mat3xM(equality_gens + (E1, E2)))))
         assert report.lhs == report.rhs == 16
 
 

@@ -116,33 +116,27 @@ class TestQuadIneq:
     def test_equality_configuration(self):
         gens = [vec3(0, 0, 1), vec3(0, 1, 1), vec3(1, 0, 1), vec3(1, 1, 1)]
         q = abs_map(pluecker(Mat3xM(tuple(gens) + (E1, E2))))
-        report = check_quad_ineq(q, 4)
+        report = check_quad_ineq(q)
         assert report.lhs == report.rhs == 16
         assert report.slack == 0 and report.holds
 
     def test_degenerate_columns(self):
         q = abs_map(pluecker(Mat3xM((E1, E2, E3, E1, E2))))
-        report = check_quad_ineq(q, 3)
+        report = check_quad_ineq(q)
         assert report.holds
         assert report.lhs == 1 and report.rhs == 1  # frozen by direct minor count
 
     def test_single_nonzero_coordinate(self):
         coords = {idx: F(0) for idx in combinations(range(1, 6), 3)}
         coords[(1, 2, 3)] = F(5)
-        report = check_quad_ineq(PlueckerVector(5, coords), 3)
+        report = check_quad_ineq(PlueckerVector(5, coords))
         assert report.lhs == 0 and report.rhs == 0 and report.holds
 
     def test_rejects_negative_coordinate(self):
         coords = {idx: F(0) for idx in combinations(range(1, 6), 3)}
         coords[(1, 2, 4)] = F(-1)
         with pytest.raises(ValueError):
-            check_quad_ineq(PlueckerVector(5, coords), 3)
-
-    def test_rejects_size_mismatch(self):
-        rng = SplitMix64(47)
-        q = abs_map(pluecker(_random_matrix(rng, 6)))
-        with pytest.raises(ValueError):
-            check_quad_ineq(q, 5)
+            check_quad_ineq(PlueckerVector(5, coords))
 
     def test_matches_generator_matrix_form(self):
         rng = SplitMix64(48)
@@ -152,7 +146,7 @@ class TestQuadIneq:
                 continue
             m = len(vectors)
             q = abs_map(pluecker(Mat3xM(tuple(vectors) + (E1, E2))))
-            quad = check_quad_ineq(q, m)
+            quad = check_quad_ineq(q)
             lemma = check_lemma_matrix(vectors)
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
 
