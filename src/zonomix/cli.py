@@ -135,8 +135,9 @@ def _check_grassmann(args) -> int:
     quad = check_quad_ineq(abs_map(point)) if mat.m >= 5 else None
     if quad is not None:
         ok = ok and quad.holds
-    if args.output == "csv" and quad is not None:
-        _emit(f"name,{_CSV_HEADER}\nquad-ineq,{_csv_row(quad)}\n", args)
+    if args.output == "csv":
+        row = f"quad-ineq,{_csv_row(quad)}\n" if quad is not None else ""
+        _emit(f"name,{_CSV_HEADER}\n{row}", args)
     else:
         text = f"columns = {mat.m}, minor coordinates = {len(point.coords)}\n{relations}\n"
         if quad is not None:
@@ -237,6 +238,8 @@ def cmd_grassmann_sample(args) -> int:
         raise ValueError(f"--n must be >= 3, got {args.n}")
     if args.n > MAX_COLUMNS:
         raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
+    if args.coeff_bound < 1:
+        raise ValueError(f"--coeff-bound must be >= 1, got {args.coeff_bound}")
     rng = SplitMix64(args.seed)
     mat = Mat3xM(tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n)))
     point = pluecker(mat)

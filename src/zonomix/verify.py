@@ -59,9 +59,10 @@ class IneqReport:
 def ineq_report(lhs: Fraction, factor1: Fraction, factor2: Fraction,
                 constant: Fraction = Fraction(1)) -> IneqReport:
     """Build a report for lhs <= constant * factor1 * factor2."""
-    rhs = constant * factor1 * factor2
+    product = factor1 * factor2
+    rhs = constant * product
     slack = rhs - lhs
-    ratio = lhs / (factor1 * factor2) if factor1 != 0 and factor2 != 0 else None
+    ratio = lhs / product if product != 0 else None
     return IneqReport(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= 0, ratio=ratio)
 
 

@@ -71,3 +71,26 @@ def subset_sums(gens):
     for g in gens:
         points += [(p[0] + g[0], p[1] + g[1], p[2] + g[2]) for p in points]
     return points
+
+
+def exchange_residuals(n, coords):
+    """Exchange-relation residuals of a minor vector, term by term from the definition.
+
+    `coords` maps ascending 1-based index triples to values.  For each
+    2-subset S and disjoint 4-subset T = (t1 < t2 < t3 < t4), both in
+    lexicographic order, the residual is the sum over k of
+    (-1)^k * sign(S + t_k) * coords[sorted(S + t_k)] * coords[T - t_k], where
+    sign(S + t_k) is -1 raised to the inversion count of the sequence (s1, s2, t_k).
+    """
+    out = []
+    for s in combinations(range(1, n + 1), 2):
+        rest = [i for i in range(1, n + 1) if i not in s]
+        for t in combinations(rest, 4):
+            total = Fraction(0)
+            for k, tk in enumerate(t):
+                seq = s + (tk,)
+                inversions = sum(1 for i, j in combinations(range(3), 2) if seq[i] > seq[j])
+                remainder = t[:k] + t[k + 1:]
+                total += (-1) ** (k + inversions) * coords[tuple(sorted(seq))] * coords[remainder]
+            out.append(total)
+    return out

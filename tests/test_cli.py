@@ -195,7 +195,7 @@ class TestGrassmannSample:
 
 
 class TestResourceGuards:
-    """A size just over each limit exits 2 with the limit, before any work on it."""
+    """A value just past each limit exits 2 naming the limit, before any work on it."""
 
     @staticmethod
     def _never(*args):
@@ -206,6 +206,13 @@ class TestResourceGuards:
         assert main(["grassmann-sample", "--n", str(MAX_COLUMNS + 1)]) == 2
         assert capsys.readouterr().err == \
             f"error: --n must be <= {MAX_COLUMNS}, got {MAX_COLUMNS + 1}\n"
+
+    # Unchecked, 0 and -5 failed inside the draw and -1 drew an all-ones matrix.
+    @pytest.mark.parametrize("bound", [0, -1, -5])
+    def test_grassmann_sample_coeff_bound(self, bound, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "random_vec3", self._never)
+        assert main(["grassmann-sample", "--coeff-bound", str(bound)]) == 2
+        assert capsys.readouterr().err == f"error: --coeff-bound must be >= 1, got {bound}\n"
 
     def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
         wide = tmp_path / "wide.mat"

@@ -24,6 +24,7 @@ INPUTS = {
     "D": "zonotope3\n1 1 1\n0 -2 1/5\n3 0 1\n",
     "E": "# no generators\nzonotope3\n",
     "M": "matrix 3 4\n1 1/2 0 2\n# second row\n2 -1 1 0\n\n3 0 -2/3 1\n",
+    "T": "matrix 3 3\n1 0 0\n0 2 0\n0 0 1/3\n",
     "G": "matrix 3 6\n1 1/2 0 2 1 0\n2 -1 1 0 0 1\n3 0 -2/3 1 0 0\n",
 }
 
@@ -99,6 +100,15 @@ GOLDEN = [
      "exchange relations checked = 15, nonzero residuals = 0\n" + LEMMA_TEXT),
     (["check", "grassmann", "G", "--output", "csv"],
      "name,lhs,rhs,slack,ratio,holds\nquad-ineq,686/9,112,322/9,49/72,True\n"),
+    # Under 5 columns there is no quadratic form: CSV is the header alone.
+    (["check", "grassmann", "T"],
+     "columns = 3, minor coordinates = 1\n"
+     "exchange relations checked = 0, nonzero residuals = 0\n"),
+    (["check", "grassmann", "T", "--output", "csv"], "name,lhs,rhs,slack,ratio,holds\n"),
+    (["check", "grassmann", "M"],
+     "columns = 4, minor coordinates = 4\n"
+     "exchange relations checked = 0, nonzero residuals = 0\n"),
+    (["check", "grassmann", "M", "--output", "csv"], "name,lhs,rhs,slack,ratio,holds\n"),
     (["extremal"], """\
 generators of A:
 zonotope3

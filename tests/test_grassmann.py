@@ -16,7 +16,7 @@ from zonomix.grassmann import (
 from zonomix.numeric import E1, E2, E3, Mat3xM, vec3
 from zonomix.rng import SplitMix64, random_vec3, random_vectors
 from zonomix.verify import check_lemma_matrix
-from oracles import leibniz_det3
+from oracles import exchange_residuals, leibniz_det3
 
 F = Fraction
 
@@ -105,6 +105,16 @@ class TestExchangeRelations:
         coords[(1, 2, 3)] += 1
         perturbed = PlueckerVector(6, coords)
         assert any(r != 0 for r in check_gp3(perturbed))
+
+    def test_values_match_oracle(self):
+        rng = SplitMix64(49)
+        for n in (6, 7, 8):
+            realizable = pluecker(_random_matrix(rng, n)).coords
+            perturbed = {k: v + F(rng.below(5) - 2, 3) for k, v in realizable.items()}
+            for coords in (realizable, perturbed):
+                residuals = check_gp3(PlueckerVector(n, coords))
+                assert residuals == exchange_residuals(n, coords)
+            assert any(r != 0 for r in residuals)  # the perturbed values are really compared
 
     def test_small_n_has_no_relations(self):
         rng = SplitMix64(46)
