@@ -121,7 +121,7 @@ def cmd_volume(args) -> int:
 
 
 def _relation_verdict(point) -> tuple[str, bool]:
-    """The exchange-relation line for a minor vector, and whether no residual is nonzero."""
+    """The exchange-relation line for a minor vector, and whether every residual is 0."""
     residuals = check_gp3(point)
     bad = sum(1 for r in residuals if r != 0)
     return (f"exchange relations checked = {len(residuals)}, nonzero residuals = {bad}",
@@ -133,8 +133,7 @@ def _check_grassmann(args) -> int:
     point = pluecker(mat)
     relations, ok = _relation_verdict(point)
     quad = check_quad_ineq(abs_map(point)) if mat.m >= 5 else None
-    if quad is not None:
-        ok = ok and quad.holds
+    ok = ok and (quad is None or quad.holds)
     if args.output == "csv":
         row = f"quad-ineq,{_csv_row(quad)}\n" if quad is not None else ""
         _emit(f"name,{_CSV_HEADER}\n{row}", args)
