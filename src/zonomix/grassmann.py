@@ -72,10 +72,12 @@ def check_gp3(p: PlueckerVector) -> list[Fraction]:
     for n >= 6.  This family is a realizability smoke test, not a
     completeness claim.
     """
+    # S is an ascending pair and T ascending, so S + t is the sorted triple,
+    # its cyclic shift (j, k, i) or the odd (i, k, j): only those are stored.
     q = {}
     for (i, j, k), v in p.coords.items():
-        q[i, j, k] = q[j, k, i] = q[k, i, j] = v
-        q[j, i, k] = q[i, k, j] = q[k, j, i] = -v
+        q[i, j, k] = q[j, k, i] = v
+        q[i, k, j] = -v
     residuals = []
     indices = range(1, p.n + 1)
     for a, b in combinations(indices, 2):

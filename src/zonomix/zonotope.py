@@ -4,7 +4,10 @@ A zonotope is a Minkowski sum of segments.  We store only the generator
 vectors a_i, each encoding the segment [0, a_i]: mixed volumes are invariant
 under translation, so a base point would carry no information.  All mixed
 volumes reduce, by multilinearity, to sums of |det| over generator triples,
-with V([0,a],[0,b],[0,c]) = |det(a,b,c)| / 6 as the atomic case.
+with V([0,a],[0,b],[0,c]) = |det(a,b,c)| / 6 as the atomic case.  The
+kernels in `numeric` take those sums exactly, with a cubic loop for small
+bodies and an O(m^2 log m) angular sweep from `numeric.SWEEP_MIN`
+generators on.
 """
 
 from __future__ import annotations
@@ -24,8 +27,10 @@ from .numeric import (
     parse_rows,
     render_rows,
     sum_abs_det3_combos,
+    sum_abs_det3_combos_cubic,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
+    sum_abs_det3_triples_cubic,
     vec3,
     vneg,
     vscale,
@@ -129,19 +134,20 @@ def apply_linear(zono: Zonotope3, mat: Mat3xM) -> Zonotope3:
 
 # ---------------------------------------------------------------------------
 # Floating-point lane: throughput experiments only.  Verification never uses
-# these (rounding would silently weaken exact inequalities).
+# these (rounding would silently weaken exact inequalities).  They call the
+# cubic loops directly: the sweep divides exactly, which only integers can.
 
 def _float_gens(gens: tuple[Vec3, ...]) -> list[tuple[float, float, float]]:
     return [(float(g.x), float(g.y), float(g.z)) for g in gens]
 
 
 def mixed_volume_float(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> float:
-    return sum_abs_det3_triples(_float_gens(a.generators), _float_gens(b.generators),
-                                _float_gens(c.generators)) / 6.0
+    return sum_abs_det3_triples_cubic(_float_gens(a.generators), _float_gens(b.generators),
+                                      _float_gens(c.generators)) / 6.0
 
 
 def volume_float(a: Zonotope3) -> float:
-    return float(sum_abs_det3_combos(_float_gens(a.generators)))
+    return float(sum_abs_det3_combos_cubic(_float_gens(a.generators)))
 
 
 # ---------------------------------------------------------------------------

@@ -3,12 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from zonomix import cli, grassmann, verify
+from zonomix import cli, grassmann, numeric, verify
 from zonomix.cli import main
 from zonomix.grassmann import MAX_COLUMNS
-from zonomix.numeric import E1, E2, E3, Mat3xM, render_matrix, vec3
+from zonomix.numeric import MAX_GENERATORS, E1, E2, E3, Mat3xM, render_matrix, vec3
 from zonomix.verify import MAX_M_MAX, IneqReport
-from zonomix.zonotope import Zonotope3, render_zonotope
+from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
 
 
 @pytest.fixture
@@ -231,10 +231,31 @@ class TestResourceGuards:
         assert capsys.readouterr().err == \
             f"error: m_max must be <= {MAX_M_MAX}, got {MAX_M_MAX + 1}\n"
 
+    @pytest.mark.parametrize("command", ["check bezout", "check lemma", "mixedvol", "volume"])
+    def test_generators_per_body(self, command, tmp_path, capsys, monkeypatch):
+        over = MAX_GENERATORS + 1
+        big = tmp_path / "big"
+        big.write_text(render_matrix(Mat3xM((E1,) * over)) if command == "check lemma"
+                       else render_zonotope(Zonotope3((E1,) * over)))
+        small = tmp_path / "small.zt"
+        small.write_text(render_zonotope(Zonotope3((E2,))))
+        files = {"check bezout": [big, small, small], "check lemma": [big],
+                 "mixedvol": [big, small, small], "volume": [big]}[command]
+        monkeypatch.setattr(numeric, "parse_rational", self._never)
+        assert main([*command.split(), *map(str, files)]) == 2
+        kind = "matrix" if command == "check lemma" else "zonotope"
+        assert capsys.readouterr().err == (
+            f"error: {big}: {kind}: at most {MAX_GENERATORS} generators "
+            f"({3 * MAX_GENERATORS} coordinates), got {3 * over} coordinates\n")
+
     def test_limits_admit_the_defaults(self):
-        # grassmann-sample --n 12 and fuzz at m_max 6 are benchmark workloads.
+        # grassmann-sample --n 12, fuzz at m_max 6 and checks of 96 generators
+        # are benchmark workloads.
         assert MAX_COLUMNS >= 12
         verify.FuzzConfig(target="bezout", trials=1, m_max=MAX_M_MAX).validate()
+        at_cap = Zonotope3((E1,) * MAX_GENERATORS)
+        assert parse_zonotope(render_zonotope(at_cap)) == at_cap
+        assert MAX_GENERATORS >= 96
 
 
 class TestReportCommand:

@@ -1,10 +1,13 @@
+import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
 
+from zonomix import numeric
 from zonomix.numeric import (
+    SWEEP_MIN,
     E1,
     E2,
     E3,
@@ -17,11 +20,17 @@ from zonomix.numeric import (
     parse_rational,
     render_matrix,
     render_rational,
+    sum_abs_det3_combos,
+    sum_abs_det3_combos_cubic,
+    sum_abs_det3_pairs,
+    sum_abs_det3_pairs_cubic,
+    sum_abs_det3_triples,
+    sum_abs_det3_triples_cubic,
     vadd,
     vec3,
     vscale,
 )
-from oracles import leibniz_det3
+from oracles import brute_mixed_volume, brute_volume, leibniz_det3
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 vectors = st.builds(Vec3, rationals, rationals, rationals)
@@ -120,6 +129,113 @@ def test_int_scaled_is_exactly_l_times_the_input(vs):
 def test_int_scaled_determinant_matches_oracle(a, b, c):
     ints, scale = int_scaled([a, b, c])
     assert Fraction(det3(*ints), scale ** 3) == leibniz_det3(a, b, c)
+
+
+# |det| kernels.  Each dispatcher must equal its cubic loop and the oracle
+# exactly, whichever path it takes: the cubic loop below SWEEP_MIN, the
+# angular sweep at or above it.
+
+def _expected(ga, gb, gc):
+    """(triples, pairs, combos) sums from the oracles; pairs counts i < j once."""
+    return (6 * brute_mixed_volume(ga, gb, gc), 3 * brute_mixed_volume(ga, ga, gb),
+            brute_volume(ga))
+
+
+def _assert_kernels_agree(ga, gb, gc):
+    triples, pairs, combos = _expected(ga, gb, gc)
+    assert sum_abs_det3_triples(ga, gb, gc) == sum_abs_det3_triples_cubic(ga, gb, gc) == triples
+    assert sum_abs_det3_pairs(ga, gb) == sum_abs_det3_pairs_cubic(ga, gb) == pairs
+    assert sum_abs_det3_combos(ga) == sum_abs_det3_combos_cubic(ga) == combos
+    assert all(type(k(*args)) is int for k, args in (
+        (sum_abs_det3_triples, (ga, gb, gc)), (sum_abs_det3_pairs, (ga, gb)),
+        (sum_abs_det3_combos, (ga,))))
+
+
+HUGE = 10 ** 400  # float(HUGE) and HUGE / 1 overflow
+P60 = 2 ** 60
+# Under the pivot e3 these project to (P60, k): all their float angle keys
+# round to -1.0, while their exact angles differ.  Listed by falling angle,
+# so a sort by the float key alone keeps the wrong order.
+COLLIDING = [(0, 0, 1)] + [(P60, k, 0) for k in range(12, 0, -1)]
+
+EDGE_CASES = {
+    "empty": ([], [], []),
+    "empty-pivot-list": ([], [(1, 2, 3), (4, 5, 6)], [(7, 8, 10), (1, 0, 0)]),
+    "one-generator": ([(1, 2, 3)], [(4, 5, 6)], [(7, 8, 10)]),
+    "two-generators": ([(1, 2, 3), (-2, 1, 5)], [(4, 5, 6), (0, 1, 0)], [(7, 8, 10)]),
+    "zero-generators": ([(0, 0, 0), (1, 2, 3), (0, 0, 0), (3, -1, 2)],
+                        [(0, 0, 0), (4, 5, 6)], [(7, 8, 10), (0, 0, 0)]),
+    "parallel-and-antiparallel": ([(1, 2, 3), (2, 4, 6), (-1, -2, -3), (0, 1, 1), (0, -3, -3)],
+                                  [(1, 2, 3), (-3, -6, -9), (5, 1, 2)],
+                                  [(2, 4, 6), (1, 0, 0), (-1, 0, 0)]),
+    "parallel-to-pivot": ([(1, 1, 2), (3, 3, 6), (-2, -2, -4), (1, 0, 1)],
+                          [(2, 2, 4), (0, 1, 3)], [(-1, -1, -2), (5, 0, 1)]),
+    "pivot-z-zero": ([(1, 2, 0), (3, -1, 0), (2, 2, 5), (0, 4, 0)],
+                     [(1, 2, 0), (1, 1, 1), (-2, 3, 0)], [(4, 0, 0), (0, 1, 2), (3, 3, 0)]),
+    "pivot-yz-zero": ([(5, 0, 0), (-2, 0, 0), (1, 2, 3), (0, 0, 7)],
+                      [(3, 0, 0), (1, -1, 2)], [(-4, 0, 0), (2, 5, -1), (0, 3, 0)]),
+    "huge-coordinates": ([(HUGE, 1, 7), (3, HUGE, -2), (HUGE + 1, -HUGE, HUGE), (-HUGE, 5, 0)],
+                         [(1, HUGE, HUGE - 1), (HUGE, 0, -HUGE)],
+                         [(2, -3, HUGE), (HUGE, HUGE, 1)]),
+    "colliding-float-keys": (COLLIDING, [(0, 0, 1), (P60, 3, 5)], COLLIDING[:5]),
+}
+
+
+@pytest.fixture(params=["cubic", "sweep"])
+def forced_path(request, monkeypatch):
+    """Route every dispatcher call to one path, whatever the input size."""
+    monkeypatch.setattr(numeric, "SWEEP_MIN", 0 if request.param == "sweep" else 10 ** 9)
+    return request.param
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_kernels_agree_on_edge_cases(case, forced_path):
+    _assert_kernels_agree(*EDGE_CASES[case])
+
+
+def _random_generators(rnd, m):
+    """Small integer generators with zero, repeated and (anti)parallel ones mixed in."""
+    gens = []
+    for _ in range(m):
+        r = rnd.random()
+        if r < 0.1:
+            gens.append((0, 0, 0))
+        elif r < 0.3 and gens:
+            k = rnd.choice((-3, -2, -1, 1, 2))
+            gens.append(tuple(k * c for c in rnd.choice(gens)))
+        else:
+            gens.append(tuple(rnd.randint(-6, 6) for _ in range(3)))
+    return gens
+
+
+@pytest.mark.parametrize("m", [SWEEP_MIN - 1, SWEEP_MIN, SWEEP_MIN + 3])
+def test_kernels_agree_on_each_side_of_the_crossover(m):
+    rnd = random.Random(m)
+    for _ in range(6):
+        _assert_kernels_agree(*(_random_generators(rnd, m) for _ in range(3)))
+
+
+def test_collision_reaches_the_sweep_at_its_natural_size():
+    assert len(COLLIDING) >= SWEEP_MIN
+    _assert_kernels_agree(COLLIDING, COLLIDING[::-1], COLLIDING[1:SWEEP_MIN + 1])
+
+
+@pytest.mark.parametrize("kernel, args", [
+    ("triples", lambda g: (g[:2], g, g)),
+    ("pairs", lambda g: (g, g[:2])),
+    ("combos", lambda g: (g,)),
+])
+def test_dispatch_switches_at_sweep_min(kernel, args, monkeypatch):
+    calls = []
+    cubic = getattr(numeric, f"sum_abs_det3_{kernel}_cubic")
+    monkeypatch.setattr(numeric, f"sum_abs_det3_{kernel}_cubic",
+                        lambda *a: calls.append(1) or cubic(*a))
+    dispatcher = getattr(numeric, f"sum_abs_det3_{kernel}")
+    g = _random_generators(random.Random(1), SWEEP_MIN)
+    dispatcher(*args(g[:-1]))
+    assert calls == [1]
+    dispatcher(*args(g))
+    assert calls == [1]
 
 
 class TestRationalLiterals:

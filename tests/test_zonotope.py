@@ -253,3 +253,12 @@ class TestFloatLane:
             approx = mixed_volume_float(a, b, c)
             assert abs(approx - float(exact)) <= 1e-9 * max(1.0, abs(float(exact)))
             assert abs(volume_float(a) - float(volume(a))) <= 1e-9 * max(1.0, float(volume(a)))
+
+    def test_stays_on_the_cubic_loops_past_the_sweep_crossover(self):
+        # The exact kernels sweep at m = 48; the sweep divides exactly, which
+        # floats cannot, so a float routed into it misses by far more than this.
+        rng = SplitMix64(48)
+        a, b, c = (Zonotope3(tuple(random_vec3(rng, 9) for _ in range(48))) for _ in range(3))
+        for approx, exact in ((mixed_volume_float(a, b, c), mixed_volume(a, b, c)),
+                              (volume_float(a), volume(a))):
+            assert abs(approx - float(exact)) <= 1e-9 * float(exact)
