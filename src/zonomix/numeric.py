@@ -348,7 +348,8 @@ def _sweep_combos(g):
 
 def sum_abs_det3_triples(ga, gb, gc):
     """Sum of |det(a, b, c)| over all (a, b, c) in ga x gb x gc."""
-    if sorted(map(len, (ga, gb, gc)))[1] < SWEEP_MIN:
+    # Two lists shorter than SWEEP_MIN: the middle length is below it.
+    if (len(ga) < SWEEP_MIN) + (len(gb) < SWEEP_MIN) + (len(gc) < SWEEP_MIN) >= 2:
         return sum_abs_det3_triples_cubic(ga, gb, gc)
     return _sweep_triples(ga, gb, gc)
 
