@@ -397,19 +397,23 @@ MAX_GENERATORS = 2000
 def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
     """The header line and the parsed rows of a `kind` file ("zonotope", ...).
 
-    A file with more than 3 * MAX_GENERATORS literals is refused before any
-    literal is parsed.
+    Reading stops with an error as soon as the rows hold more than
+    3 * MAX_GENERATORS literals, before any literal is parsed.
     """
-    lines = [line for line in map(str.strip, text.splitlines())
-             if line and not line.startswith("#")]
-    if not lines:
+    lines = (line for line in map(str.strip, text.splitlines())
+             if line and not line.startswith("#"))
+    header = next(lines, None)
+    if header is None:
         raise ValueError(f"empty {kind} file")
-    rows = [line.split() for line in lines[1:]]
-    literals = sum(map(len, rows))
-    if literals > 3 * MAX_GENERATORS:
-        raise ValueError(f"{kind}: at most {MAX_GENERATORS} generators "
-                         f"({3 * MAX_GENERATORS} coordinates), got {literals} coordinates")
-    return lines[0], [[parse_rational(e) for e in row] for row in rows]
+    rows, literals = [], 0
+    for line in lines:
+        row = line.split()
+        literals += len(row)
+        if literals > 3 * MAX_GENERATORS:
+            raise ValueError(f"{kind}: at most {MAX_GENERATORS} generators "
+                             f"({3 * MAX_GENERATORS} coordinates) per file")
+        rows.append(row)
+    return header, [[parse_rational(e) for e in row] for row in rows]
 
 
 def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:

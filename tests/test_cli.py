@@ -246,7 +246,7 @@ class TestResourceGuards:
         kind = "matrix" if command == "check lemma" else "zonotope"
         assert capsys.readouterr().err == (
             f"error: {big}: {kind}: at most {MAX_GENERATORS} generators "
-            f"({3 * MAX_GENERATORS} coordinates), got {3 * over} coordinates\n")
+            f"({3 * MAX_GENERATORS} coordinates) per file\n")
 
     def test_limits_admit_the_defaults(self):
         # grassmann-sample --n 12, fuzz at m_max 6 and checks of 96 generators
