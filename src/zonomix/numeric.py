@@ -161,9 +161,9 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
 # the vectors in angular order, the sum of |cross| over all pairs is one pass
 # of prefix sums.  That is O(m^2 log m) instead of O(m^3).  The sweep
 # overtakes the loops at about m = 8 to 9 (triples first, combos last) and
-# runs 10-16x faster at m = 96 (Python 3.11, Intel Xeon, check_large-like
-# generators); the loops stay the small-m path, and fuzz at its default
-# m_max = 6 never leaves them.
+# runs 10-16x faster at m = 96 (Python 3.11, Intel Xeon, coordinates p/q
+# with |p|, q <= 16); the loops stay the small-m path, and fuzz at its
+# default m_max = 6 never leaves them.
 
 # Smallest size at which the 3D sums sweep: the length of ga for pairs and
 # combos, and the middle length of the three lists for triples (the sweep
