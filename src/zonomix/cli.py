@@ -3,9 +3,8 @@
 Subcommands: mixedvol, volume, check, fuzz, extremal, grassmann-sample,
 report.  Exit codes: 0 all checks hold, 1 a violation was found, 2 usage or
 input error.  Each subcommand accepts only the flags it reads: every one
-takes --out; --mode (exact or float) exists only on mixedvol and volume,
-since verification is always exact; --seed on fuzz, grassmann-sample and
-report; --output on check, fuzz, grassmann-sample and report.
+takes --out; --seed on fuzz, grassmann-sample and report; --output on
+check, fuzz, grassmann-sample and report.  Every value is exact.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from .grassmann import (
 from .numeric import (
     Mat3xM,
     approx_str,
+    int_str,
     parse_matrix,
     parse_rational,
     render_matrix,
@@ -46,12 +46,10 @@ from .witness import pyramid_equality_report
 from .zonotope import (
     Zonotope3,
     mixed_volume,
-    mixed_volume_float,
     mixed_volume_repeated,
     parse_zonotope,
     render_zonotope,
     volume,
-    volume_float,
 )
 
 _CHECK_ARITY = {"bezout": 3, "lemma": 1, "af-square": 4, "grassmann": 1}
@@ -101,22 +99,14 @@ def _csv_row(report: IneqReport) -> str:
 
 
 def cmd_mixedvol(args) -> int:
-    bodies = [_load(parse_zonotope, p) for p in args.files]
-    if args.mode == "float":
-        _emit(f"{mixed_volume_float(*bodies)!r}\n", args)
-    else:
-        v = mixed_volume(*bodies)
-        _emit(f"{render_rational(v)} ({approx_str(v)})\n", args)
+    v = mixed_volume(*(_load(parse_zonotope, p) for p in args.files))
+    _emit(f"{render_rational(v)} ({approx_str(v)})\n", args)
     return 0
 
 
 def cmd_volume(args) -> int:
-    body = _load(parse_zonotope, args.file)
-    if args.mode == "float":
-        _emit(f"{volume_float(body)!r}\n", args)
-    else:
-        v = volume(body)
-        _emit(f"{render_rational(v)} ({approx_str(v)})\n", args)
+    v = volume(_load(parse_zonotope, args.file))
+    _emit(f"{render_rational(v)} ({approx_str(v)})\n", args)
     return 0
 
 
@@ -182,11 +172,11 @@ def cmd_fuzz(args) -> int:
 
         def on_trial(index: int, m: int, report: IneqReport) -> None:
             if report.ratio is not None:
-                rn, rd = report.ratio.numerator, report.ratio.denominator
+                rn, rd = int_str(report.ratio.numerator), int_str(report.ratio.denominator)
             else:
                 rn, rd = "", ""
-            rows.append(f"{index},{target},{m},{report.slack.numerator},"
-                        f"{report.slack.denominator},{rn},{rd}")
+            rows.append(f"{index},{target},{m},{int_str(report.slack.numerator)},"
+                        f"{int_str(report.slack.denominator)},{rn},{rd}")
 
         summary = fuzz(config, on_trial=on_trial)
         _emit("\n".join(rows) + "\n", args)
@@ -299,9 +289,6 @@ def cmd_report(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     out = argparse.ArgumentParser(add_help=False)
     out.add_argument("--out", default=None, help="write output to this path")
-    mode = argparse.ArgumentParser(add_help=False)
-    mode.add_argument("--mode", choices=("exact", "float"), default="exact",
-                      help="scalar mode; float is for throughput experiments only")
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument("--output", choices=("text", "csv"), default="text",
                         help="output format")
@@ -315,12 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
                     "V(A,A,A)V(A,B,C) <= (3/2)V(A,A,B)V(A,A,C).")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("mixedvol", parents=[out, mode],
+    p = sub.add_parser("mixedvol", parents=[out],
                        help="mixed volume of three zonotope files")
     p.add_argument("files", nargs=3, metavar="ZONOTOPE")
     p.set_defaults(func=cmd_mixedvol)
 
-    p = sub.add_parser("volume", parents=[out, mode], help="volume of a zonotope file")
+    p = sub.add_parser("volume", parents=[out], help="volume of a zonotope file")
     p.add_argument("file", metavar="ZONOTOPE")
     p.set_defaults(func=cmd_volume)
 
@@ -333,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", parents=[out, output, seed],
                        help="randomized exact checking with a deterministic seed")
     p.add_argument("--target", required=True,
-                   choices=("bezout", "lemma", "af-square", "af_square"))
+                   choices=("bezout", "lemma", "af-square"))
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--m-max", type=int, default=6, dest="m_max")
     p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound")

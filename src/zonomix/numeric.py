@@ -2,10 +2,8 @@
 
 Every scalar in this package is a ``fractions.Fraction``, which keeps
 canonical form (positive denominator, gcd 1) after every operation, so
-equality tests are exact and unambiguous.  A floating-point lane exists only
-for throughput experiments; nothing that verifies an inequality ever touches
-it.  The two text formats (zonotope, matrix) share one reader, `parse_rows`,
-and one writer, `render_rows`.
+equality tests are exact and unambiguous.  The two text formats (zonotope,
+matrix) share one reader, `parse_rows`, and one writer, `render_rows`.
 """
 
 from __future__ import annotations
@@ -36,9 +34,24 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def int_str(n: int) -> str:
+    """The decimal digits of n, at any size.
+
+    str() refuses integers of more than sys.get_int_max_str_digits() digits
+    (4300 by default), a guard against slow parsing that also stops exact
+    results from printing; Decimal converts without that limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
 def render_rational(q: Fraction) -> str:
     """Canonical form: "p/q" with q > 0 and gcd(p, q) = 1, integers without "/"."""
-    return str(q)
+    if q.denominator == 1:
+        return int_str(q.numerator)
+    return f"{int_str(q.numerator)}/{int_str(q.denominator)}"
 
 
 _APPROX_DIGITS = 12
@@ -388,10 +401,15 @@ def sum_abs_det2_pairs(us, vs):
 
 # Most generators one body file may hold, 3 coordinates each.  A check costs
 # O(m^2 log m) through the sweep: check bezout took 1.0 s at m = 400, 3.9 s at
-# 800, 16 s at 1600 and 28 s at 2000, and check af-square (three triple
-# sums) 24 s at 1600 (Python 3.11, Intel Xeon, coordinates p/q with
-# |p|, q <= 16).
+# 800, 16 s at 1600 and 28-29 s at 2000, and check af-square (three triple
+# sums) 24 s at 1600 and 52 s at 2000 (Python 3.11, Intel Xeon, coordinates
+# p/q with |p|, q <= 16).
 MAX_GENERATORS = 2000
+
+# A line of a text file: a run between the line boundaries of str.splitlines.
+# Scanning runs lazily keeps an oversized file from being split whole.  Runs
+# of boundaries ("\r\n", blank lines) match nothing, as blank lines are skipped.
+_LINE_RE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
 
 
 def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
@@ -400,8 +418,8 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
     Reading stops with an error as soon as the rows hold more than
     3 * MAX_GENERATORS literals, before any literal is parsed.
     """
-    lines = (line for line in map(str.strip, text.splitlines())
-             if line and not line.startswith("#"))
+    lines = (match.group().strip() for match in _LINE_RE.finditer(text))
+    lines = (line for line in lines if line and not line.startswith("#"))
     header = next(lines, None)
     if header is None:
         raise ValueError(f"empty {kind} file")

@@ -30,7 +30,6 @@ from .numeric import (
     sum_abs_det3_combos_cubic,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
-    sum_abs_det3_triples_cubic,
     vec3,
     vneg,
     vscale,
@@ -133,21 +132,14 @@ def apply_linear(zono: Zonotope3, mat: Mat3xM) -> Zonotope3:
 
 
 # ---------------------------------------------------------------------------
-# Floating-point lane: throughput experiments only.  Verification never uses
-# these (rounding would silently weaken exact inequalities).  They call the
-# cubic loops directly: the sweep divides exactly, which only integers can.
-
-def _float_gens(gens: tuple[Vec3, ...]) -> list[tuple[float, float, float]]:
-    return [(float(g.x), float(g.y), float(g.z)) for g in gens]
-
-
-def mixed_volume_float(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> float:
-    return sum_abs_det3_triples_cubic(_float_gens(a.generators), _float_gens(b.generators),
-                                      _float_gens(c.generators)) / 6.0
-
+# Float volume, kept only for perfbench's traced `float_lane`, its one caller,
+# which times it against `volume`; it goes when that metric does.  No verdict
+# uses it.  It calls the cubic loop directly: the sweep divides exactly, which
+# only integers can.
 
 def volume_float(a: Zonotope3) -> float:
-    return float(sum_abs_det3_combos_cubic(_float_gens(a.generators)))
+    return float(sum_abs_det3_combos_cubic([(float(x), float(y), float(z))
+                                            for x, y, z in a.generators]))
 
 
 # ---------------------------------------------------------------------------

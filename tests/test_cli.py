@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from zonomix import cli, grassmann, numeric, verify
 from zonomix.cli import main
 from zonomix.grassmann import MAX_COLUMNS
 from zonomix.numeric import MAX_GENERATORS, E1, E2, E3, Mat3xM, render_matrix, vec3
-from zonomix.verify import MAX_M_MAX, IneqReport
+from zonomix.verify import MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
 
 
@@ -44,10 +45,6 @@ class TestMixedvolVolume:
     def test_empty_zonotope(self, files, capsys):
         assert main(["volume", files["empty"]]) == 0
         assert capsys.readouterr().out.startswith("0 ")
-
-    def test_float_mode(self, files, capsys):
-        assert main(["volume", files["cube"], "--mode", "float"]) == 0
-        assert capsys.readouterr().out.strip() == "1.0"
 
     def test_missing_file(self, files, capsys):
         assert main(["volume", files["dir"] + "/nope.zt"]) == 2
@@ -149,6 +146,13 @@ class TestFuzzCommand:
         with pytest.raises(SystemExit) as exc:
             main(["fuzz", "--target", "bezout", "--trials", "5", "--mode", "float"])
         assert exc.value.code == 2
+
+    def test_target_has_one_spelling(self, capsys):
+        # report and FuzzConfig name it af_square; the command line, as in check, af-square.
+        with pytest.raises(SystemExit) as exc:
+            main(["fuzz", "--target", "af_square", "--trials", "1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'af_square'" in capsys.readouterr().err
 
 
 class TestExtremalCommand:
@@ -258,6 +262,69 @@ class TestResourceGuards:
         assert MAX_GENERATORS >= 96
 
 
+class TestExactOutputSize:
+    """Exact results print at any size; only input literals have a digit limit.
+
+    str() refuses integers over sys.get_int_max_str_digits() (4300 by default)
+    digits; a 3-generator cube with coordinates 10**1500 has volume 10**4500.
+    """
+
+    @pytest.fixture
+    def cube(self, tmp_path):
+        path = tmp_path / "huge.zt"
+        path.write_text(render_zonotope(Zonotope3.from_generators(
+            [(10 ** 1500, 0, 0), (0, 10 ** 1500, 0), (0, 0, 10 ** 1500)])))
+        return str(path)
+
+    @staticmethod
+    def _power(lead: str, exponent: int) -> str:
+        """The digits of int(lead) * 10**exponent, spelt without str()."""
+        return lead + "0" * exponent
+
+    def test_text(self, cube, capsys):
+        limit = sys.get_int_max_str_digits()
+        assert main(["volume", cube]) == 0
+        assert capsys.readouterr().out == f"{self._power('1', 4500)} (1.00000000000E+4500)\n"
+        assert main(["check", "bezout", cube, cube, cube]) == 0
+        out = capsys.readouterr().out
+        assert f"lhs   = {self._power('1', 9000)} (1.00000000000E+9000)\n" in out
+        assert "holds = yes\n" in out
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_csv(self, cube, capsys):
+        assert main(["check", "bezout", cube, cube, cube, "--output", "csv"]) == 0
+        p = self._power
+        assert capsys.readouterr().out == (
+            f"lhs,rhs,slack,ratio,holds\n{p('1', 9000)},{p('15', 8999)},{p('5', 8999)},1,True\n")
+
+    def test_fuzz_csv(self, capsys, monkeypatch):
+        big = 10 ** 5000 + 1
+        report = IneqReport(lhs=Fraction(big, 3), rhs=Fraction(big, 3), slack=Fraction(big, 3),
+                            holds=True, ratio=Fraction(3, big))
+
+        def one_trial(config, on_trial):
+            on_trial(0, 3, report)
+            return FuzzSummary(trials=1, failures=0, min_slack=report.slack, max_ratio=None,
+                               worst_case="", seed=config.seed)
+
+        monkeypatch.setattr(cli, "fuzz", one_trial)
+        assert main(["fuzz", "--target", "bezout", "--trials", "1", "--output", "csv"]) == 0
+        digits = "1" + "0" * 4999 + "1"
+        assert capsys.readouterr().out == (
+            "trial,target,m,slack_num,slack_den,ratio_num,ratio_den\n"
+            f"0,bezout,3,{digits},3,3,{digits}\n")
+
+    def test_oversized_literal(self, tmp_path, capsys):
+        limit = sys.get_int_max_str_digits()
+        path = tmp_path / "long.zt"
+        path.write_text(f"zonotope3\n1 0 0\n-{self._power('1', limit)} 1 0\n")
+        assert main(["volume", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ")
+        assert f"({limit} digits)" in err and f"has {limit + 1} digits" in err
+        assert sys.get_int_max_str_digits() == limit
+
+
 class TestReportCommand:
     def test_everything_holds(self, capsys):
         assert main(["report", "--trials", "40", "--seed", "3"]) == 0
@@ -274,6 +341,8 @@ class TestReportCommand:
 # Each subcommand accepts only the flags it reads; these are the pairs that
 # are refused as usage errors.
 REFUSED_FLAGS = [
+    ("mixedvol", ["--mode", "float"]),
+    ("volume", ["--mode", "exact"]),
     ("check", ["--mode", "exact"]),
     ("fuzz", ["--mode", "exact"]),
     ("extremal", ["--mode", "exact"]),

@@ -72,10 +72,7 @@ MINORS_SEED5 = """\
 
 GOLDEN = [
     (["mixedvol", "A", "B", "C"], "301/72 (4.18055555556)\n"),
-    (["mixedvol", "A", "B", "C", "--mode", "float"], "4.180555555555555\n"),
-    (["mixedvol", "A", "B", "C", "--mode", "exact"], "301/72 (4.18055555556)\n"),
     (["volume", "A"], "49/3 (16.3333333333)\n"),
-    (["volume", "A", "--mode", "float"], "16.333333333333332\n"),
     (["volume", "E"], "0 (0)\n"),
     (["check", "bezout", "A", "B", "C"], BEZOUT_TEXT),
     (["check", "bezout", "A", "B", "C", "--output", "csv"], BEZOUT_CSV),

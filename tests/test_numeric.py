@@ -1,4 +1,6 @@
 import random
+import sys
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -261,6 +263,42 @@ class TestRationalLiterals:
         assert render_rational(Fraction(4, 6)) == "2/3"
         assert render_rational(Fraction(-4, 2)) == "-2"
         assert render_rational(Fraction(3, -9)) == "-1/3"
+
+    def test_render_past_the_int_string_limit(self):
+        # str() refuses integers over sys.get_int_max_str_digits() digits.
+        digits = max(sys.get_int_max_str_digits(), 4300) + 700
+        big = 10 ** digits + 7
+        assert render_rational(Fraction(big)) == "1" + "0" * (digits - 1) + "7"
+        assert render_rational(Fraction(-2, big)) == "-2/1" + "0" * (digits - 1) + "7"
+
+
+# Every line boundary that str.splitlines recognises.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x85",
+               "\u2028", "\u2029"]
+
+
+class TestRowReader:
+    @pytest.mark.parametrize("sep", LINE_BREAKS, ids=ascii)
+    def test_lines_are_those_of_splitlines(self, sep):
+        text = sep.join(["# body", "zonotope3", "", "1 2 3", " 4/5\t-6 7 ", "#", "8 9 0", ""])
+        lines = [line.strip() for line in text.splitlines()]
+        lines = [line for line in lines if line and not line.startswith("#")]
+        assert len(lines) == 4
+        header, rows = numeric.parse_rows(text, "zonotope")
+        assert header == lines[0]
+        assert rows == [[parse_rational(e) for e in line.split()] for line in lines[1:]]
+
+    def test_oversized_text_is_refused_without_splitting_it(self):
+        text = "zonotope3\n" + "1 0 0\n" * 200_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="at most"):
+                numeric.parse_rows(text, "zonotope")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Splitting the whole text into lines first peaked at 12.7 MB.
+        assert peak < 2_000_000
 
 
 class TestMatrixFormat:
