@@ -9,6 +9,7 @@ matrix) share one reader, `parse_rows`, and one writer, `render_rows`.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -26,6 +27,14 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if not _RATIONAL_RE.fullmatch(s):
         raise ValueError(f"invalid rational literal: {text!r}")
+    # int() refuses more digits than the interpreter's limit, with advice
+    # meant for programmers; name the limit in the literal's terms instead.
+    limit = sys.get_int_max_str_digits()
+    if limit and len(s) > limit:
+        digits = max(len(part) for part in s.lstrip("+-").split("/"))
+        if digits > limit:
+            raise ValueError(f"integer in rational literal has {digits} digits, "
+                             f"more than the limit ({limit} digits)")
     if "/" in s:
         num, _, den = s.partition("/")
         if int(den) == 0:
@@ -166,6 +175,9 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
 # of q) is p * (L // q), with no Fraction product to build and normalise.
 # A zonotope is cleared at most once: `Zonotope3.scaled` caches the result
 # per body, so every volume of a check reads the same integer generators.
+# A sampled zonotope is never cleared: `rng.random_zonotope` scales the
+# drawn numerators the same way and builds the body from its integer view,
+# and `unscaled` makes its rational generators only when they are read.
 #
 # The three 3D sums are dispatchers over two exact integer paths.  The cubic
 # loops evaluate one determinant per triple.  The sweep fixes one pivot
@@ -196,6 +208,12 @@ def int_scaled(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int
     out = [(x.numerator * (scale // x.denominator), y.numerator * (scale // y.denominator),
             z.numerator * (scale // z.denominator)) for x, y, z in vectors]
     return out, scale
+
+
+def unscaled(ints: Iterable[tuple[int, int, int]], scale: int) -> tuple[Vec3, ...]:
+    """The rational vectors ints[i] / scale: `int_scaled` undone."""
+    return tuple(Vec3(Fraction(x, scale), Fraction(y, scale), Fraction(z, scale))
+                 for x, y, z in ints)
 
 
 def sum_abs_det3_triples_cubic(ga, gb, gc):

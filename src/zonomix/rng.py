@@ -4,15 +4,19 @@ The generator is splitmix64: a fixed 64-bit state transition with a finalizer
 mix.  It produces the same stream on every platform and Python version, which
 makes fuzz summaries and CSV outputs byte-reproducible.
 
-`random_rational` reads the stream directly (two `next64` draws per
-rational), and the zonotopes built here are cleared to integer generators
-once, on first use by a volume (`Zonotope3.scaled`), with integer
-arithmetic only.
+Every sampler reads coordinates through one draw routine, `_draw`: two
+`next64` outputs per coordinate, numerator then denominator.
+`random_zonotope` keeps the draws as integers: it clears them to a common
+scale (the lcm of the drawn denominators) with integer arithmetic only and
+builds the body from that integer view (`Zonotope3.from_scaled`), so no
+`Fraction` is made until the body's rational generators are read.
+`random_rational`, `random_vec3` and `random_vectors` return rationals.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from .numeric import Vec3
 from .zonotope import Zonotope3
@@ -57,26 +61,39 @@ def trial_seed(seed: int, trial: int) -> int:
     return SplitMix64(start + trial * _GAMMA).next64()
 
 
-def random_rational(rng: SplitMix64, bound: int) -> Fraction:
-    """Numerator in [-bound, bound], denominator in [1, bound]; zero included.
+def _draw(rng: SplitMix64, count: int, bound: int) -> list[tuple[int, int]]:
+    """`count` coordinates as (numerator, denominator) pairs, in stream order.
 
-    Draws the numerator and then the denominator straight from `next64`:
-    the same two draws, in the same order, as `randint(-bound, bound)` and
-    `randint(1, bound)`, without their per-draw call chain.
+    Numerator in [-bound, bound], denominator in [1, bound]: the same two
+    draws, in the same order, as `randint(-bound, bound)` and
+    `randint(1, bound)`, straight from `next64` without their per-draw call
+    chain.  The pairs are not reduced.
     """
     next64 = rng.next64
-    return Fraction(next64() % (2 * bound + 1) - bound, next64() % bound + 1)
+    span = 2 * bound + 1
+    return [(next64() % span - bound, next64() % bound + 1) for _ in range(count)]
+
+
+def random_rational(rng: SplitMix64, bound: int) -> Fraction:
+    """Numerator in [-bound, bound], denominator in [1, bound]; zero included."""
+    ((num, den),) = _draw(rng, 1, bound)
+    return Fraction(num, den)
 
 
 def random_vec3(rng: SplitMix64, bound: int) -> Vec3:
-    return Vec3(random_rational(rng, bound), random_rational(rng, bound),
-                random_rational(rng, bound))
+    return Vec3(*(Fraction(num, den) for num, den in _draw(rng, 3, bound)))
 
 
 def random_vectors(rng: SplitMix64, m_max: int, bound: int) -> list[Vec3]:
     m = rng.randint(1, m_max)
-    return [random_vec3(rng, bound) for _ in range(m)]
+    coords = [Fraction(num, den) for num, den in _draw(rng, 3 * m, bound)]
+    return [Vec3(*coords[i:i + 3]) for i in range(0, 3 * m, 3)]
 
 
 def random_zonotope(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
-    return Zonotope3(tuple(random_vectors(rng, m_max, bound)))
+    """The body of `random_vectors`, from the same draws, built from its integer view."""
+    m = rng.randint(1, m_max)
+    coords = _draw(rng, 3 * m, bound)
+    scale = lcm(*[den for _, den in coords])
+    ints = [num * (scale // den) for num, den in coords]
+    return Zonotope3.from_scaled(zip(ints[0::3], ints[1::3], ints[2::3]), scale)

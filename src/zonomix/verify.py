@@ -22,6 +22,8 @@ from .numeric import (
     render_matrix,
     sum_abs_det2_pairs,
     sum_abs_det3_combos,
+    sum_abs_det3_pairs,
+    sum_abs_det3_triples,
 )
 from .rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from .zonotope import (
@@ -29,7 +31,6 @@ from .zonotope import (
     mixed_volume,
     mixed_volume_repeated,
     render_zonotope,
-    volume,
 )
 
 TARGETS = ("bezout", "lemma", "af_square")
@@ -60,21 +61,36 @@ class IneqReport:
 
 def ineq_report(lhs: Fraction, factor1: Fraction, factor2: Fraction,
                 constant: Fraction = Fraction(1)) -> IneqReport:
-    """Build a report for lhs <= constant * factor1 * factor2."""
-    product = factor1 * factor2
-    rhs = constant * product
-    slack = rhs - lhs
-    ratio = lhs / product if product != 0 else None
-    return IneqReport(lhs=lhs, rhs=rhs, slack=slack, holds=slack >= 0, ratio=ratio)
+    """Build a report for lhs <= constant * factor1 * factor2.
+
+    rhs, slack and ratio are taken from the integer numerators and
+    denominators of the arguments, one `Fraction` each; `holds` is the sign
+    of the slack numerator (its denominator is positive).
+    """
+    ln, ld = lhs.numerator, lhs.denominator
+    pn = factor1.numerator * factor2.numerator
+    pd = factor1.denominator * factor2.denominator
+    rn, rd = constant.numerator * pn, constant.denominator * pd
+    sn = rn * ld - ln * rd
+    return IneqReport(lhs=lhs, rhs=Fraction(rn, rd), slack=Fraction(sn, rd * ld), holds=sn >= 0,
+                      ratio=Fraction(ln * pd, ld * pn) if pn else None)
 
 
 def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
-    """Check V(A,A,A)*V(A,B,C) <= (3/2)*V(A,A,B)*V(A,A,C).  Holds on all zonotopes."""
-    vaaa = volume(a)
-    vabc = mixed_volume(a, b, c)
-    vaab = mixed_volume_repeated(a, b)
-    vaac = mixed_volume_repeated(a, c)
-    return ineq_report(vaaa * vabc, vaab, vaac, Fraction(3, 2))
+    """Check V(A,A,A)*V(A,B,C) <= (3/2)*V(A,A,B)*V(A,A,C).  Holds on all zonotopes.
+
+    The four volumes are |det| sums over the integer views of the bodies
+    (see `zonotope.volume` and its siblings), combined into one `Fraction`
+    per report argument.
+    """
+    ga, la = a.scaled
+    gb, lb = b.scaled
+    gc, lc = c.scaled
+    lhs = Fraction(sum_abs_det3_combos(ga) * sum_abs_det3_triples(ga, gb, gc),
+                   6 * la ** 4 * lb * lc)
+    vaab = Fraction(sum_abs_det3_pairs(ga, gb), 3 * la * la * lb)
+    vaac = Fraction(sum_abs_det3_pairs(ga, gc), 3 * la * la * lc)
+    return ineq_report(lhs, vaab, vaac, Fraction(3, 2))
 
 
 def tightness_ratio(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
@@ -172,7 +188,7 @@ def _bezout_trial(rng: SplitMix64, cfg: FuzzConfig):
     b = random_zonotope(rng, cfg.m_max, cfg.coeff_bound)
     c = random_zonotope(rng, cfg.m_max, cfg.coeff_bound)
     report = check_bezout(a, b, c)
-    return report, len(a.generators), lambda: _serialize_zonotopes([("A", a), ("B", b), ("C", c)])
+    return report, len(a.scaled[0]), lambda: _serialize_zonotopes([("A", a), ("B", b), ("C", c)])
 
 
 def _lemma_trial(rng: SplitMix64, cfg: FuzzConfig):
@@ -184,7 +200,7 @@ def _lemma_trial(rng: SplitMix64, cfg: FuzzConfig):
 def _af_square_trial(rng: SplitMix64, cfg: FuzzConfig):
     bodies = [random_zonotope(rng, cfg.m_max, cfg.coeff_bound) for _ in range(4)]
     report = check_af_square(*bodies)
-    return report, len(bodies[0].generators), \
+    return report, len(bodies[0].scaled[0]), \
         lambda: _serialize_zonotopes(list(zip("ABCD", bodies)))
 
 

@@ -30,6 +30,7 @@ from .numeric import (
     sum_abs_det3_combos_cubic,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
+    unscaled,
     vec3,
     vneg,
     vscale,
@@ -42,6 +43,15 @@ class Zonotope3:
 
     Zero generators are permitted (they are points and contribute nothing);
     `canonicalize` removes them.  Generator order never affects any volume.
+
+    A body has two views of its generators: `generators`, rational `Vec3`s,
+    and `scaled`, integer triples with a scale L >= 1 such that each
+    generator is its triple divided by L.  The constructor takes the first,
+    `from_scaled` the second; the other view is derived on first read and
+    kept with the body.  L may be any common multiple of the coordinate
+    denominators, not only their lcm: every volume divides it back out.
+    Equality, hashing and repr see the rational generators only, however the
+    body was built.
     """
 
     generators: tuple[Vec3, ...]
@@ -50,13 +60,32 @@ class Zonotope3:
     def from_generators(cls, gens: Iterable) -> "Zonotope3":
         return cls(tuple(g if isinstance(g, Vec3) else vec3(*g) for g in gens))
 
+    @classmethod
+    def from_scaled(cls, ints: Iterable[tuple[int, int, int]], scale: int) -> "Zonotope3":
+        """The body with generators ints[i] / scale; no `Vec3` is built until read."""
+        if scale < 1:
+            raise ValueError(f"scale must be >= 1, got {scale}")
+        body = cls.__new__(cls)
+        body.__dict__["scaled"] = (tuple(ints), scale)
+        return body
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: the generators of a body
+        # built by `from_scaled`, derived from its integer view and kept.
+        if name != "generators" or "scaled" not in self.__dict__:
+            raise AttributeError(name)
+        gens = self.__dict__["generators"] = unscaled(*self.scaled)
+        return gens
+
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
-        """`int_scaled(generators)`, computed on first use and kept with the body.
+        """The integer view: as given to `from_scaled`, or else `int_scaled(generators)`.
 
-        The cache lives in the instance dict, outside the dataclass fields,
-        so equality, hashing and repr see the generators only.  The integer
-        generators are a tuple because every volume of the body shares them.
+        The latter is computed on first use and kept with the body.  Either
+        way the view lives in the instance dict, outside the dataclass
+        fields, so equality, hashing and repr see the generators only.  The
+        integer generators are a tuple because every volume of the body
+        shares them.
         """
         ints, scale = int_scaled(self.generators)
         return tuple(ints), scale

@@ -322,6 +322,7 @@ class TestExactOutputSize:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: ")
         assert f"({limit} digits)" in err and f"has {limit + 1} digits" in err
+        assert "set_int_max_str_digits" not in err
         assert sys.get_int_max_str_digits() == limit
 
 

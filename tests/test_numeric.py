@@ -250,6 +250,16 @@ class TestRationalLiterals:
         with pytest.raises(ValueError):
             parse_rational("1/0")
 
+    def test_digit_limit_names_the_count(self):
+        limit = sys.get_int_max_str_digits()
+        ones = "1" * limit
+        assert parse_rational(f"-{ones}/{ones}") == -1
+        for text, digits in ((f"1/{ones}0", limit + 1), (f"+0{ones}", limit + 1)):
+            with pytest.raises(ValueError) as info:
+                parse_rational(text)
+            assert str(info.value) == (f"integer in rational literal has {digits} digits, "
+                                       f"more than the limit ({limit} digits)")
+
     @pytest.mark.parametrize("bad", ["", "1.5", "1e3", "3/", "/4", "1/-2", "a", "1 2"])
     def test_garbage_rejected(self, bad):
         with pytest.raises(ValueError):

@@ -1,6 +1,8 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from zonomix import zonotope
 from zonomix.numeric import E1, E2, E3, Vec3, vec3
@@ -8,13 +10,22 @@ from zonomix.rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from zonomix.verify import (
     TARGETS,
     FuzzConfig,
+    IneqReport,
     check_af_square,
     check_bezout,
     check_lemma_matrix,
     fuzz,
+    ineq_report,
     tightness_ratio,
 )
-from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
+from zonomix.zonotope import (
+    Zonotope3,
+    mixed_volume,
+    mixed_volume_repeated,
+    parse_zonotope,
+    render_zonotope,
+    volume,
+)
 from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume
 
 CUBE = Zonotope3((E1, E2, E3))
@@ -51,7 +62,7 @@ class TestBezout:
 
 
 class TestScalingPerCheck:
-    """Each body is cleared to integers once per check, not once per volume."""
+    """A parsed or built body is cleared to integers once per check, a sampled one never."""
 
     @pytest.fixture
     def scaled_calls(self, monkeypatch):
@@ -60,23 +71,67 @@ class TestScalingPerCheck:
         monkeypatch.setattr(zonotope, "int_scaled", lambda gens: calls.append(gens) or inner(gens))
         return calls
 
+    @staticmethod
+    def _rebuilt(sampled):
+        """Each sampled body built again from its generators, and parsed from its text."""
+        return ([Zonotope3.from_generators(z.generators) for z in sampled],
+                [parse_zonotope(render_zonotope(z)) for z in sampled])
+
     def test_bezout_scales_three_bodies_once_each(self, scaled_calls):
         rng = SplitMix64(35)  # 4, 5 and 6 generators; every volume is nonzero
-        a, b, c = (random_zonotope(rng, 6, 16) for _ in range(3))
-        report = check_bezout(a, b, c)
-        assert scaled_calls == [a.generators, b.generators, c.generators]
+        sampled = [random_zonotope(rng, 6, 16) for _ in range(3)]
+        report = check_bezout(*sampled)
+        assert scaled_calls == []
         assert report.ratio is not None and report.ratio > 0
-        assert report == check_bezout(*(Zonotope3(z.generators) for z in (a, b, c)))
-        ga, gb, gc = a.generators, b.generators, c.generators
+        for bodies in self._rebuilt(sampled):
+            del scaled_calls[:]
+            assert check_bezout(*bodies) == report
+            assert scaled_calls == [z.generators for z in bodies]
+            check_bezout(*bodies)
+            assert len(scaled_calls) == 3
+        ga, gb, gc = (z.generators for z in sampled)
         assert (report.lhs, report.rhs) == (
             brute_volume(ga) * brute_mixed_volume(ga, gb, gc),
             Fraction(3, 2) * brute_mixed_volume(ga, ga, gb) * brute_mixed_volume(ga, ga, gc))
 
     def test_af_square_scales_four_bodies_once_each(self, scaled_calls):
         rng = SplitMix64(32)
-        bodies = [random_zonotope(rng, 5, 16) for _ in range(4)]
-        check_af_square(*bodies)
-        assert len(scaled_calls) == 4
+        sampled = [random_zonotope(rng, 5, 16) for _ in range(4)]
+        report = check_af_square(*sampled)
+        assert scaled_calls == []
+        for bodies in self._rebuilt(sampled):
+            del scaled_calls[:]
+            assert check_af_square(*bodies) == report
+            assert len(scaled_calls) == 4
+            assert {id(g) for g in scaled_calls} == {id(z.generators) for z in bodies}
+
+
+def _fraction_report(lhs, factor1, factor2, constant):
+    """ineq_report by Fraction arithmetic throughout."""
+    product = factor1 * factor2
+    slack = constant * product - lhs
+    return IneqReport(lhs=lhs, rhs=constant * product, slack=slack, holds=slack >= 0,
+                      ratio=lhs / product if product != 0 else None)
+
+
+rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+constants = st.sampled_from([Fraction(1), Fraction(3, 2), Fraction(2)])
+
+
+class TestIneqReport:
+    @given(rationals, rationals, rationals, constants)
+    @example(Fraction(0), Fraction(2, 3), Fraction(5, 7), Fraction(3, 2))  # zero lhs
+    @example(Fraction(4, 9), Fraction(0), Fraction(5, 7), Fraction(3, 2))  # ratio None
+    @example(Fraction(0), Fraction(0), Fraction(0), Fraction(2))
+    @example(Fraction(7, 3), Fraction(1, 2), Fraction(1, 3), Fraction(1))  # negative slack
+    @example(Fraction(6, 4), Fraction(-2, 3), Fraction(-9, 8), Fraction(2))
+    def test_matches_fraction_formula(self, lhs, factor1, factor2, constant):
+        report = ineq_report(lhs, factor1, factor2, constant)
+        assert report == _fraction_report(lhs, factor1, factor2, constant)
+        for q in (report.rhs, report.slack, report.ratio):
+            if q is not None:
+                assert type(q) is Fraction
+                assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
 
 
 class TestTightnessRatio:
@@ -193,6 +248,24 @@ class TestFuzz:
     def test_deterministic(self):
         cfg = FuzzConfig(target="bezout", trials=60, m_max=6, coeff_bound=16, seed=99)
         assert fuzz(cfg) == fuzz(cfg)
+
+    def test_bezout_derives_generators_only_to_render_worst_cases(self, monkeypatch):
+        derived, scaled = [], []
+        unscaled, int_scaled = zonotope.unscaled, zonotope.int_scaled
+        monkeypatch.setattr(zonotope, "unscaled",
+                            lambda ints, scale: derived.append(ints) or unscaled(ints, scale))
+        monkeypatch.setattr(zonotope, "int_scaled",
+                            lambda gens: scaled.append(gens) or int_scaled(gens))
+        slacks = []
+        fuzz(FuzzConfig(target="bezout", trials=500, seed=5),
+             on_trial=lambda t, m, rep: slacks.append(rep.slack))
+        renders, least = 0, None
+        for slack in slacks:
+            if least is None or slack < least:
+                renders, least = renders + 1, slack
+        assert 0 < renders < 500
+        assert len(derived) == 3 * renders
+        assert scaled == []
 
     def test_worst_case_is_serialized_input(self):
         summary = fuzz(FuzzConfig(target="lemma", trials=20, m_max=4,

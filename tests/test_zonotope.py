@@ -149,13 +149,35 @@ class TestScaledCache:
     def test_cache_does_not_leak_into_identity(self):
         body = Zonotope3.from_generators(self.GENS)
         fresh = Zonotope3.from_generators(self.GENS)
-        before = (repr(body), hash(body))
+        before = (repr(fresh), hash(fresh))
+        ints, scale = body.scaled
         volume(body)
-        assert "scaled" in vars(body) and "scaled" not in vars(fresh)
-        assert body == fresh and fresh == body
-        assert (repr(body), hash(body)) == before == (repr(fresh), hash(fresh))
+        # Built from the integer view, at the lcm scale and at a multiple of it.
+        built = Zonotope3.from_scaled(ints, scale)
+        doubled = Zonotope3.from_scaled([tuple(2 * c for c in v) for v in ints], 2 * scale)
+        for other in (fresh, built, doubled):
+            assert body == other and other == body
+            assert (repr(other), hash(other)) == (repr(body), hash(body)) == before
         assert repr(body) == f"Zonotope3(generators={body.generators!r})"
-        assert len({body, fresh}) == 1
+        assert len({body, fresh, built, doubled}) == 1
+        assert body != Zonotope3.from_scaled(ints, 3 * scale)
+
+    def test_from_scaled_derives_generators_once(self, monkeypatch):
+        calls = []
+        inner = zonotope.unscaled
+        monkeypatch.setattr(zonotope, "unscaled",
+                            lambda ints, scale: calls.append(scale) or inner(ints, scale))
+        body = Zonotope3.from_scaled([(6, -3, 0), (4, 24, -5)], 6)
+        assert body.scaled == (((6, -3, 0), (4, 24, -5)), 6)
+        assert volume(body) == mixed_volume(body, body, body) == 0 and calls == []
+        assert body.generators == (vec3(1, "-1/2", 0), vec3("2/3", 4, "-5/6"))
+        assert body.generators is body.generators and calls == [6]
+        assert render_zonotope(body) == "zonotope3\n1 -1/2 0\n2/3 4 -5/6\n"
+
+    @pytest.mark.parametrize("scale", [0, -1])
+    def test_from_scaled_refuses_a_scale_below_one(self, scale):
+        with pytest.raises(ValueError, match="scale"):
+            Zonotope3.from_scaled([(1, 0, 0)], scale)
 
     def test_cached_volumes_match_oracle(self):
         body = Zonotope3.from_generators(self.GENS + [(3, 1, "1/2")])
