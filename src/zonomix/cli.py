@@ -35,6 +35,7 @@ from .numeric import (
 from .reduction import SStats, extremal_config
 from .rng import SplitMix64, random_vec3
 from .verify import (
+    TARGETS,
     FuzzConfig,
     IneqReport,
     check_af_square,
@@ -142,23 +143,21 @@ def cmd_check(args) -> int:
                          f"got {len(args.files)}")
     if args.target == "grassmann":
         return _check_grassmann(args)
-    if args.target == "lemma":
-        mat = _load(parse_matrix, args.files[0])
-        report = check_lemma_matrix(mat.columns)
+    matrix = args.target == "lemma"
+    parse, render = (parse_matrix, render_matrix) if matrix else (parse_zonotope, render_zonotope)
+    inputs = [_load(parse, p) for p in args.files]
+    if matrix:
+        report = check_lemma_matrix(inputs[0].columns)
     elif args.target == "bezout":
-        bodies = [_load(parse_zonotope, p) for p in args.files]
-        report = check_bezout(*bodies)
+        report = check_bezout(*inputs)
     else:
-        bodies = [_load(parse_zonotope, p) for p in args.files]
-        report = check_af_square(*bodies)
+        report = check_af_square(*inputs)
     if args.output == "csv":
         _emit(f"{_CSV_HEADER}\n{_csv_row(report)}\n", args)
     else:
         _emit(_report_text(report), args)
     if not report.holds:
-        witness = (render_matrix(mat) if args.target == "lemma"
-                   else "".join(render_zonotope(b) for b in bodies))
-        sys.stderr.write("violated by input:\n" + witness)
+        sys.stderr.write("violated by input:\n" + "".join(map(render, inputs)))
         return 1
     return 0
 
@@ -320,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fuzz", parents=[out, output, seed],
                        help="randomized exact checking with a deterministic seed")
     p.add_argument("--target", required=True,
-                   choices=("bezout", "lemma", "af-square"))
+                   choices=tuple(target.replace("_", "-") for target in TARGETS))
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--m-max", type=int, default=6, dest="m_max")
     p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound")

@@ -349,29 +349,11 @@ def _bipartite2(items):
     return 2 * total - (px * sy - py * sx)
 
 
-def _sweep_triples(ga, gb, gc):
-    ga, gb, gc = sorted((ga, gb, gc), key=len)
+def _pivot_sweep(pivoted):
+    """Sum of |det(a, b, c)| over the (a, others) pairs and the pairs b, c of others."""
     total = 0
-    for a in ga:
-        images, f = _pivot_images(a, gb, True)
-        if f:
-            total += _bipartite2(images + _pivot_images(a, gc, False)[0]) // f
-    return total
-
-
-def _sweep_pairs(ga, gb):
-    total = 0
-    for b in gb:
-        images, f = _pivot_images(b, ga, None)
-        if f:
-            total += _all_pairs2(images) // f
-    return total
-
-
-def _sweep_combos(g):
-    total = 0
-    for i, a in enumerate(g):
-        images, f = _pivot_images(a, g[i + 1:], None)
+    for a, others in pivoted:
+        images, f = _pivot_images(a, others, None)
         if f:
             total += _all_pairs2(images) // f
     return total
@@ -382,21 +364,27 @@ def sum_abs_det3_triples(ga, gb, gc):
     # Two lists shorter than SWEEP_MIN: the middle length is below it.
     if (len(ga) < SWEEP_MIN) + (len(gb) < SWEEP_MIN) + (len(gc) < SWEEP_MIN) >= 2:
         return sum_abs_det3_triples_cubic(ga, gb, gc)
-    return _sweep_triples(ga, gb, gc)
+    ga, gb, gc = sorted((ga, gb, gc), key=len)
+    total = 0
+    for a in ga:
+        images, f = _pivot_images(a, gb, True)
+        if f:
+            total += _bipartite2(images + _pivot_images(a, gc, False)[0]) // f
+    return total
 
 
 def sum_abs_det3_pairs(ga, gb):
     """Sum of |det(a_i, a_j, b)| over pairs i < j from ga and all b in gb."""
     if len(ga) < SWEEP_MIN:
         return sum_abs_det3_pairs_cubic(ga, gb)
-    return _sweep_pairs(ga, gb)
+    return _pivot_sweep((b, ga) for b in gb)
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
     if len(g) < SWEEP_MIN:
         return sum_abs_det3_combos_cubic(g)
-    return _sweep_combos(g)
+    return _pivot_sweep((a, g[i + 1:]) for i, a in enumerate(g))
 
 
 def sum_abs_det2_pairs(us, vs):

@@ -33,8 +33,6 @@ from .zonotope import (
     render_zonotope,
 )
 
-TARGETS = ("bezout", "lemma", "af_square")
-
 # Largest fuzz m_max.  A trial draws up to m_max generators per body.  Bodies
 # of at least numeric.SWEEP_MIN generators take the O(m^2 log m) sweep, not
 # the cubic |det| loops: a bezout trial with 64 generators in each body took
@@ -152,7 +150,8 @@ class FuzzConfig:
 
     def validate(self) -> None:
         if self.target not in TARGETS:
-            raise ValueError(f"unknown fuzz target {self.target!r}; expected one of {TARGETS}")
+            raise ValueError(f"unknown fuzz target {self.target!r}; "
+                             f"expected one of {tuple(TARGETS)}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.m_max < 1:
@@ -204,7 +203,8 @@ def _af_square_trial(rng: SplitMix64, cfg: FuzzConfig):
         lambda: _serialize_zonotopes(list(zip("ABCD", bodies)))
 
 
-_TRIALS: dict[str, Callable] = {
+# The fuzz targets, each with its trial: (rng, config) -> (report, m, serialize).
+TARGETS: dict[str, Callable] = {
     "bezout": _bezout_trial,
     "lemma": _lemma_trial,
     "af_square": _af_square_trial,
@@ -222,7 +222,7 @@ def fuzz(config: FuzzConfig,
     ties) serialized in the matching text format.
     """
     config.validate()
-    run_trial = _TRIALS[config.target]
+    run_trial = TARGETS[config.target]
     failures = 0
     min_slack: Optional[Fraction] = None
     max_ratio: Optional[Fraction] = None
