@@ -65,10 +65,17 @@ def _load(parse, path: str):
 
 
 def _emit(text: str, args) -> None:
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
+    """Write text to --out, or else to stdout.
+
+    --out is opened at the first write and closed by `main`, so output may
+    come in pieces, and a run refused before its first write creates no file.
+    """
+    if not args.out:
         sys.stdout.write(text)
+        return
+    if args.stream is None:
+        args.stream = open(args.out, "w")
+    args.stream.write(text)
 
 
 def _rat_line(label: str, q: Fraction) -> str:
@@ -167,18 +174,19 @@ def cmd_fuzz(args) -> int:
     config = FuzzConfig(target=target, trials=args.trials, m_max=args.m_max,
                         coeff_bound=args.coeff_bound, seed=args.seed)
     if args.output == "csv":
-        rows = ["trial,target,m,slack_num,slack_den,ratio_num,ratio_den"]
+        # Validated before the header, so a refused run creates no --out file.
+        config.validate()
+        _emit("trial,target,m,slack_num,slack_den,ratio_num,ratio_den\n", args)
 
         def on_trial(index: int, m: int, report: IneqReport) -> None:
             if report.ratio is not None:
                 rn, rd = int_str(report.ratio.numerator), int_str(report.ratio.denominator)
             else:
                 rn, rd = "", ""
-            rows.append(f"{index},{target},{m},{int_str(report.slack.numerator)},"
-                        f"{int_str(report.slack.denominator)},{rn},{rd}")
+            _emit(f"{index},{target},{m},{int_str(report.slack.numerator)},"
+                  f"{int_str(report.slack.denominator)},{rn},{rd}\n", args)
 
         summary = fuzz(config, on_trial=on_trial)
-        _emit("\n".join(rows) + "\n", args)
     else:
         summary = fuzz(config)
         lines = [
@@ -353,8 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    args.stream = None
     try:
-        return args.func(args)
+        try:
+            return args.func(args)
+        finally:
+            if args.stream is not None:
+                args.stream.close()
     except (ValueError, ZeroDivisionError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,9 +1,12 @@
 """Exact rational scalars, 3-vectors, 3x3 determinants, |det| sums, text I/O.
 
-Every scalar in this package is a ``fractions.Fraction``, which keeps
-canonical form (positive denominator, gcd 1) after every operation, so
-equality tests are exact and unambiguous.  The two text formats (zonotope,
-matrix) share one reader, `parse_rows`, and one writer, `render_rows`.
+Values at the edges (parsed literals, `Vec3` coordinates, reported volumes)
+are ``fractions.Fraction``s, which keep canonical form (positive
+denominator, gcd 1), so equality tests are exact and unambiguous.  Inside,
+the |det| kernels work on plain integers: `int_scaled` clears a body's
+denominators once, and results are divided back as one `Fraction`.  The two
+text formats (zonotope, matrix) share one reader, `parse_rows`, and one
+writer, `render_rows`.
 """
 
 from __future__ import annotations
@@ -412,6 +415,16 @@ def sum_abs_det2_pairs(us, vs):
 # p/q with |p|, q <= 16).
 MAX_GENERATORS = 2000
 
+# Most bits one body file may clear to: its generator count times the bit
+# length of its common scale L plus that of its largest numerator, a bound on
+# the bit length of every integer `int_scaled` makes of it.  Kernel cost grows
+# with digits as well as with generators: check bezout took 17 s on 50
+# generators of 4000-digit integers.  Under this limit the generator cap is
+# the slowest input: on 2000 generators of 31-bit integers (64,000 bits) check
+# bezout took 39 s and check af-square 58 s, as long as on the cap's p/q with
+# |p|, q <= 16 (50,000 bits), timed alongside (Python 3.11, Intel Xeon).
+MAX_CLEARED_BITS = 2 ** 16
+
 # A line of a text file: a run between the line boundaries of str.splitlines.
 # Scanning runs lazily keeps an oversized file from being split whole.  Runs
 # of boundaries ("\r\n", blank lines) match nothing, as blank lines are skipped.
@@ -422,7 +435,8 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
     """The header line and the parsed rows of a `kind` file ("zonotope", ...).
 
     Reading stops with an error as soon as the rows hold more than
-    3 * MAX_GENERATORS literals, before any literal is parsed.
+    3 * MAX_GENERATORS literals, before any literal is parsed, and as soon
+    as the literals read so far pass MAX_CLEARED_BITS, before any kernel.
     """
     lines = (match.group().strip() for match in _LINE_RE.finditer(text))
     lines = (line for line in lines if line and not line.startswith("#"))
@@ -437,7 +451,20 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
             raise ValueError(f"{kind}: at most {MAX_GENERATORS} generators "
                              f"({3 * MAX_GENERATORS} coordinates) per file")
         rows.append(row)
-    return header, [[parse_rational(e) for e in row] for row in rows]
+    generators = max(1, -(-literals // 3))
+    budget = MAX_CLEARED_BITS // generators
+    scale, top = 1, 0
+    for row in rows:
+        for i, literal in enumerate(row):
+            q = row[i] = parse_rational(literal)
+            d, n = q.denominator, abs(q.numerator)
+            if scale % d or n > top:
+                scale, top = lcm(scale, d), max(top, n)
+                if scale.bit_length() + top.bit_length() > budget:
+                    raise ValueError(f"{kind}: {generators} generators cleared to integers "
+                                     f"need more than {budget} bits each; at most "
+                                     f"{MAX_CLEARED_BITS} bits per file (generators times bits)")
+    return header, rows
 
 
 def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:

@@ -1,5 +1,7 @@
 import argparse
+import ast
 import re
+import sys
 from pathlib import Path
 
 import zonomix
@@ -61,3 +63,20 @@ def test_flag_table_check_sees_a_removed_flag():
     readme = README.read_text().replace("| `mixedvol`, `volume` | ",
                                         "| `mixedvol`, `volume` | `--mode exact\\|float`, ")
     assert _readme_flag_table(readme) != _parser_flags()
+
+
+def test_package_imports_only_the_standard_library():
+    # numpy may be installed where the tests run, but it is no dependency.
+    package = Path(zonomix.__file__).resolve().parent
+    outside = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside += [f"{path.name}: {name}" for name in names
+                        if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert outside == []

@@ -1,13 +1,14 @@
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from zonomix import cli, grassmann, numeric, verify
+from zonomix import cli, grassmann, numeric, verify, zonotope
 from zonomix.cli import main
 from zonomix.grassmann import MAX_COLUMNS
-from zonomix.numeric import MAX_GENERATORS, E1, E2, E3, Mat3xM, render_matrix, vec3
+from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, E3, Mat3xM, render_matrix, vec3
 from zonomix.verify import MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
 
@@ -142,6 +143,40 @@ class TestFuzzCommand:
     def test_zero_trials_is_usage_error(self, files):
         assert main(["fuzz", "--target", "bezout", "--trials", "0"]) == 2
 
+    def test_refused_csv_run_creates_no_file(self, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        assert main(["fuzz", "--target", "lemma", "--trials", "0", "--output", "csv",
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert not out.exists()
+
+    def test_csv_rows_are_streamed(self, tmp_path):
+        # Kept rows would grow the peak by about 160 bytes per trial.
+        out = str(tmp_path / "run.csv")
+
+        def peak(trials):
+            tracemalloc.start()
+            try:
+                assert main(["fuzz", "--target", "lemma", "--trials", str(trials),
+                             "--output", "csv", "--out", out]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(20)  # warm-up: first-call allocations of the modules
+        short, long = peak(150), peak(1200)
+        assert long <= short + 32 * 1024
+        assert len(Path(out).read_text().splitlines()) == 1201
+
+    def test_failures_are_counted(self, capsys, monkeypatch):
+        violated = IneqReport(lhs=Fraction(2), rhs=Fraction(1), slack=Fraction(-1),
+                              holds=False, ratio=Fraction(2))
+        monkeypatch.setattr(verify, "check_bezout", lambda *args: violated)
+        summary = verify.fuzz(verify.FuzzConfig(target="bezout", trials=7))
+        assert summary.failures == summary.trials == 7
+        assert main(["fuzz", "--target", "bezout", "--trials", "7"]) == 1
+        assert "failures    = 7\n" in capsys.readouterr().out
+
     def test_float_mode_refused(self, files):
         with pytest.raises(SystemExit) as exc:
             main(["fuzz", "--target", "bezout", "--trials", "5", "--mode", "float"])
@@ -180,6 +215,10 @@ class TestExtremalCommand:
         # values starting with "-" need the --flag=value spelling
         assert main(["extremal", "--s1", "1/2", "--s4", "1/2", "--lo=-1/3",
                      "--hi", "2/3"]) == 0
+
+    def test_vanishing_factor(self, capsys):
+        assert main(["extremal", "--lo2", "1", "--hi2", "1"]) == 0
+        assert "ratio    = undefined (a right-hand factor vanishes)\n" in capsys.readouterr().out
 
 
 class TestGrassmannSample:
@@ -251,6 +290,33 @@ class TestResourceGuards:
         assert capsys.readouterr().err == (
             f"error: {big}: {kind}: at most {MAX_GENERATORS} generators "
             f"({3 * MAX_GENERATORS} coordinates) per file\n")
+
+    # Each took seconds to minutes in the kernels before the limit.
+    @pytest.mark.parametrize("shape", ["denominators", "digits"])
+    @pytest.mark.parametrize("command", ["check bezout", "check lemma", "mixedvol", "volume"])
+    def test_cleared_bits_per_body(self, command, shape, tmp_path, capsys, monkeypatch):
+        if shape == "denominators":  # 80 generators, distinct 100-digit denominators
+            den = 10 ** 99
+            gens = [[Fraction(1, den + 3 * i + k) for k in range(3)] for i in range(80)]
+        else:  # 200 generators of 4000-digit integers
+            gens = [[10 ** 3999 + 3 * i + k for k in range(3)] for i in range(200)]
+        big = tmp_path / "big"
+        big.write_text(render_matrix(Mat3xM.from_columns(gens)) if command == "check lemma"
+                       else render_zonotope(Zonotope3.from_generators(gens)))
+        small = tmp_path / "small.zt"
+        small.write_text(render_zonotope(Zonotope3((E2,))))
+        files = {"check bezout": [big, small, small], "check lemma": [big],
+                 "mixedvol": [big, small, small], "volume": [big]}[command]
+        for module in (zonotope, verify):
+            for kernel in ("sum_abs_det3_triples", "sum_abs_det3_pairs", "sum_abs_det3_combos",
+                           "sum_abs_det2_pairs", "int_scaled"):
+                if hasattr(module, kernel):
+                    monkeypatch.setattr(module, kernel, self._never)
+        assert main([*command.split(), *map(str, files)]) == 2
+        kind = "matrix" if command == "check lemma" else "zonotope"
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {big}: {kind}: {len(gens)} generators cleared to integers")
+        assert err.endswith(f"at most {MAX_CLEARED_BITS} bits per file (generators times bits)\n")
 
     def test_limits_admit_the_defaults(self):
         # grassmann-sample --n 12, fuzz at m_max 6 and checks of 96 generators

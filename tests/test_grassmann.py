@@ -48,6 +48,10 @@ class TestPluecker:
         with pytest.raises(ValueError):
             pluecker(Mat3xM((E1, E2)))
 
+    def test_coords_must_be_complete(self):
+        with pytest.raises(ValueError, match="exactly the 4 3-subsets of 1..4"):
+            PlueckerVector(n=4, coords={})
+
     def test_column_limit(self):
         # C(n,3) minors are cheap at the limit; check_gp3 never runs this wide here.
         assert len(pluecker(Mat3xM((E1,) * MAX_COLUMNS)).coords) == comb(MAX_COLUMNS, 3)
@@ -141,6 +145,11 @@ class TestQuadIneq:
         coords[(1, 2, 3)] = F(5)
         report = check_quad_ineq(PlueckerVector(5, coords))
         assert report.lhs == 0 and report.rhs == 0 and report.holds
+
+    def test_needs_three_generators(self):
+        q = abs_map(pluecker(Mat3xM((E1, E2, E1, E2))))
+        with pytest.raises(ValueError, match="need m >= 3, got 2"):
+            check_quad_ineq(q)
 
     def test_rejects_negative_coordinate(self):
         coords = {idx: F(0) for idx in combinations(range(1, 6), 3)}

@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 
 from zonomix import numeric
 from zonomix.numeric import (
+    MAX_CLEARED_BITS,
+    MAX_GENERATORS,
     SWEEP_MIN,
     E1,
     E2,
@@ -17,9 +19,11 @@ from zonomix.numeric import (
     Vec3,
     det3,
     int_scaled,
+    mat_vec,
     minor3,
     parse_matrix,
     parse_rational,
+    parse_rows,
     render_matrix,
     render_rational,
     sum_abs_det3_combos,
@@ -324,6 +328,13 @@ class TestMatrixFormat:
         text = "# generators\n\nmatrix 3 1\n1\n# middle\n2\n\n3\n"
         assert parse_matrix(text) == Mat3xM((vec3(1, 2, 3),))
 
+    # The header errors, by the message each must give.
+    HEADER_ERRORS = {
+        "matrix 3 x\n": "invalid column count",
+        "matrix 3 -1\n": "negative column count",
+        "matrix 3 0\n1\n": "must have no rows",
+    }
+
     @pytest.mark.parametrize("bad", [
         "",
         "matrix 2 3\n1 1 1\n1 1 1\n",
@@ -331,7 +342,53 @@ class TestMatrixFormat:
         "matrix 3 2\n1 1\n1 1\n1 1\n1 1\n",
         "matrix 3 1\n1 2\n3\n4\n",
         "matrix 3 1\n1\n1/0\n3\n",
+        *HEADER_ERRORS,
     ])
     def test_malformed(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=self.HEADER_ERRORS.get(bad)):
             parse_matrix(bad)
+
+
+def test_mat_vec_needs_a_square_matrix():
+    with pytest.raises(ValueError, match="need a square 3x3 matrix, got 3x2"):
+        mat_vec(Mat3xM((E1, E2)), E3)
+
+
+class TestClearedBits:
+    """parse_rows refuses a file whose cleared integers pass MAX_CLEARED_BITS."""
+
+    @staticmethod
+    def _zonotope(rows):
+        return "zonotope3\n" + "".join(" ".join(row) + "\n" for row in rows)
+
+    def test_admits_the_generator_cap_at_small_literals(self):
+        # Every denominator 1..16 (scale lcm = 720720) and numerators of 16.
+        rows = [(f"{(-1) ** i * 16}/{i % 16 + 1}", "16", f"1/{(i + 7) % 16 + 1}")
+                for i in range(MAX_GENERATORS)]
+        _, parsed = parse_rows(self._zonotope(rows), "zonotope")
+        assert int_scaled([Vec3(*row) for row in parsed])[1] == lcm(*range(1, 17))
+
+    def test_refuses_just_past_the_limit(self):
+        generators = 8
+        bits = MAX_CLEARED_BITS // generators
+        at = [(str(2 ** (bits - 2)), "0", "0")] + [("1", "0", "0")] * (generators - 1)
+        parse_rows(self._zonotope(at), "zonotope")
+        over = [(str(2 ** (bits - 1)), "0", "0")] + at[1:]
+        with pytest.raises(ValueError, match=f"at most {MAX_CLEARED_BITS} bits per file"):
+            parse_rows(self._zonotope(over), "zonotope")
+
+    def test_stops_before_the_scale_grows_past_the_limit(self, monkeypatch):
+        # 2000 generators with distinct 1000-digit denominators: the full lcm
+        # would have millions of bits.
+        seen, parsed = [], []
+        monkeypatch.setattr(numeric, "lcm", lambda *a: seen.append(lcm(*a)) or seen[-1])
+        monkeypatch.setattr(numeric, "parse_rational",
+                            lambda text: parsed.append(text) or parse_rational(text))
+        den = 10 ** 999
+        rows = [(f"1/{den + 3 * i}", f"1/{den + 3 * i + 1}", f"1/{den + 3 * i + 2}")
+                for i in range(MAX_GENERATORS)]
+        with pytest.raises(ValueError, match="cleared to integers"):
+            parse_rows(self._zonotope(rows), "zonotope")
+        budget = MAX_CLEARED_BITS // MAX_GENERATORS
+        assert max(s.bit_length() for s in seen) <= budget + den.bit_length() + 1
+        assert len(parsed) == 1  # the first denominator alone passes the budget

@@ -40,6 +40,9 @@ class TestVolumePolytope:
     def test_collinear_and_single_point(self):
         assert volume_polytope(PolytopeV.from_vertices([(1, 2, 3)])) == 0
         assert volume_polytope(PolytopeV.from_vertices([(0, 0, 0), (1, 1, 1), (2, 2, 2)])) == 0
+        # Four distinct points pass the hull's point-count test and reach its collinearity test.
+        assert volume_polytope(PolytopeV.from_vertices(
+            [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)])) == 0
 
     def test_duplicates_and_interior_points_tolerated(self):
         padded = PolytopeV(TETRA.vertices + TETRA.vertices + (vec3("1/8", "1/8", "1/8"),))
