@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 from .numeric import Mat3xM, minor3, render_rational
 from .verify import IneqReport, ineq_report
@@ -20,9 +21,10 @@ from .verify import IneqReport, ineq_report
 Subset3 = tuple[int, int, int]
 
 # Largest column count `pluecker` accepts.  check_gp3 walks C(n,2) * C(n-2,4)
-# exchange relations at about 18-22 us each (Python 3.11, Intel Xeon): 13,860
-# (0.25-0.3 s) at n = 12 and 120,120 (2.1-2.7 s) at n = 16, but 813,960 at
-# n = 21 and O(n^6) beyond.
+# exchange relations at about 0.4-0.7 us each on cleared integers (Python
+# 3.11, Intel Xeon; the upper figure for entries p/q with q <= 16): 13,860
+# (5-9 ms) at n = 12 and 120,120 (50-80 ms) at n = 16, but 813,960 at n = 21
+# and O(n^6) beyond, every residual held in one list.
 MAX_COLUMNS = 16
 
 
@@ -71,20 +73,32 @@ def check_gp3(p: PlueckerVector) -> list[Fraction]:
     lexicographically; every one is 0 on a realizable vector.  Nonempty only
     for n >= 6.  This family is a realizability smoke test, not a
     completeness claim.
+
+    The relations are evaluated on cleared integers: every coordinate is
+    multiplied by L, the lcm of their denominators (for a `pluecker` vector L
+    divides the cube of the matrix's scale), so an integer residual r stands
+    for r / L^2.
     """
+    scale = lcm(*(v.denominator for v in p.coords.values()))
     # S is an ascending pair and T ascending, so S + t is the sorted triple,
     # its cyclic shift (j, k, i) or the odd (i, k, j): only those are stored.
     q = {}
     for (i, j, k), v in p.coords.items():
-        q[i, j, k] = q[j, k, i] = v
-        q[i, k, j] = -v
-    residuals = []
+        q[i, j, k] = q[j, k, i] = c = v.numerator * (scale // v.denominator)
+        q[i, k, j] = -c
     indices = range(1, p.n + 1)
+    # The signed cofactor of each S + t_k, one tuple per 4-subset T.
+    cofactors = {(t1, t2, t3, t4): (q[t2, t3, t4], -q[t1, t3, t4], q[t1, t2, t4], -q[t1, t2, t3])
+                 for t1, t2, t3, t4 in combinations(indices, 4)}
+    denominator = scale * scale
+    zero = Fraction(0)
+    residuals = []
     for a, b in combinations(indices, 2):
-        rest = [i for i in indices if i not in (a, b)]
-        for t1, t2, t3, t4 in combinations(rest, 4):
-            residuals.append(q[a, b, t1] * q[t2, t3, t4] - q[a, b, t2] * q[t1, t3, t4]
-                             + q[a, b, t3] * q[t1, t2, t4] - q[a, b, t4] * q[t1, t2, t3])
+        row = [0] + [q[a, b, t] if t != a and t != b else 0 for t in indices]
+        for t in combinations([i for i in indices if i != a and i != b], 4):
+            c1, c2, c3, c4 = cofactors[t]
+            r = row[t[0]] * c1 + row[t[1]] * c2 + row[t[2]] * c3 + row[t[3]] * c4
+            residuals.append(Fraction(r, denominator) if r else zero)
     return residuals
 
 

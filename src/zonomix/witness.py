@@ -74,16 +74,23 @@ def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
 # ---------------------------------------------------------------------------
 # Exact 3D convex hull on integer-scaled points.
 #
-# Incremental insertion with exact orientation predicates.  Faces are stored
-# as outward-oriented index triangles: orient(face, q) < 0 for interior q.
-# A point is "outside" iff it sees some face strictly (orient > 0); points on
-# facet planes therefore never remove faces, which can leave a facet
-# triangulated into coplanar triangles - harmless for the volume sum.  A new
-# point can never be collinear with a horizon edge (it would then be coplanar
-# with the visible face adjacent to that edge), so cone faces are never
-# degenerate.
+# Incremental insertion.  Each face is an outward-oriented index triangle
+# (u, v, w) stored with its integer plane (nx, ny, nz, h): n = (v-u) x (w-u)
+# and h = n.u, so n.q < h for interior q.  The plane is computed once, when
+# the face is created, and a visibility test is then n.p > h: three products
+# and one comparison.  A point is "outside" iff it sees some face strictly;
+# points on facet planes therefore never remove faces, which can leave a
+# facet triangulated into coplanar triangles - harmless for the volume sum.
+# A new point can never be collinear with a horizon edge (it would then be
+# coplanar with the visible face adjacent to that edge), so cone faces are
+# never degenerate.  Faces live in an insertion-ordered dict: deleting the
+# visible faces keeps the others in order and cone faces go to the end.  The
+# full orientation determinant (`_orient`) only picks and orients the seed
+# simplex.
 
 _IntPoint = tuple[int, int, int]
+_Face = tuple[int, int, int]
+_Plane = tuple[int, int, int, int]
 
 
 def _sub(p: _IntPoint, q: _IntPoint) -> _IntPoint:
@@ -94,8 +101,14 @@ def _orient(a: _IntPoint, b: _IntPoint, c: _IntPoint, d: _IntPoint) -> int:
     return det3(_sub(b, a), _sub(c, a), _sub(d, a))
 
 
-def _hull_facets(pts: list[_IntPoint]) -> Optional[list[tuple[int, int, int]]]:
-    """Outward-oriented facet triangles of conv(pts); None if affinely dependent.
+def _plane(u: _IntPoint, v: _IntPoint, w: _IntPoint) -> _Plane:
+    """(nx, ny, nz, h) with n = (v-u) x (w-u) and h = n.u; n.p - h = _orient(u, v, w, p)."""
+    nx, ny, nz = cross(_sub(v, u), _sub(w, u))
+    return (nx, ny, nz, nx * u[0] + ny * u[1] + nz * u[2])
+
+
+def _hull_facets(pts: list[_IntPoint]) -> Optional[dict[_Face, _Plane]]:
+    """Outward-oriented facet triangles of conv(pts) with their planes; None if affinely dependent.
 
     `pts` must be pairwise distinct.
     """
@@ -112,41 +125,40 @@ def _hull_facets(pts: list[_IntPoint]) -> Optional[list[tuple[int, int, int]]]:
     if d is None:
         return None
 
-    faces = []
+    faces = {}
     for (u, v, w, other) in ((a, b, c, d), (a, b, d, c), (a, c, d, b), (b, c, d, a)):
         if _orient(pts[u], pts[v], pts[w], pts[other]) > 0:
             u, v = v, u  # flip so the omitted vertex lies on the negative side
-        faces.append((u, v, w))
+        faces[u, v, w] = _plane(pts[u], pts[v], pts[w])
 
     simplex = {a, b, c, d}
     for p in range(n):
         if p in simplex:
             continue
-        point = pts[p]
-        visible = [f for f in faces
-                   if _orient(pts[f[0]], pts[f[1]], pts[f[2]], point) > 0]
+        x, y, z = point = pts[p]
+        visible = [f for f, (nx, ny, nz, h) in faces.items() if nx * x + ny * y + nz * z > h]
         if not visible:
             continue  # inside or on the boundary
-        vis = set(visible)
         edges = set()
         for (u, v, w) in visible:
+            del faces[u, v, w]
             edges.update(((u, v), (v, w), (w, u)))
-        faces = [f for f in faces if f not in vis]
         for (u, v) in edges:
             # horizon edge: its reverse belongs to a face that cannot see p
             if (v, u) not in edges:
-                faces.append((u, v, p))
+                faces[u, v, p] = _plane(pts[u], pts[v], point)
     return faces
 
 
 def _six_volume(pts: list[_IntPoint]) -> int:
-    """6 x hull volume of distinct integer points (0 when lower-dimensional)."""
+    """6 x hull volume of distinct integer points (0 when lower-dimensional).
+
+    Each facet (u, v, w) adds det(u, v, w), which is its plane offset h.
+    """
     facets = _hull_facets(pts)
     if facets is None:
         return 0
-    origin = pts[0]
-    return sum(det3(_sub(pts[i], origin), _sub(pts[j], origin), _sub(pts[k], origin))
-               for (i, j, k) in facets)
+    return sum(h for (_, _, _, h) in facets.values())
 
 
 def _hull_volume(vertices: Iterable[Vec3]) -> Fraction:

@@ -20,6 +20,10 @@ from oracles import exchange_residuals, leibniz_det3
 
 F = Fraction
 
+# The 63 primes between 10^4 and 10,600 (trial division up to sqrt(10,600) < 103): one per
+# entry of a 3 x 7 matrix and one per perturbed minor.
+_PRIMES_NEAR_10K = [p for p in range(10_001, 10_600) if all(p % d for d in range(2, 103))]
+
 
 def _random_matrix(rng, n, bound=9):
     return Mat3xM(tuple(random_vec3(rng, bound) for _ in range(n)))
@@ -53,7 +57,6 @@ class TestPluecker:
             PlueckerVector(n=4, coords={})
 
     def test_column_limit(self):
-        # C(n,3) minors are cheap at the limit; check_gp3 never runs this wide here.
         assert len(pluecker(Mat3xM((E1,) * MAX_COLUMNS)).coords) == comb(MAX_COLUMNS, 3)
         with pytest.raises(ValueError, match=f"at most {MAX_COLUMNS} columns"):
             pluecker(Mat3xM((E1,) * (MAX_COLUMNS + 1)))
@@ -119,6 +122,22 @@ class TestExchangeRelations:
                 residuals = check_gp3(PlueckerVector(n, coords))
                 assert residuals == exchange_residuals(n, coords)
             assert any(r != 0 for r in residuals)  # the perturbed values are really compared
+        # Pairwise coprime denominators: the cleared scale is a product of many primes.
+        n = 7
+        primes = iter(_PRIMES_NEAR_10K)
+        mat = Mat3xM(tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
+                           for _ in range(n)))
+        realizable = pluecker(mat).coords
+        perturbed = {k: v + F(rng.below(5) - 2, next(primes)) for k, v in realizable.items()}
+        for coords, nonzero in ((realizable, False), (perturbed, True)):
+            residuals = check_gp3(PlueckerVector(n, coords))
+            assert residuals == exchange_residuals(n, coords)
+            assert any(r != 0 for r in residuals) == nonzero
+
+    def test_zero_at_column_limit(self):
+        residuals = check_gp3(pluecker(_random_matrix(SplitMix64(50), MAX_COLUMNS, 16)))
+        assert len(residuals) == comb(MAX_COLUMNS, 2) * comb(MAX_COLUMNS - 2, 4) == 120_120
+        assert all(r == 0 for r in residuals)
 
     def test_small_n_has_no_relations(self):
         rng = SplitMix64(46)

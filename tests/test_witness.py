@@ -6,6 +6,7 @@ from zonomix.numeric import E1, E2, E3, ZERO3, vec3
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.witness import (
     PolytopeV,
+    _hull_facets,
     mv_body_body_seg,
     mv_seg_seg,
     polytope_of_zonotope,
@@ -52,6 +53,30 @@ class TestVolumePolytope:
         shrunk = PolytopeV.from_vertices(
             [("0", "0", "0"), ("1/2", "0", "0"), ("0", "1/3", "0"), ("0", "0", "1/5")])
         assert volume_polytope(shrunk) == F(1, 6) * F(1, 2) * F(1, 3) * F(1, 5)
+
+    def test_shuffled_grid(self):
+        # 27 points, most of them on facet planes or edges of the hull.
+        grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
+        rng = SplitMix64(53)
+        for _ in range(10):
+            for i in range(len(grid) - 1, 0, -1):
+                j = rng.below(i + 1)
+                grid[i], grid[j] = grid[j], grid[i]
+            cube = PolytopeV.from_vertices(grid)
+            assert volume_polytope(cube) == 8
+            assert mv_body_body_seg(cube, E1) == F(4, 3)  # (2 x 2 x 3 - 8) / 3
+
+    def test_points_on_facet_planes_keep_faces(self):
+        # Corners of the [0,2]^3 cube first: the other 19 grid points lie on
+        # facet planes or inside, so none is inserted and 12 triangles remain.
+        corners = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+        others = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)
+                  if (x, y, z) not in corners]
+        facets = _hull_facets(corners + others)
+        assert len(facets) == 12 and all(max(f) < 8 for f in facets)
+        for (nx, ny, nz, h) in facets.values():
+            assert (nx, ny, nz) != (0, 0, 0)
+            assert all(nx * x + ny * y + nz * z <= h for (x, y, z) in corners + others)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -115,5 +140,16 @@ class TestCrossModuleAgreement:
             v = random_vec3(rng, 6)
             assert mv_seg_seg(poly, u, v) == \
                 mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
+            assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
+
+    def test_eight_generator_zonotopes(self):
+        # 256 subset sums per body, as in the benchmark's witness pass.
+        rng = SplitMix64(54)
+        for _ in range(3):
+            zono = Zonotope3(tuple(random_vec3(rng, 16) for _ in range(8)))
+            poly = polytope_of_zonotope(zono)
+            assert len(poly.vertices) == 256
+            assert volume_polytope(poly) == volume(zono)
+            u = random_vec3(rng, 16)
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
 
