@@ -21,10 +21,10 @@ from .verify import IneqReport, ineq_report
 Subset3 = tuple[int, int, int]
 
 # Largest column count `pluecker` accepts.  check_gp3 walks C(n,2) * C(n-2,4)
-# exchange relations at about 0.4-0.7 us each on cleared integers (Python
-# 3.11, Intel Xeon; the upper figure for entries p/q with q <= 16): 13,860
-# (5-9 ms) at n = 12 and 120,120 (50-80 ms) at n = 16, but 813,960 at n = 21
-# and O(n^6) beyond, every residual held in one list.
+# exchange relations on cleared integers, at about 0.4 us each for integer
+# entries and 0.9 us for the rationals of `random_vec3(rng, 16)` (Python 3.11,
+# Intel Xeon): 13,860 (5-13 ms) at n = 12 and 120,120 (50-105 ms) at n = 16,
+# but 813,960 at n = 21 and O(n^6) beyond, every residual held in one list.
 MAX_COLUMNS = 16
 
 

@@ -77,16 +77,15 @@ def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
 # Incremental insertion.  Each face is an outward-oriented index triangle
 # (u, v, w) stored with its integer plane (nx, ny, nz, h): n = (v-u) x (w-u)
 # and h = n.u, so n.q < h for interior q.  The plane is computed once, when
-# the face is created, and a visibility test is then n.p > h: three products
-# and one comparison.  A point is "outside" iff it sees some face strictly;
-# points on facet planes therefore never remove faces, which can leave a
-# facet triangulated into coplanar triangles - harmless for the volume sum.
-# A new point can never be collinear with a horizon edge (it would then be
-# coplanar with the visible face adjacent to that edge), so cone faces are
-# never degenerate.  Faces live in an insertion-ordered dict: deleting the
-# visible faces keeps the others in order and cone faces go to the end.  The
-# full orientation determinant (`_orient`) only picks and orients the seed
-# simplex.
+# the face is created, so a visibility test is n.p > h.  A point is
+# "outside" iff it sees some face strictly; points on facet planes therefore
+# never remove faces, which can leave a facet triangulated into coplanar
+# triangles - harmless for the volume sum.  A new point can never be
+# collinear with a horizon edge (it would then be coplanar with the visible
+# face adjacent to that edge), so cone faces are never degenerate.  Faces
+# live in an insertion-ordered dict: deleting the visible faces keeps the
+# others in order and cone faces go to the end.  The full orientation
+# determinant (`_orient`) only picks and orients the seed simplex.
 
 _IntPoint = tuple[int, int, int]
 _Face = tuple[int, int, int]
@@ -153,7 +152,8 @@ def _hull_facets(pts: list[_IntPoint]) -> Optional[dict[_Face, _Plane]]:
 def _six_volume(pts: list[_IntPoint]) -> int:
     """6 x hull volume of distinct integer points (0 when lower-dimensional).
 
-    Each facet (u, v, w) adds det(u, v, w), which is its plane offset h.
+    The facets close up into an outward surface, so the volume is the sum of
+    det(u, v, w) over them, and det(u, v, w) is the facet's plane offset h.
     """
     facets = _hull_facets(pts)
     if facets is None:

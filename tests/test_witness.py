@@ -59,9 +59,7 @@ class TestVolumePolytope:
         grid = [(x, y, z) for x in range(3) for y in range(3) for z in range(3)]
         rng = SplitMix64(53)
         for _ in range(10):
-            for i in range(len(grid) - 1, 0, -1):
-                j = rng.below(i + 1)
-                grid[i], grid[j] = grid[j], grid[i]
+            grid.sort(key=lambda _: rng.next64())
             cube = PolytopeV.from_vertices(grid)
             assert volume_polytope(cube) == 8
             assert mv_body_body_seg(cube, E1) == F(4, 3)  # (2 x 2 x 3 - 8) / 3
@@ -152,4 +150,3 @@ class TestCrossModuleAgreement:
             assert volume_polytope(poly) == volume(zono)
             u = random_vec3(rng, 16)
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
-
