@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import re
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import groupby
+from itertools import compress, islice
 from math import lcm
-from operator import itemgetter
+from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
@@ -184,18 +185,30 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
 #
 # The three 3D sums are dispatchers over two exact integer paths.  The cubic
 # loops evaluate one determinant per triple.  The sweep fixes one pivot
-# generator a at a time and projects the others into the plane along a, so
-# that |det(a, b, c)| becomes a 2D |cross| scaled by a pivot coordinate; over
-# the vectors in angular order, the sum of |cross| over all pairs is one pass
-# of prefix sums.  That is O(m^2 log m) instead of O(m^3).  The sweep
-# overtakes the loops at about m = 8 to 9 (triples first, combos last) and
-# runs 10-16x faster at m = 96 (Python 3.11, Intel Xeon, coordinates p/q
-# with |p|, q <= 16); the loops stay the small-m path, and fuzz at its
-# default m_max = 6 never leaves them.
+# generator p at a time and projects the others into the plane along p, so
+# that |det(p, u, v)| becomes a 2D |cross| scaled by a pivot coordinate; over
+# the images in angular order, a sum of |cross| over pairs is one pass of
+# prefix sums: each v adds P x v, with P the sum of the images before it.
+# Across two classes X, Y, each y adds (2 P_X(y) - T_X) x y, with T_X the
+# sum of all of X, and the T_X part is taken once at the end.  That is
+# O(m^2 log m) instead of O(m^3).  The sweep overtakes the loops at about
+# m = 8 to 9 (triples first, combos last) and runs 10-16x faster at m = 96
+# (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+#
+# A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and
+# `sum_abs_det3_af_square` take all four from one sweep: each pivot projects
+# three classes A, B, C once, sorts them once, and one pass returns the
+# pair-class sums AA, AB, AC and BC.  A bezout check projects 2.5 m^2 images
+# instead of 4.5 m^2, an af-square check 3 m^2 instead of 7 m^2.  The single
+# sums keep their one- and two-class passes, which are faster for them.
+# While every list of a check is shorter than SWEEP_MIN the four sums go to
+# the dispatchers and so to the loops: fuzz at its default m_max = 6 never
+# leaves them.
 
 # Smallest size at which the 3D sums sweep: the length of ga for pairs and
-# combos, and the middle length of the three lists for triples (the sweep
-# pivots over the shortest list and sorts the other two).
+# combos, the middle length of the three lists for triples (the sweep pivots
+# over the shortest list and sorts the other two), and the longest list for
+# the four sums of a check.
 SWEEP_MIN = 9
 
 
@@ -306,16 +319,21 @@ _exact_angle = cmp_to_key(_cross_order)
 
 
 def _angular_order(items):
-    """Sort (key, x, y, tag) items by the exact angle of (x, y).
+    """Sort (key, x, y, tag) items by the exact angle of (x, y), in place.
 
     int / int division is correctly rounded, so the float keys are in exact
     angular order except inside runs of equal keys, which are re-sorted by
-    the sign of the cross product.
+    the sign of the cross product.  Most runs are single items or exact
+    parallels; only the runs of two or more are touched.
     """
     items.sort(key=_key)
     if len(set(map(_key, items))) == len(items):
         return items
-    return [item for _, run in groupby(items, _key) for item in sorted(run, key=_exact_angle)]
+    keys = list(map(_key, items))
+    for key in set(compress(keys, map(eq, keys, islice(keys, 1, None)))):
+        lo, hi = bisect_left(keys, key), bisect_right(keys, key)
+        items[lo:hi] = sorted(items[lo:hi], key=_exact_angle)
+    return items
 
 
 def _all_pairs2(items):
@@ -350,6 +368,51 @@ def _bipartite2(items):
             sx += x
             sy += y
     return 2 * total - (px * sy - py * sx)
+
+
+def _three_classes2(items):
+    """Pair-class sums AA, AB, AC, BC of |u x v| over items tagged 0 (A), 1 (B), 2 (C).
+
+    AA is `_all_pairs2` over the A items; each cross-class sum is
+    `_bipartite2`'s, all four in one pass over one angular order.
+    """
+    aa = ab = ac = bc = 0
+    ax = ay = bx = by = cx = cy = 0
+    for _, x, y, tag in _angular_order(items):
+        if not tag:
+            aa += ax * y - ay * x
+            ax += x
+            ay += y
+        elif tag == 1:
+            ab += ax * y - ay * x
+            bx += x
+            by += y
+        else:
+            ac += ax * y - ay * x
+            bc += bx * y - by * x
+            cx += x
+            cy += y
+    return (aa, 2 * ab - (ax * by - ay * bx), 2 * ac - (ax * cy - ay * cx),
+            2 * bc - (bx * cy - by * cx))
+
+
+def _class_sweep(pivoted):
+    """Sums of |det(p, u, v)| over the (p, (A, B, C)) pairs, by the classes of u and v.
+
+    Returns the four totals over pairs u, v from A x A (i < j), A x B, A x C
+    and B x C.  Each pivot projects and sorts its three classes once.
+    """
+    aa = ab = ac = bc = 0
+    for p, (ga, gb, gc) in pivoted:
+        images, f = _pivot_images(p, ga, 0)
+        if f:
+            s_aa, s_ab, s_ac, s_bc = _three_classes2(
+                images + _pivot_images(p, gb, 1)[0] + _pivot_images(p, gc, 2)[0])
+            aa += s_aa // f
+            ab += s_ab // f
+            ac += s_ac // f
+            bc += s_bc // f
+    return aa, ab, ac, bc
 
 
 def _pivot_sweep(pivoted):
@@ -388,6 +451,30 @@ def sum_abs_det3_combos(g):
     if len(g) < SWEEP_MIN:
         return sum_abs_det3_combos_cubic(g)
     return _pivot_sweep((a, g[i + 1:]) for i, a in enumerate(g))
+
+
+def sum_abs_det3_bezout(ga, gb, gc):
+    """The four sums of a bezout check: combos(A), pairs(A, B), pairs(A, C), triples(A, B, C).
+
+    Pivoting over A with the classes (the A after the pivot, B, C) gives all
+    four at once: the A x A pairs after each pivot make combos(A), the A x B
+    and A x C pairs the two pair sums, and the B x C pairs the triples.
+    """
+    if max(len(ga), len(gb), len(gc)) < SWEEP_MIN:
+        return (sum_abs_det3_combos(ga), sum_abs_det3_pairs(ga, gb), sum_abs_det3_pairs(ga, gc),
+                sum_abs_det3_triples(ga, gb, gc))
+    return _class_sweep((a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga))
+
+
+def sum_abs_det3_af_square(ga, gb, gc, gd):
+    """The four sums of an af-square check: pairs(A, D) and triples (A, B, D), (A, C, D), (B, C, D).
+
+    Pivoting over D with the classes (A, B, C) gives all four at once.
+    """
+    if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN:
+        return (sum_abs_det3_pairs(ga, gd), sum_abs_det3_triples(ga, gb, gd),
+                sum_abs_det3_triples(ga, gc, gd), sum_abs_det3_triples(gb, gc, gd))
+    return _class_sweep((d, (ga, gb, gc)) for d in gd)
 
 
 def sum_abs_det2_pairs(us, vs):

@@ -21,17 +21,12 @@ from .numeric import (
     int_scaled,
     render_matrix,
     sum_abs_det2_pairs,
+    sum_abs_det3_af_square,
+    sum_abs_det3_bezout,
     sum_abs_det3_combos,
-    sum_abs_det3_pairs,
-    sum_abs_det3_triples,
 )
 from .rng import SplitMix64, random_vectors, random_zonotope, trial_seed
-from .zonotope import (
-    Zonotope3,
-    mixed_volume,
-    mixed_volume_repeated,
-    render_zonotope,
-)
+from .zonotope import Zonotope3, mixed_volume_repeated, render_zonotope
 
 # Largest fuzz m_max.  A trial draws up to m_max generators per body.  Bodies
 # of at least numeric.SWEEP_MIN generators take the O(m^2 log m) sweep, not
@@ -77,17 +72,17 @@ def ineq_report(lhs: Fraction, factor1: Fraction, factor2: Fraction,
 def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
     """Check V(A,A,A)*V(A,B,C) <= (3/2)*V(A,A,B)*V(A,A,C).  Holds on all zonotopes.
 
-    The four volumes are |det| sums over the integer views of the bodies
-    (see `zonotope.volume` and its siblings), combined into one `Fraction`
-    per report argument.
+    The four volumes are |det| sums over the integer views of the bodies,
+    all four from one `sum_abs_det3_bezout` call, combined into one
+    `Fraction` per report argument.
     """
     ga, la = a.scaled
     gb, lb = b.scaled
     gc, lc = c.scaled
-    lhs = Fraction(sum_abs_det3_combos(ga) * sum_abs_det3_triples(ga, gb, gc),
-                   6 * la ** 4 * lb * lc)
-    vaab = Fraction(sum_abs_det3_pairs(ga, gb), 3 * la * la * lb)
-    vaac = Fraction(sum_abs_det3_pairs(ga, gc), 3 * la * la * lc)
+    combos, pairs_ab, pairs_ac, triples = sum_abs_det3_bezout(ga, gb, gc)
+    lhs = Fraction(combos * triples, 6 * la ** 4 * lb * lc)
+    vaab = Fraction(pairs_ab, 3 * la * la * lb)
+    vaac = Fraction(pairs_ac, 3 * la * la * lc)
     return ineq_report(lhs, vaab, vaac, Fraction(3, 2))
 
 
@@ -110,10 +105,18 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
     """Check V(A,A,D)*V(B,C,D) <= 2*V(A,B,D)*V(A,C,D) on zonotopes.
 
     Holds for arbitrary convex bodies; the constant 2 is sharp in general but
-    not on zonotopes.
+    not on zonotopes.  The four volumes come from one `sum_abs_det3_af_square`
+    call.
     """
-    return af_square_report(mixed_volume_repeated(a, d), mixed_volume(b, c, d),
-                            mixed_volume(a, b, d), mixed_volume(a, c, d))
+    ga, la = a.scaled
+    gb, lb = b.scaled
+    gc, lc = c.scaled
+    gd, ld = d.scaled
+    pairs_ad, triples_abd, triples_acd, triples_bcd = sum_abs_det3_af_square(ga, gb, gc, gd)
+    return af_square_report(Fraction(pairs_ad, 3 * la * la * ld),
+                            Fraction(triples_bcd, 6 * lb * lc * ld),
+                            Fraction(triples_abd, 6 * la * lb * ld),
+                            Fraction(triples_acd, 6 * la * lc * ld))
 
 
 def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Optional
 
 from .numeric import (
@@ -52,6 +53,16 @@ class PolytopeV:
     @classmethod
     def from_vertices(cls, verts: Iterable) -> "PolytopeV":
         return cls(tuple(v if isinstance(v, Vec3) else vec3(*v) for v in verts))
+
+    @cached_property
+    def volume(self) -> Fraction:
+        """Exact volume of the hull, built on first use and kept with the polytope.
+
+        Like `Zonotope3.scaled`, the value lives in the instance dict,
+        outside the dataclass fields, so equality, hashing and repr see the
+        vertices only.
+        """
+        return _hull_volume(self.vertices)
 
 
 def square_pyramid() -> PolytopeV:
@@ -169,7 +180,7 @@ def _hull_volume(vertices: Iterable[Vec3]) -> Fraction:
 
 def volume_polytope(poly: PolytopeV) -> Fraction:
     """Exact volume of the convex hull of the vertices; 0 if lower-dimensional."""
-    return _hull_volume(poly.vertices)
+    return poly.volume
 
 
 def mv_seg_seg(poly: PolytopeV, u: Vec3, v: Vec3) -> Fraction:
@@ -190,10 +201,10 @@ def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:
 
     The sweep P + [0,u] is the hull of the vertices and their translates by
     u; the volume expansion along a segment is linear, so the difference
-    captures the mixed term exactly.
+    captures the mixed term exactly.  Vol(P) is built once per polytope.
     """
     swept = list(poly.vertices) + [vadd(p, u) for p in poly.vertices]
-    return (_hull_volume(swept) - volume_polytope(poly)) / 3
+    return (_hull_volume(swept) - poly.volume) / 3
 
 
 def pyramid_equality_report() -> IneqReport:

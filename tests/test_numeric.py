@@ -1,3 +1,4 @@
+import itertools
 import random
 import sys
 import tracemalloc
@@ -7,7 +8,7 @@ from math import lcm
 import pytest
 from hypothesis import given, strategies as st
 
-from zonomix import numeric
+from zonomix import numeric, verify
 from zonomix.numeric import (
     MAX_CLEARED_BITS,
     MAX_GENERATORS,
@@ -26,6 +27,9 @@ from zonomix.numeric import (
     parse_rows,
     render_matrix,
     render_rational,
+    sum_abs_det2_pairs,
+    sum_abs_det3_af_square,
+    sum_abs_det3_bezout,
     sum_abs_det3_combos,
     sum_abs_det3_combos_cubic,
     sum_abs_det3_pairs,
@@ -36,6 +40,7 @@ from zonomix.numeric import (
     vec3,
     vscale,
 )
+from zonomix.zonotope import Zonotope3
 from oracles import brute_mixed_volume, brute_volume, leibniz_det3
 
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -242,6 +247,87 @@ def test_dispatch_switches_at_sweep_min(kernel, args, monkeypatch):
     assert calls == [1]
     dispatcher(*args(g))
     assert calls == [1]
+
+
+# The four-sum kernels of a check.  Each must equal the separate dispatcher
+# sums, the cubic loops and the oracles, on either path.
+
+def _bezout_parts(ga, gb, gc, kernels):
+    combos, pairs, triples = kernels
+    return combos(ga), pairs(ga, gb), pairs(ga, gc), triples(ga, gb, gc)
+
+
+def _af_square_parts(ga, gb, gc, gd, kernels):
+    _, pairs, triples = kernels
+    return pairs(ga, gd), triples(ga, gb, gd), triples(ga, gc, gd), triples(gb, gc, gd)
+
+
+DISPATCHERS = (sum_abs_det3_combos, sum_abs_det3_pairs, sum_abs_det3_triples)
+CUBIC = (sum_abs_det3_combos_cubic, sum_abs_det3_pairs_cubic, sum_abs_det3_triples_cubic)
+
+
+def _assert_check_kernels_agree(ga, gb, gc, gd):
+    bezout = sum_abs_det3_bezout(ga, gb, gc)
+    assert bezout == _bezout_parts(ga, gb, gc, DISPATCHERS) == _bezout_parts(ga, gb, gc, CUBIC)
+    af_square = sum_abs_det3_af_square(ga, gb, gc, gd)
+    assert af_square == _af_square_parts(ga, gb, gc, gd, DISPATCHERS) \
+        == _af_square_parts(ga, gb, gc, gd, CUBIC)
+    assert all(type(s) is int for s in bezout + af_square)
+    return bezout, af_square
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_check_kernels_agree_on_edge_cases(case, forced_path):
+    ga, gb, gc = EDGE_CASES[case]
+    gd = gc[::-1] + ga
+    bezout, af_square = _assert_check_kernels_agree(ga, gb, gc, gd)
+    triples, pairs_ab, combos = _expected(ga, gb, gc)
+    assert bezout == (combos, pairs_ab, 3 * brute_mixed_volume(ga, ga, gc), triples)
+    assert af_square == (3 * brute_mixed_volume(ga, ga, gd), 6 * brute_mixed_volume(ga, gb, gd),
+                         6 * brute_mixed_volume(ga, gc, gd), 6 * brute_mixed_volume(gb, gc, gd))
+
+
+MIXED_SIZES = (1, 2, SWEEP_MIN - 1, SWEEP_MIN, 40)
+
+
+def test_check_kernels_agree_on_mixed_sizes():
+    rnd = random.Random(11)
+    for i, sizes in enumerate(itertools.product(MIXED_SIZES, repeat=3)):
+        ga, gb, gc, gd = (_random_generators(rnd, m)
+                          for m in sizes + (MIXED_SIZES[i % len(MIXED_SIZES)],))
+        _assert_check_kernels_agree(ga, gb, gc, gd)
+
+
+def test_check_kernels_on_one_generator_b_and_c():
+    # V(A,A,B) and V(A,A,C) through the sweep with B = e1, C = e2 are the
+    # 2D pair sums of the lemma's matrix form.
+    rnd = random.Random(12)
+    ga = [g for g in _random_generators(rnd, 40) if g[2]]
+    assert len(ga) >= SWEEP_MIN
+    combos, pairs_ab, pairs_ac, triples = sum_abs_det3_bezout(ga, [(1, 0, 0)], [(0, 1, 0)])
+    xs, ys, zs = zip(*ga)
+    assert pairs_ab == sum_abs_det2_pairs(ys, zs) and pairs_ac == sum_abs_det2_pairs(xs, zs)
+    assert triples == sum(abs(z) for z in zs)
+    assert combos == sum_abs_det3_combos_cubic(ga)
+
+
+@pytest.mark.parametrize("check, count", [("check_bezout", 3), ("check_af_square", 4)])
+def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, monkeypatch):
+    calls = []
+    for kernel in ("combos", "pairs", "triples"):
+        cubic = getattr(numeric, f"sum_abs_det3_{kernel}_cubic")
+        monkeypatch.setattr(numeric, f"sum_abs_det3_{kernel}_cubic",
+                            lambda *a, _f=cubic: calls.append("cubic") or _f(*a))
+    sweep = numeric._class_sweep
+    monkeypatch.setattr(numeric, "_class_sweep", lambda p: calls.append("sweep") or sweep(p))
+    g = _random_generators(random.Random(2), SWEEP_MIN)
+    small, big = Zonotope3.from_scaled(g[:-1], 1), Zonotope3.from_scaled(g, 1)
+    assert getattr(verify, check)(*[small] * count).holds
+    assert calls == ["cubic"] * 4
+    calls.clear()
+    # One list at SWEEP_MIN: one sweep gives all four sums.
+    assert getattr(verify, check)(*[small] * (count - 1), big).holds
+    assert calls == ["sweep"]
 
 
 class TestRationalLiterals:

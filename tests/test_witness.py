@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from zonomix import witness
 from zonomix.numeric import E1, E2, E3, ZERO3, vec3
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.witness import (
@@ -103,6 +104,23 @@ class TestMvBodyBodySeg:
 
     def test_zero_segment(self):
         assert mv_body_body_seg(TETRA, ZERO3) == 0
+
+    def test_body_volume_is_hulled_once(self, monkeypatch):
+        hulled = []
+        monkeypatch.setattr(witness, "_hull_facets",
+                            lambda pts: hulled.append(len(pts)) or _hull_facets(pts))
+        pyramid = square_pyramid()
+        assert pyramid_equality_report().slack == 0
+        # Vol(P) once, then the sweeps P + [0,e1] and P + [0,e2], 8 distinct points each.
+        assert hulled == [5, 8, 8]
+        hulled.clear()
+        assert mv_body_body_seg(pyramid, E1) == mv_body_body_seg(pyramid, E2) == F(1, 6)
+        assert volume_polytope(pyramid) == F(1, 3)
+        assert hulled == [8, 5, 8]  # the first sweep, then Vol(P), then the second
+        # The kept volume is not a field: equality, hash and repr are unchanged.
+        fresh = square_pyramid()
+        assert "volume" in vars(pyramid) and "volume" not in vars(fresh)
+        assert pyramid == fresh and hash(pyramid) == hash(fresh) and repr(pyramid) == repr(fresh)
 
 
 class TestPyramidEquality:
