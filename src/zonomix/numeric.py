@@ -496,10 +496,10 @@ def sum_abs_det2_pairs(us, vs):
 #   matrix:   "matrix 3 n", then 3 rows of n entries (none when n = 0).
 
 # Most generators one body file may hold, 3 coordinates each.  A check costs
-# O(m^2 log m) through the sweep: check bezout took 1.0 s at m = 400, 3.9 s at
-# 800, 16 s at 1600 and 28-29 s at 2000, and check af-square (three triple
-# sums) 24 s at 1600 and 52 s at 2000 (Python 3.11, Intel Xeon, coordinates
-# p/q with |p|, q <= 16).
+# O(m^2 log m) through one sweep for its four sums: check bezout took 3.0-3.4 s
+# at m = 800 and 20 s at 2000, check af-square 3.6-3.7 s and 24-25 s, where a
+# sweep per sum took 7-8 s and 47-49 s, and 11 s and 69-70 s, timed
+# alongside (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
 MAX_GENERATORS = 2000
 
 # Most bits one body file may clear to: its generator count times the bit
@@ -508,8 +508,9 @@ MAX_GENERATORS = 2000
 # with digits as well as with generators: check bezout took 17 s on 50
 # generators of 4000-digit integers.  Under this limit the generator cap is
 # the slowest input: on 2000 generators of 31-bit integers (64,000 bits) check
-# bezout took 39 s and check af-square 58 s, as long as on the cap's p/q with
-# |p|, q <= 16 (50,000 bits), timed alongside (Python 3.11, Intel Xeon).
+# bezout took 22-23 s and check af-square 26-27 s, about as long as on the
+# cap's p/q with |p|, q <= 16 (50,000 bits), timed alongside (Python 3.11,
+# Intel Xeon).
 MAX_CLEARED_BITS = 2 ** 16
 
 # A line of a text file: a run between the line boundaries of str.splitlines.

@@ -31,7 +31,7 @@ from .zonotope import Zonotope3, mixed_volume_repeated, render_zonotope
 # Largest fuzz m_max.  A trial draws up to m_max generators per body.  Bodies
 # of at least numeric.SWEEP_MIN generators take the O(m^2 log m) sweep, not
 # the cubic |det| loops: a bezout trial with 64 generators in each body took
-# 0.02 s, against 0.16 s on the loops alone (Python 3.11, Intel Xeon).  The
+# 0.015 s, against 0.16 s on the loops alone (Python 3.11, Intel Xeon).  The
 # cap stays at 64 and bounds the memory and the time of every trial before
 # any is drawn; the default m_max = 6 never reaches the sweep.
 MAX_M_MAX = 64
