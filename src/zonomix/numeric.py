@@ -496,10 +496,9 @@ def sum_abs_det2_pairs(us, vs):
 #   matrix:   "matrix 3 n", then 3 rows of n entries (none when n = 0).
 
 # Most generators one body file may hold, 3 coordinates each.  A check costs
-# O(m^2 log m) through one sweep for its four sums: check bezout took 3.0-3.4 s
-# at m = 800 and 20 s at 2000, check af-square 3.6-3.7 s and 24-25 s, where a
-# sweep per sum took 7-8 s and 47-49 s, and 11 s and 69-70 s, timed
-# alongside (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+# O(m^2 log m) through one sweep for its four sums: at m = 800 and 2000,
+# check bezout took 3.0-3.4 s and 20 s, and check af-square 3.6-3.7 s and
+# 24-25 s (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
 MAX_GENERATORS = 2000
 
 # Most bits one body file may clear to: its generator count times the bit
