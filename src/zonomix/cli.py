@@ -10,6 +10,7 @@ check, fuzz, grassmann-sample and report.  Every value is exact.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,7 @@ from .numeric import (
 from .reduction import SStats, extremal_config
 from .rng import SplitMix64, random_vec3
 from .verify import (
+    MAX_COEFF_BOUND,
     TARGETS,
     FuzzConfig,
     IneqReport,
@@ -236,6 +238,8 @@ def cmd_grassmann_sample(args) -> int:
         raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
     if args.coeff_bound < 1:
         raise ValueError(f"--coeff-bound must be >= 1, got {args.coeff_bound}")
+    if args.coeff_bound > MAX_COEFF_BOUND:
+        raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {args.coeff_bound}")
     rng = SplitMix64(args.seed)
     mat = Mat3xM(tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n)))
     point = pluecker(mat)
@@ -301,6 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output format")
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=1, help="64-bit RNG seed")
+    coeff_help = f"bound on sampled numerators and denominators, 1 to {MAX_COEFF_BOUND}"
 
     parser = argparse.ArgumentParser(
         prog="zonomix",
@@ -330,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=tuple(target.replace("_", "-") for target in TARGETS))
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--m-max", type=int, default=6, dest="m_max")
-    p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound")
+    p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound", help=coeff_help)
     p.set_defaults(func=cmd_fuzz)
 
     p = sub.add_parser("extremal", parents=[out],
@@ -348,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grassmann-sample", parents=[out, output, seed],
                        help="random matrix -> minor coordinates (CSV) + relation check")
     p.add_argument("--n", type=int, default=6, help="number of columns")
-    p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound")
+    p.add_argument("--coeff-bound", type=int, default=16, dest="coeff_bound", help=coeff_help)
     p.set_defaults(func=cmd_grassmann_sample)
 
     p = sub.add_parser("report", parents=[out, output, seed],
@@ -359,8 +364,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built at the first `main` call and kept: building costs more than a small check.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     args.stream = None
     try:
         try:

@@ -4,18 +4,29 @@ The generator is splitmix64: a fixed 64-bit state transition with a finalizer
 mix.  It produces the same stream on every platform and Python version, which
 makes fuzz summaries and CSV outputs byte-reproducible.
 
-Every sampler reads coordinates through one draw routine, `_draw`: two
-`next64` outputs per coordinate, numerator then denominator.
-`random_zonotope` keeps the draws as integers: it clears them to a common
-scale (the lcm of the drawn denominators) with integer arithmetic only and
-builds the body from that integer view (`Zonotope3.from_scaled`), so no
-`Fraction` is made until the body's rational generators are read.
-`random_rational`, `random_vec3` and `random_vectors` return rationals.
-"""
+splitmix64 is counter-based: output k of a stream at state s is
+`mix(s + k * gamma)` and depends on k alone.  `SplitMix64.take(n)` uses that
+to mix a block of n outputs at once: it packs the n states into the 128-bit
+lanes of one Python int and runs the xor-shift-multiply mix on the whole int,
+masking each lane back to 64 bits before every multiply so that a 64 x 64-bit
+product stays inside its own lane.  `next64` runs the same `_mix` on a single
+lane; both give the same stream.
 
+Every sampler reads coordinates through one draw routine, `_draw`: one
+`take` for a block of coordinates, two outputs per coordinate, numerator then
+denominator.  `random_zonotope` keeps the draws as integers: it clears them
+to a common scale (the lcm of the drawn denominators) with integer
+arithmetic only and builds the body from that integer view
+(`Zonotope3.from_scaled`), so no `Fraction` is made until the body's
+rational generators are read.  `random_rational`, `random_vec3` and
+`random_vectors` return rationals.
+"""
 from __future__ import annotations
 
+import sys
+from array import array
 from fractions import Fraction
+from functools import lru_cache
 from math import lcm
 
 from .numeric import Vec3
@@ -23,6 +34,36 @@ from .zonotope import Zonotope3
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # the golden-ratio increment of splitmix64
+_LANE_BITS = 128  # room for a 64 x 64-bit product per lane
+
+# `take` unpacks its lanes as 64-bit words.
+assert array("Q").itemsize == 8
+
+
+def _mix(z: int, mask: int) -> int:
+    """The splitmix64 output mix of every 64-bit lane of z that `mask` selects.
+
+    z holds its values in the lanes of `mask` (all ones below each lane's 64th
+    bit).  Each xor-shift pulls bits of the next lane down into the high half
+    of this one, so the mask clears them before the multiply; the last
+    xor-shift is not masked, and only the low 64 bits of each lane of the
+    result are the outputs.
+    """
+    z = (((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9) & mask
+    z = (((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+@lru_cache(maxsize=256)
+def _lanes(n: int) -> tuple[int, int, int]:
+    """(ONES, gamma * RAMP, lane mask) for a block of n lanes.
+
+    Lane k (from 0) of ONES is 1, of RAMP is k + 1 and of the mask is 2^64 - 1,
+    so s * ONES + gamma * RAMP holds s + (k + 1) * gamma in lane k.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(_LANE_BITS // 8 - 1)) * n, "little")
+    ramp = sum((k + 1) << (_LANE_BITS * k) for k in range(n))
+    return ones, _GAMMA * ramp, _MASK * ones
 
 
 class SplitMix64:
@@ -33,10 +74,17 @@ class SplitMix64:
 
     def next64(self) -> int:
         self._state = (self._state + _GAMMA) & _MASK
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        return _mix(self._state, _MASK)
+
+    def take(self, n: int) -> list[int]:
+        """The next n outputs, in order; the state ends where n `next64` calls leave it."""
+        ones, gamma_ramp, mask = _lanes(n)
+        z = _mix((self._state * ones + gamma_ramp) & mask, mask)
+        self._state = (self._state + n * _GAMMA) & _MASK
+        words = array("Q", z.to_bytes(_LANE_BITS // 8 * n, "little"))
+        if sys.byteorder == "big":
+            words.byteswap()
+        return words[::2].tolist()
 
     def below(self, n: int) -> int:
         # Modulo bias of order 2^-60 is irrelevant for input sampling.
@@ -61,39 +109,39 @@ def trial_seed(seed: int, trial: int) -> int:
     return SplitMix64(start + trial * _GAMMA).next64()
 
 
-def _draw(rng: SplitMix64, count: int, bound: int) -> list[tuple[int, int]]:
-    """`count` coordinates as (numerator, denominator) pairs, in stream order.
+def _draw(rng: SplitMix64, count: int, bound: int) -> tuple[list[int], list[int]]:
+    """`count` coordinates as numerators and denominators, in stream order.
 
     Numerator in [-bound, bound], denominator in [1, bound]: the same two
     draws, in the same order, as `randint(-bound, bound)` and
-    `randint(1, bound)`, straight from `next64` without their per-draw call
-    chain.  The pairs are not reduced.
+    `randint(1, bound)` per coordinate, from one `take(2 * count)`.  The
+    pairs are not reduced.
     """
-    next64 = rng.next64
+    draws = rng.take(2 * count)
     span = 2 * bound + 1
-    return [(next64() % span - bound, next64() % bound + 1) for _ in range(count)]
+    return [d % span - bound for d in draws[0::2]], [d % bound + 1 for d in draws[1::2]]
 
 
 def random_rational(rng: SplitMix64, bound: int) -> Fraction:
     """Numerator in [-bound, bound], denominator in [1, bound]; zero included."""
-    ((num, den),) = _draw(rng, 1, bound)
+    (num,), (den,) = _draw(rng, 1, bound)
     return Fraction(num, den)
 
 
 def random_vec3(rng: SplitMix64, bound: int) -> Vec3:
-    return Vec3(*(Fraction(num, den) for num, den in _draw(rng, 3, bound)))
+    return Vec3(*map(Fraction, *_draw(rng, 3, bound)))
 
 
 def random_vectors(rng: SplitMix64, m_max: int, bound: int) -> list[Vec3]:
     m = rng.randint(1, m_max)
-    coords = [Fraction(num, den) for num, den in _draw(rng, 3 * m, bound)]
+    coords = list(map(Fraction, *_draw(rng, 3 * m, bound)))
     return [Vec3(*coords[i:i + 3]) for i in range(0, 3 * m, 3)]
 
 
 def random_zonotope(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
     """The body of `random_vectors`, from the same draws, built from its integer view."""
     m = rng.randint(1, m_max)
-    coords = _draw(rng, 3 * m, bound)
-    scale = lcm(*[den for _, den in coords])
-    ints = [num * (scale // den) for num, den in coords]
+    nums, dens = _draw(rng, 3 * m, bound)
+    scale = lcm(*dens)
+    ints = [num * (scale // den) for num, den in zip(nums, dens)]
     return Zonotope3.from_scaled(zip(ints[0::3], ints[1::3], ints[2::3]), scale)

@@ -36,6 +36,12 @@ from .zonotope import Zonotope3, mixed_volume_repeated, render_zonotope
 # any is drawn; the default m_max = 6 never reaches the sweep.
 MAX_M_MAX = 64
 
+# Largest fuzz coeff_bound B.  A coordinate is one 64-bit draw modulo 2B + 1
+# (and one modulo B), which covers [-B, B] only while B is far below 2^64:
+# from B = 2^64 on, every numerator drawn is negative.  At B <= 2^32 the
+# modulo bias of a draw is at most about 2^-31.
+MAX_COEFF_BOUND = 2 ** 32
+
 
 @dataclass(frozen=True)
 class IneqReport:
@@ -163,6 +169,8 @@ class FuzzConfig:
             raise ValueError(f"m_max must be <= {MAX_M_MAX}, got {self.m_max}")
         if self.coeff_bound < 1:
             raise ValueError(f"coeff_bound must be >= 1, got {self.coeff_bound}")
+        if self.coeff_bound > MAX_COEFF_BOUND:
+            raise ValueError(f"coeff_bound must be <= {MAX_COEFF_BOUND}, got {self.coeff_bound}")
 
 
 @dataclass(frozen=True)

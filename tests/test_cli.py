@@ -9,7 +9,7 @@ from zonomix import cli, grassmann, numeric, verify, zonotope
 from zonomix.cli import main
 from zonomix.grassmann import MAX_COLUMNS
 from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, E3, Mat3xM, render_matrix, vec3
-from zonomix.verify import MAX_M_MAX, FuzzSummary, IneqReport
+from zonomix.verify import MAX_COEFF_BOUND, MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
 
 
@@ -256,6 +256,31 @@ class TestResourceGuards:
         monkeypatch.setattr(cli, "random_vec3", self._never)
         assert main(["grassmann-sample", "--coeff-bound", str(bound)]) == 2
         assert capsys.readouterr().err == f"error: --coeff-bound must be >= 1, got {bound}\n"
+
+    # Unchecked, a bound of 2^64 or more drew only negative numerators.
+    def test_grassmann_sample_coeff_bound_cap(self, capsys, monkeypatch):
+        over = MAX_COEFF_BOUND + 1
+        monkeypatch.setattr(cli, "random_vec3", self._never)
+        assert main(["grassmann-sample", "--coeff-bound", str(over)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --coeff-bound must be <= {MAX_COEFF_BOUND}, got {over}\n"
+
+    @pytest.mark.parametrize("target", ["bezout", "lemma", "af-square"])
+    def test_fuzz_coeff_bound_cap(self, target, capsys, monkeypatch):
+        over = MAX_COEFF_BOUND + 1
+        monkeypatch.setattr(verify, "random_zonotope", self._never)
+        monkeypatch.setattr(verify, "random_vectors", self._never)
+        assert main(["fuzz", "--target", target, "--trials", "1",
+                     "--coeff-bound", str(over)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: coeff_bound must be <= {MAX_COEFF_BOUND}, got {over}\n"
+
+    @pytest.mark.parametrize("command", [
+        "fuzz --target bezout --trials 3", "fuzz --target lemma --trials 3",
+        "fuzz --target af-square --trials 3", "grassmann-sample --n 5"])
+    def test_coeff_bound_at_the_cap(self, command, capsys):
+        assert main([*command.split(), "--coeff-bound", str(MAX_COEFF_BOUND)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
         wide = tmp_path / "wide.mat"

@@ -1,4 +1,4 @@
-"""The integer sampler of zonotopes against the rational one it replaces."""
+"""splitmix64 and its block draw, and the integer sampler against the rational one it replaces."""
 
 import hashlib
 
@@ -10,6 +10,29 @@ from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, vol
 from oracles import brute_mixed_volume, brute_volume
 
 OTHER = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
+
+GAMMA = 0x9E3779B97F4A7C15
+
+
+# Outputs of the splitmix64 reference algorithm, pinned so that a change to
+# the shared mix cannot pass by moving next64 and take together.
+@pytest.mark.parametrize("seed, outputs", [
+    (0, [0xe220a8397b1dcdaf, 0x6e789e6aa1b965f4, 0x06c45d188009454f, 0xf88bb8a8724c81ec]),
+    (1234567, [0x599ed017fb08fc85]),
+])
+def test_reference_outputs(seed, outputs):
+    rng = SplitMix64(seed)
+    assert [rng.next64() for _ in outputs] == outputs
+    assert SplitMix64(seed).take(len(outputs)) == outputs
+
+
+# 2^64 - 1 wraps on the first step; -(3 * GAMMA) wraps inside a block of 7 and more.
+@pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -3 * GAMMA % 2 ** 64])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 384])
+def test_take_is_n_calls_of_next64(seed, n):
+    rng, ref = SplitMix64(seed), SplitMix64(seed)
+    assert rng.take(n) == [ref.next64() for _ in range(n)]
+    assert rng.take(3) == [ref.next64() for _ in range(3)]  # both left at one state
 
 
 @pytest.mark.parametrize("m_max, seeds", [(1, 60), (6, 40), (64, 10)])

@@ -306,6 +306,7 @@ class TestFuzz:
         dict(target="bezout", trials=0),
         dict(target="bezout", trials=5, m_max=0),
         dict(target="bezout", trials=5, coeff_bound=0),
+        dict(target="bezout", trials=5, coeff_bound=2 ** 32 + 1),
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(ValueError):
