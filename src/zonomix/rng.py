@@ -21,6 +21,7 @@ arithmetic only and builds the body from that integer view
 rational generators are read.  `random_rational`, `random_vec3` and
 `random_vectors` return rationals.
 """
+
 from __future__ import annotations
 
 import sys
@@ -54,6 +55,8 @@ def _mix(z: int, mask: int) -> int:
     return z ^ (z >> 31)
 
 
+# A fuzz body takes blocks of n = 6m for m up to verify.MAX_M_MAX = 64, so the
+# cache holds every block size the CLI asks for, about 0.6 MB at most.
 @lru_cache(maxsize=256)
 def _lanes(n: int) -> tuple[int, int, int]:
     """(ONES, gamma * RAMP, lane mask) for a block of n lanes.
@@ -61,7 +64,7 @@ def _lanes(n: int) -> tuple[int, int, int]:
     Lane k (from 0) of ONES is 1, of RAMP is k + 1 and of the mask is 2^64 - 1,
     so s * ONES + gamma * RAMP holds s + (k + 1) * gamma in lane k.
     """
-    ones = int.from_bytes((b"\x01" + bytes(_LANE_BITS // 8 - 1)) * n, "little")
+    ones = sum(1 << (_LANE_BITS * k) for k in range(n))
     ramp = sum((k + 1) << (_LANE_BITS * k) for k in range(n))
     return ones, _GAMMA * ramp, _MASK * ones
 
