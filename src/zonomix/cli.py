@@ -42,6 +42,7 @@ from .verify import (
     IneqReport,
     check_af_square,
     check_bezout,
+    check_coeff_bound,
     check_lemma_matrix,
     fuzz,
 )
@@ -236,10 +237,7 @@ def cmd_grassmann_sample(args) -> int:
         raise ValueError(f"--n must be >= 3, got {args.n}")
     if args.n > MAX_COLUMNS:
         raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
-    if args.coeff_bound < 1:
-        raise ValueError(f"--coeff-bound must be >= 1, got {args.coeff_bound}")
-    if args.coeff_bound > MAX_COEFF_BOUND:
-        raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {args.coeff_bound}")
+    check_coeff_bound(args.coeff_bound)
     rng = SplitMix64(args.seed)
     mat = Mat3xM(tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n)))
     point = pluecker(mat)

@@ -184,25 +184,23 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
 # and `unscaled` makes its rational generators only when they are read.
 #
 # The three 3D sums are dispatchers over two exact integer paths.  The cubic
-# loops evaluate one determinant per triple.  The sweep fixes one pivot
-# generator p at a time and projects the others into the plane along p, so
-# that |det(p, u, v)| becomes a 2D |cross| scaled by a pivot coordinate; over
-# the images in angular order, a sum of |cross| over pairs is one pass of
-# prefix sums: each v adds P x v, with P the sum of the images before it.
-# Across two classes X, Y, each y adds (2 P_X(y) - T_X) x y, with T_X the
-# sum of all of X, and the T_X part is taken once at the end.  That is
-# O(m^2 log m) instead of O(m^3).  The sweep overtakes the loops at about
-# m = 8 to 9 (triples first, combos last) and runs 10-16x faster at m = 96
-# (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+# loops evaluate one determinant per triple.  The sweep, `_class_sweep`,
+# fixes one pivot generator p at a time and projects the others, in up to
+# three classes A, B, C, into the plane along p, so that |det(p, u, v)|
+# becomes a 2D |cross| scaled by a pivot coordinate; over the images in
+# angular order, one pass of prefix sums (`_three_classes2`) returns the
+# pair-class sums AA, AB, AC and BC.  That is O(m^2 log m) instead of
+# O(m^3).  Each single sum reads one total: combos and pairs the AA pairs
+# of one class, triples the BC pairs of two.  The sweep overtakes the loops
+# at about m = 8 to 9 (triples first, combos last) and runs 10-16x faster
+# at m = 96 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
 #
 # A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and
 # `sum_abs_det3_af_square` take all four from one sweep: each pivot projects
-# three classes A, B, C once, sorts them once, and one pass returns the
-# pair-class sums AA, AB, AC and BC.  A bezout check projects 2.5 m^2 images
-# instead of 4.5 m^2, an af-square check 3 m^2 instead of 7 m^2.  The single
-# sums keep their one- and two-class passes, which are faster for them.
-# While every list of a check is shorter than SWEEP_MIN the four sums go to
-# the dispatchers and so to the loops: fuzz at its default m_max = 6 never
+# and sorts the three classes once.  A bezout check projects 2.5 m^2 images
+# instead of 4.5 m^2, an af-square check 3 m^2 instead of 7 m^2.  While
+# every list of a check is shorter than SWEEP_MIN the four sums go to the
+# dispatchers and so to the loops: fuzz at its default m_max = 6 never
 # leaves them.
 
 # Smallest size at which the 3D sums sweep: the length of ga for pairs and
@@ -281,32 +279,33 @@ def sum_abs_det3_combos_cubic(g):
     return total
 
 
-def _pivot_images(a, gens, tag):
-    """The plane images of `gens` along the pivot a, keyed by angle, and |a_p|.
+def _pivot_images(a, classes):
+    """The plane images of the generators of each class along the pivot a, and |a_p|.
 
     With a_p a nonzero coordinate of a (z if it can), each g maps to
     (a_p g_q - a_q g_p, a_p g_r - a_r g_p) over the other two coordinates q, r
     in cyclic order, so the cross product of the images of b and c is
     a_p * det(a, b, c) and a sum of |cross| over images divides exactly by
     |a_p|.  Each nonzero image is flipped into the upper half-plane (which
-    leaves every |cross| alone) and returned as (key, x, y, tag); the key
-    -x / (|x| + y) grows strictly with the angle in [0, pi) and lies in
-    [-1, 1], so it never overflows.  A zero pivot gives no images.
+    leaves every |cross| alone) and returned as (key, x, y, tag), tag being
+    the index of its class in `classes`; the key -x / (|x| + y) grows
+    strictly with the angle in [0, pi) and lies in [-1, 1], so it never
+    overflows.  A zero pivot gives no images.
     """
     ax, ay, az = a
     if not az:
         if ay:
             ax, ay, az = az, ax, ay
-            gens = [(z, x, y) for x, y, z in gens]
+            classes = [[(z, x, y) for x, y, z in gens] for gens in classes]
         elif ax:
             ax, ay, az = ay, az, ax
-            gens = [(y, z, x) for x, y, z in gens]
+            classes = [[(y, z, x) for x, y, z in gens] for gens in classes]
         else:
             return [], 0
     return [(-u / ((u if u >= 0 else -u) + v), u, v, tag) if v > 0 or (v == 0 and u > 0)
             else (u / ((u if u >= 0 else -u) - v), -u, -v, tag)
-            for x, y, z in gens for u, v in ((az * x - ax * z, az * y - ay * z),)
-            if u or v], abs(az)
+            for tag, gens in enumerate(classes) for x, y, z in gens
+            for u, v in ((az * x - ax * z, az * y - ay * z),) if u or v], abs(az)
 
 
 def _cross_order(u, v):
@@ -336,45 +335,17 @@ def _angular_order(items):
     return items
 
 
-def _all_pairs2(items):
-    """Sum of |u x v| over unordered pairs of keyed upper half-plane vectors.
-
-    In angular order every u before v has u x v >= 0, so the sum is that of
-    P_j x v_j, with P_j the sum of the vectors before v_j.  Parallel vectors
-    add 0 in either order.
-    """
-    total = px = py = 0
-    for _, x, y, _ in _angular_order(items):
-        total += px * y - py * x
-        px += x
-        py += y
-    return total
-
-
-def _bipartite2(items):
-    """Sum of |b x c| over the pairs of a b item (tag true) and a c item (tag false).
-
-    Each c adds (2 P_B(c) - T_B) x c, with P_B(c) the sum of the b before c
-    in angular order and T_B the sum of all b; the T_B part is taken once,
-    against the sum of all c, at the end.
-    """
-    total = px = py = sx = sy = 0
-    for _, x, y, is_b in _angular_order(items):
-        if is_b:
-            px += x
-            py += y
-        else:
-            total += px * y - py * x
-            sx += x
-            sy += y
-    return 2 * total - (px * sy - py * sx)
-
-
 def _three_classes2(items):
     """Pair-class sums AA, AB, AC, BC of |u x v| over items tagged 0 (A), 1 (B), 2 (C).
 
-    AA is `_all_pairs2` over the A items; each cross-class sum is
-    `_bipartite2`'s, all four in one pass over one angular order.
+    The items are upper half-plane vectors (key, x, y, tag).  In angular
+    order every u before v has u x v >= 0, so the sum of |u x v| over pairs
+    within A is that of P_A(v) x v over the A items v, with P_A(v) the sum
+    of the A items before v.  Across two classes X, Y, |x x y| is x x y for
+    the x before y and y x x for the x after it, so each y adds
+    (2 P_X(y) - T_X) x y, with T_X the sum of all of X; the T_X part is
+    taken once, against the sum of all of Y, at the end.  Parallel vectors
+    add 0 in either order.  All four sums come from one pass.
     """
     aa = ab = ac = bc = 0
     ax = ay = bx = by = cx = cy = 0
@@ -400,29 +371,19 @@ def _class_sweep(pivoted):
     """Sums of |det(p, u, v)| over the (p, (A, B, C)) pairs, by the classes of u and v.
 
     Returns the four totals over pairs u, v from A x A (i < j), A x B, A x C
-    and B x C.  Each pivot projects and sorts its three classes once.
+    and B x C.  Each pivot projects and sorts its three classes once; an
+    empty class costs nothing.
     """
     aa = ab = ac = bc = 0
-    for p, (ga, gb, gc) in pivoted:
-        images, f = _pivot_images(p, ga, 0)
+    for p, classes in pivoted:
+        images, f = _pivot_images(p, classes)
         if f:
-            s_aa, s_ab, s_ac, s_bc = _three_classes2(
-                images + _pivot_images(p, gb, 1)[0] + _pivot_images(p, gc, 2)[0])
+            s_aa, s_ab, s_ac, s_bc = _three_classes2(images)
             aa += s_aa // f
             ab += s_ab // f
             ac += s_ac // f
             bc += s_bc // f
     return aa, ab, ac, bc
-
-
-def _pivot_sweep(pivoted):
-    """Sum of |det(a, b, c)| over the (a, others) pairs and the pairs b, c of others."""
-    total = 0
-    for a, others in pivoted:
-        images, f = _pivot_images(a, others, None)
-        if f:
-            total += _all_pairs2(images) // f
-    return total
 
 
 def sum_abs_det3_triples(ga, gb, gc):
@@ -431,26 +392,21 @@ def sum_abs_det3_triples(ga, gb, gc):
     if (len(ga) < SWEEP_MIN) + (len(gb) < SWEEP_MIN) + (len(gc) < SWEEP_MIN) >= 2:
         return sum_abs_det3_triples_cubic(ga, gb, gc)
     ga, gb, gc = sorted((ga, gb, gc), key=len)
-    total = 0
-    for a in ga:
-        images, f = _pivot_images(a, gb, True)
-        if f:
-            total += _bipartite2(images + _pivot_images(a, gc, False)[0]) // f
-    return total
+    return _class_sweep((a, ((), gb, gc)) for a in ga)[3]
 
 
 def sum_abs_det3_pairs(ga, gb):
     """Sum of |det(a_i, a_j, b)| over pairs i < j from ga and all b in gb."""
     if len(ga) < SWEEP_MIN:
         return sum_abs_det3_pairs_cubic(ga, gb)
-    return _pivot_sweep((b, ga) for b in gb)
+    return _class_sweep((b, (ga, (), ())) for b in gb)[0]
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
     if len(g) < SWEEP_MIN:
         return sum_abs_det3_combos_cubic(g)
-    return _pivot_sweep((a, g[i + 1:]) for i, a in enumerate(g))
+    return _class_sweep((a, (g[i + 1:], (), ())) for i, a in enumerate(g))[0]
 
 
 def sum_abs_det3_bezout(ga, gb, gc):

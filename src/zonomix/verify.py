@@ -43,6 +43,14 @@ MAX_M_MAX = 64
 MAX_COEFF_BOUND = 2 ** 32
 
 
+def check_coeff_bound(bound: int) -> None:
+    """Refuse a --coeff-bound outside 1..MAX_COEFF_BOUND (fuzz and grassmann-sample)."""
+    if bound < 1:
+        raise ValueError(f"--coeff-bound must be >= 1, got {bound}")
+    if bound > MAX_COEFF_BOUND:
+        raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {bound}")
+
+
 @dataclass(frozen=True)
 class IneqReport:
     """One evaluated inequality: lhs <= rhs, with slack = rhs - lhs.
@@ -162,15 +170,12 @@ class FuzzConfig:
             raise ValueError(f"unknown fuzz target {self.target!r}; "
                              f"expected one of {tuple(TARGETS)}")
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise ValueError(f"--trials must be >= 1, got {self.trials}")
         if self.m_max < 1:
-            raise ValueError(f"m_max must be >= 1, got {self.m_max}")
+            raise ValueError(f"--m-max must be >= 1, got {self.m_max}")
         if self.m_max > MAX_M_MAX:
-            raise ValueError(f"m_max must be <= {MAX_M_MAX}, got {self.m_max}")
-        if self.coeff_bound < 1:
-            raise ValueError(f"coeff_bound must be >= 1, got {self.coeff_bound}")
-        if self.coeff_bound > MAX_COEFF_BOUND:
-            raise ValueError(f"coeff_bound must be <= {MAX_COEFF_BOUND}, got {self.coeff_bound}")
+            raise ValueError(f"--m-max must be <= {MAX_M_MAX}, got {self.m_max}")
+        check_coeff_bound(self.coeff_bound)
 
 
 @dataclass(frozen=True)

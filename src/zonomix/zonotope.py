@@ -7,8 +7,8 @@ volumes reduce, by multilinearity, to sums of |det| over generator triples,
 with V([0,a],[0,b],[0,c]) = |det(a,b,c)| / 6 as the atomic case.  The
 kernels in `numeric` take those sums exactly, with a cubic loop for small
 bodies and an O(m^2 log m) angular sweep from `numeric.SWEEP_MIN`
-generators on.  The volumes here take one sum each; the checks in `verify`
-take their four sums from one sweep (`numeric.sum_abs_det3_bezout`).
+generators on.  The volumes here read one sum each and the checks in
+`verify` four (`numeric.sum_abs_det3_bezout`), all through the one sweep.
 """
 
 from __future__ import annotations

@@ -147,7 +147,7 @@ class TestFuzzCommand:
         out = tmp_path / "never.csv"
         assert main(["fuzz", "--target", "lemma", "--trials", "0", "--output", "csv",
                      "--out", str(out)]) == 2
-        assert capsys.readouterr().err == "error: trials must be >= 1, got 0\n"
+        assert capsys.readouterr().err == "error: --trials must be >= 1, got 0\n"
         assert not out.exists()
 
     def test_csv_rows_are_streamed(self, tmp_path):
@@ -273,7 +273,7 @@ class TestResourceGuards:
         assert main(["fuzz", "--target", target, "--trials", "1",
                      "--coeff-bound", str(over)]) == 2
         assert capsys.readouterr().err == \
-            f"error: coeff_bound must be <= {MAX_COEFF_BOUND}, got {over}\n"
+            f"error: --coeff-bound must be <= {MAX_COEFF_BOUND}, got {over}\n"
 
     @pytest.mark.parametrize("command", [
         "fuzz --target bezout --trials 3", "fuzz --target lemma --trials 3",
@@ -297,7 +297,7 @@ class TestResourceGuards:
         assert main(["fuzz", "--target", target, "--trials", "1",
                      "--m-max", str(MAX_M_MAX + 1)]) == 2
         assert capsys.readouterr().err == \
-            f"error: m_max must be <= {MAX_M_MAX}, got {MAX_M_MAX + 1}\n"
+            f"error: --m-max must be <= {MAX_M_MAX}, got {MAX_M_MAX + 1}\n"
 
     @pytest.mark.parametrize("command", ["check bezout", "check lemma", "mixedvol", "volume"])
     def test_generators_per_body(self, command, tmp_path, capsys, monkeypatch):

@@ -231,22 +231,33 @@ def test_collision_reaches_the_sweep_at_its_natural_size():
     _assert_kernels_agree(COLLIDING, COLLIDING[::-1], COLLIDING[1:SWEEP_MIN + 1])
 
 
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The list of kernel paths run, in order: "cubic" for each loop, "sweep" for each sweep."""
+    calls = []
+    for kernel in ("combos", "pairs", "triples"):
+        cubic = getattr(numeric, f"sum_abs_det3_{kernel}_cubic")
+        monkeypatch.setattr(numeric, f"sum_abs_det3_{kernel}_cubic",
+                            lambda *a, _f=cubic: calls.append("cubic") or _f(*a))
+    sweep = numeric._class_sweep
+    monkeypatch.setattr(numeric, "_class_sweep", lambda p: calls.append("sweep") or sweep(p))
+    return calls
+
+
 @pytest.mark.parametrize("kernel, args", [
     ("triples", lambda g: (g[:2], g, g)),
     ("pairs", lambda g: (g, g[:2])),
     ("combos", lambda g: (g,)),
 ])
-def test_dispatch_switches_at_sweep_min(kernel, args, monkeypatch):
-    calls = []
-    cubic = getattr(numeric, f"sum_abs_det3_{kernel}_cubic")
-    monkeypatch.setattr(numeric, f"sum_abs_det3_{kernel}_cubic",
-                        lambda *a: calls.append(1) or cubic(*a))
+def test_dispatch_switches_at_sweep_min(kernel, args, kernel_calls):
     dispatcher = getattr(numeric, f"sum_abs_det3_{kernel}")
     g = _random_generators(random.Random(1), SWEEP_MIN)
     dispatcher(*args(g[:-1]))
-    assert calls == [1]
+    assert kernel_calls == ["cubic"]
+    kernel_calls.clear()
+    # At SWEEP_MIN: one sweep, no loop.
     dispatcher(*args(g))
-    assert calls == [1]
+    assert kernel_calls == ["sweep"]
 
 
 # The four-sum kernels of a check.  Each must equal the separate dispatcher
@@ -312,22 +323,15 @@ def test_check_kernels_on_one_generator_b_and_c():
 
 
 @pytest.mark.parametrize("check, count", [("check_bezout", 3), ("check_af_square", 4)])
-def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, monkeypatch):
-    calls = []
-    for kernel in ("combos", "pairs", "triples"):
-        cubic = getattr(numeric, f"sum_abs_det3_{kernel}_cubic")
-        monkeypatch.setattr(numeric, f"sum_abs_det3_{kernel}_cubic",
-                            lambda *a, _f=cubic: calls.append("cubic") or _f(*a))
-    sweep = numeric._class_sweep
-    monkeypatch.setattr(numeric, "_class_sweep", lambda p: calls.append("sweep") or sweep(p))
+def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_calls):
     g = _random_generators(random.Random(2), SWEEP_MIN)
     small, big = Zonotope3.from_scaled(g[:-1], 1), Zonotope3.from_scaled(g, 1)
     assert getattr(verify, check)(*[small] * count).holds
-    assert calls == ["cubic"] * 4
-    calls.clear()
+    assert kernel_calls == ["cubic"] * 4
+    kernel_calls.clear()
     # One list at SWEEP_MIN: one sweep gives all four sums.
     assert getattr(verify, check)(*[small] * (count - 1), big).holds
-    assert calls == ["sweep"]
+    assert kernel_calls == ["sweep"]
 
 
 class TestRationalLiterals:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,8 +19,10 @@ from zonomix.reduction import (
     s_stats,
     slack_identity,
 )
+from zonomix.numeric import SWEEP_MIN, vscale
 from zonomix.rng import SplitMix64, random_rational
 from zonomix.verify import check_bezout, tightness_ratio
+from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
 from oracles import esym
 
 F = Fraction
@@ -238,6 +241,26 @@ class TestExtremalConfig:
     def test_balanced_weights_attain(self):
         a, b, c = extremal_config(SStats(*frs(1, 2, 2, 4)), F(0), F(1), F(0), F(1))
         assert tightness_ratio(a, b, c) == F(3, 2)
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 2, 4), (2, 3, 4, 6)])
+    def test_split_generators_attain_on_the_sweep(self, weights):
+        # Split into parallel pieces t_k * g with t_k > 0 summing to 1, each
+        # negated or not, a generator g gives a translate of [0, g]: A keeps
+        # its volumes, now from at least SWEEP_MIN generators with exact
+        # angular ties, so every sum below runs on the sweep.
+        a, b, c = extremal_config(SStats(*frs(*weights)), F(0), F(1), F(0), F(1))
+        rnd = random.Random(sum(weights))
+        pieces = []
+        for g in a.generators:
+            parts = [rnd.randint(1, 9) for _ in range(rnd.randint(3, 5))]
+            pieces += [vscale(F(rnd.choice((-w, w)), sum(parts)), g) for w in parts]
+        rnd.shuffle(pieces)
+        assert len(pieces) >= SWEEP_MIN
+        split = Zonotope3(tuple(pieces))
+        assert check_bezout(split, b, c).ratio == F(3, 2)
+        assert volume(split) == volume(a)
+        assert mixed_volume(split, split, b) == mixed_volume(a, a, b)
+        assert mixed_volume_repeated(split, c) == mixed_volume_repeated(a, c)
 
     def test_zero_weights_omitted(self):
         a, _, _ = extremal_config(SStats(*frs(0, 1, 1, 0)), F(0), F(1), F(0), F(1))
