@@ -192,7 +192,7 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
 # pair-class sums AA, AB, AC and BC.  That is O(m^2 log m) instead of
 # O(m^3).  Each single sum reads one total: combos and pairs the AA pairs
 # of one class, triples the BC pairs of two.  The sweep overtakes the loops
-# at about m = 8 to 9 (triples first, combos last) and runs 10-16x faster
+# at about m = 8 to 10 (triples first, combos last) and runs 10-16x faster
 # at m = 96 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
 #
 # A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and

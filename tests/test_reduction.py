@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from zonomix.numeric import SWEEP_MIN, vscale
 from zonomix.reduction import (
     BraidCell,
     SStats,
@@ -19,7 +20,6 @@ from zonomix.reduction import (
     s_stats,
     slack_identity,
 )
-from zonomix.numeric import SWEEP_MIN, vscale
 from zonomix.rng import SplitMix64, random_rational
 from zonomix.verify import check_bezout, tightness_ratio
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
@@ -244,10 +244,10 @@ class TestExtremalConfig:
 
     @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 2, 4), (2, 3, 4, 6)])
     def test_split_generators_attain_on_the_sweep(self, weights):
-        # Split into parallel pieces t_k * g with t_k > 0 summing to 1, each
-        # negated or not, a generator g gives a translate of [0, g]: A keeps
-        # its volumes, now from at least SWEEP_MIN generators with exact
-        # angular ties, so every sum below runs on the sweep.
+        # The segments [0, +-t_k g], with t_k > 0 summing to 1, add up to a
+        # translate of [0, g].  Split so, A keeps its volumes, now with at
+        # least SWEEP_MIN generators and exact angular ties, so every sum
+        # below runs on the sweep.
         a, b, c = extremal_config(SStats(*frs(*weights)), F(0), F(1), F(0), F(1))
         rnd = random.Random(sum(weights))
         pieces = []
