@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import lcm
 
-from .numeric import Mat3xM, minor3, render_rational
+from .numeric import Mat3xM, det3, int_scaled, render_rational
 from .verify import IneqReport, ineq_report
 
 Subset3 = tuple[int, int, int]
@@ -43,13 +43,21 @@ class PlueckerVector:
 
 
 def pluecker(mat: Mat3xM) -> PlueckerVector:
-    """Minor vector of a 3 x n matrix, 3 <= n <= MAX_COLUMNS."""
+    """Minor vector of a 3 x n matrix, 3 <= n <= MAX_COLUMNS.
+
+    The minors are taken on cleared integers: `int_scaled` multiplies the
+    columns by L, the lcm of their denominators, so each integer
+    determinant is L^3 times the rational minor and becomes one `Fraction`.
+    """
     n = mat.m
     if n < 3:
         raise ValueError(f"need at least 3 columns, got {n}")
     if n > MAX_COLUMNS:
         raise ValueError(f"need at most {MAX_COLUMNS} columns, got {n}")
-    coords = {idx: minor3(mat, idx) for idx in combinations(range(1, n + 1), 3)}
+    cols, scale = int_scaled(mat.columns)
+    cube = scale ** 3
+    coords = {(i + 1, j + 1, k + 1): Fraction(det3(cols[i], cols[j], cols[k]), cube)
+              for i, j, k in combinations(range(n), 3)}
     return PlueckerVector(n=n, coords=coords)
 
 

@@ -9,8 +9,10 @@ exact polytope volumes:
   V(P, [0,u], [0,v])  =  (width of P along u x v) / 6
   V(P, P, [0,u])      =  (Vol(P + [0,u]) - Vol(P)) / 3
 
-and P + [0,u] is the hull of the vertices and their translates by u, so no
-irrational quantity ever appears.
+and P + [0,u] is the hull of P's hull vertices and their translates by u
+(only a vertex of P can give a vertex of the sweep), so no irrational
+quantity ever appears.  Each polytope is hulled once, on cleared integers,
+and both volumes are read from that hull.
 """
 
 from __future__ import annotations
@@ -18,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Optional
+from math import lcm
+from typing import Iterable, NamedTuple, Optional
 
 from .numeric import (
     E1,
@@ -37,11 +40,25 @@ from .verify import IneqReport, af_square_report
 from .zonotope import Zonotope3
 
 
+class _Hull(NamedTuple):
+    """The distinct points of a polytope cleared to integers, their scale L, and their hull."""
+
+    points: list[_IntPoint]
+    scale: int
+    facets: Optional[dict[_Face, _Plane]]
+
+
 @dataclass(frozen=True)
 class PolytopeV:
     """A convex polytope given by (a superset of) its vertices; hull implied.
 
-    Duplicate and interior points are tolerated on input.
+    Duplicate and interior points are tolerated on input.  The hull is built
+    once, on first use, and kept with the polytope: the distinct input points
+    cleared to integers (L times the input), the scale L, and the facet
+    triangles of `_hull_facets` (None when the points are affinely
+    dependent).  Like `Zonotope3.scaled`, it lives in the instance dict,
+    outside the dataclass fields, so equality, hashing and repr see the
+    vertices only; so does `volume`, which reads it.
     """
 
     vertices: tuple[Vec3, ...]
@@ -55,14 +72,16 @@ class PolytopeV:
         return cls(tuple(v if isinstance(v, Vec3) else vec3(*v) for v in verts))
 
     @cached_property
-    def volume(self) -> Fraction:
-        """Exact volume of the hull, built on first use and kept with the polytope.
+    def hull(self) -> _Hull:
+        ints, scale = int_scaled(self.vertices)
+        points = list(dict.fromkeys(ints))
+        return _Hull(points, scale, _hull_facets(points))
 
-        Like `Zonotope3.scaled`, the value lives in the instance dict,
-        outside the dataclass fields, so equality, hashing and repr see the
-        vertices only.
-        """
-        return _hull_volume(self.vertices)
+    @cached_property
+    def volume(self) -> Fraction:
+        """Exact volume of the hull, 0 if lower-dimensional."""
+        _, scale, facets = self.hull
+        return Fraction(_six_volume(facets), 6 * scale ** 3)
 
 
 def square_pyramid() -> PolytopeV:
@@ -160,22 +179,15 @@ def _hull_facets(pts: list[_IntPoint]) -> Optional[dict[_Face, _Plane]]:
     return faces
 
 
-def _six_volume(pts: list[_IntPoint]) -> int:
-    """6 x hull volume of distinct integer points (0 when lower-dimensional).
+def _six_volume(facets: Optional[dict[_Face, _Plane]]) -> int:
+    """6 x the volume enclosed by `_hull_facets`' facets (0 for None).
 
     The facets close up into an outward surface, so the volume is the sum of
     det(u, v, w) over them, and det(u, v, w) is the facet's plane offset h.
     """
-    facets = _hull_facets(pts)
     if facets is None:
         return 0
     return sum(h for (_, _, _, h) in facets.values())
-
-
-def _hull_volume(vertices: Iterable[Vec3]) -> Fraction:
-    ints, scale = int_scaled(list(vertices))
-    distinct = list(dict.fromkeys(ints))
-    return Fraction(_six_volume(distinct), 6 * scale ** 3)
 
 
 def volume_polytope(poly: PolytopeV) -> Fraction:
@@ -199,12 +211,23 @@ def mv_seg_seg(poly: PolytopeV, u: Vec3, v: Vec3) -> Fraction:
 def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:
     """V(P, P, [0,u]) = (Vol(P + [0,u]) - Vol(P)) / 3.
 
-    The sweep P + [0,u] is the hull of the vertices and their translates by
-    u; the volume expansion along a segment is linear, so the difference
-    captures the mixed term exactly.  Vol(P) is built once per polytope.
+    The sweep P + [0,u] is the hull of P's hull vertices and their
+    translates by u; the volume expansion along a segment is linear, so the
+    difference captures the mixed term exactly.  The vertices are the points
+    of P's kept hull that lie on its facet triangles (every distinct point
+    when P is flat), brought with u to the common scale lcm(L, L_u), so both
+    volumes are integers over one denominator.
     """
-    swept = list(poly.vertices) + [vadd(p, u) for p in poly.vertices]
-    return (_hull_volume(swept) - poly.volume) / 3
+    points, scale, facets = poly.hull
+    if facets is not None:
+        points = [points[i] for i in sorted({i for face in facets for i in face})]
+    common = lcm(scale, *(c.denominator for c in u))
+    ux, uy, uz = (c.numerator * (common // c.denominator) for c in u)
+    k = common // scale
+    points = [(k * x, k * y, k * z) for x, y, z in points]
+    swept = list(dict.fromkeys(points + [(x + ux, y + uy, z + uz) for x, y, z in points]))
+    six = _six_volume(_hull_facets(swept)) - _six_volume(facets) * k ** 3
+    return Fraction(six, 18 * common ** 3)
 
 
 def pyramid_equality_report() -> IneqReport:

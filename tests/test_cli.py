@@ -285,7 +285,9 @@ class TestResourceGuards:
     def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
         wide = tmp_path / "wide.mat"
         wide.write_text(render_matrix(Mat3xM((E1,) * (MAX_COLUMNS + 1))))
-        monkeypatch.setattr(grassmann, "minor3", self._never)
+        # pluecker clears the columns, then takes each minor by det3: neither may run.
+        monkeypatch.setattr(grassmann, "int_scaled", self._never)
+        monkeypatch.setattr(grassmann, "det3", self._never)
         assert main(["check", "grassmann", str(wide)]) == 2
         assert capsys.readouterr().err == \
             f"error: need at most {MAX_COLUMNS} columns, got {MAX_COLUMNS + 1}\n"

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from zonomix import grassmann
 from zonomix.grassmann import (
     MAX_COLUMNS,
     PlueckerVector,
@@ -72,6 +73,36 @@ class TestPluecker:
             for idx, value in base.coords.items():
                 new_idx = tuple(sorted(relabel[i] for i in idx))
                 assert permuted.coords[new_idx] == value
+
+
+class TestPlueckerAgainstTheOracle:
+    @staticmethod
+    def _columns(n, degenerate):
+        rng = SplitMix64(60 + n)
+        # Denominators up to 16 from the sampler, and one column of three large primes.
+        cols = [random_vec3(rng, 16) for _ in range(n - 1)] + [vec3("1/101", "-7/103", "5/107")]
+        if degenerate:
+            cols[1] = vec3(0, 0, 0)
+            cols[-1] = cols[0]
+        return Mat3xM(tuple(cols))
+
+    @pytest.mark.parametrize("degenerate", [False, True])
+    @pytest.mark.parametrize("n", [3, 6, 12, 16])
+    def test_every_minor_is_the_leibniz_determinant(self, n, degenerate):
+        mat = self._columns(n, degenerate)
+        coords = pluecker(mat).coords
+        assert list(coords) == list(combinations(range(1, n + 1), 3))
+        for idx, value in coords.items():
+            assert value == leibniz_det3(*(mat.columns[i - 1] for i in idx))
+        if degenerate:
+            assert all(coords[idx] == 0 for idx in coords if 2 in idx or {1, n} <= set(idx))
+
+    def test_one_fraction_per_coordinate(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(grassmann, "Fraction", lambda *args: built.append(args) or F(*args))
+        mat = self._columns(12, False)
+        assert len(pluecker(mat).coords) == len(built) == comb(12, 3)
+        assert all(type(num) is int and type(den) is int for num, den in built)
 
 
 class TestAbsMap:

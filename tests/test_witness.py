@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from zonomix import witness
-from zonomix.numeric import E1, E2, E3, ZERO3, vec3
+from zonomix.numeric import E1, E2, E3, ZERO3, vadd, vec3
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.witness import (
     PolytopeV,
@@ -16,6 +16,7 @@ from zonomix.witness import (
     volume_polytope,
 )
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
+from oracles import brute_mixed_volume
 
 F = Fraction
 
@@ -116,11 +117,102 @@ class TestMvBodyBodySeg:
         hulled.clear()
         assert mv_body_body_seg(pyramid, E1) == mv_body_body_seg(pyramid, E2) == F(1, 6)
         assert volume_polytope(pyramid) == F(1, 3)
-        assert hulled == [8, 5, 8]  # the first sweep, then Vol(P), then the second
+        # The sweep reads P's hull first, so Vol(P) is hulled before either sweep.
+        assert hulled == [5, 8, 8]
         # The kept volume is not a field: equality, hash and repr are unchanged.
         fresh = square_pyramid()
-        assert "volume" in vars(pyramid) and "volume" not in vars(fresh)
+        assert {"hull", "volume"} <= vars(pyramid).keys()
+        assert not {"hull", "volume"} & vars(fresh).keys()
         assert pyramid == fresh and hash(pyramid) == hash(fresh) and repr(pyramid) == repr(fresh)
+
+    def test_sweep_hulls_only_vertices(self, monkeypatch):
+        # Four generators in general position: 16 subset sums, of which 14 are
+        # vertices and 2 interior, so the sweep hulls 14 points and 14 translates.
+        zono = Zonotope3.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
+        poly = polytope_of_zonotope(zono)
+        hulled = []
+        monkeypatch.setattr(witness, "_hull_facets",
+                            lambda pts: hulled.append(len(pts)) or _hull_facets(pts))
+        u = vec3("1/2", "-2/3", "3/5")
+        assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
+        assert hulled == [16, 28]
+        assert len({i for face in poly.hull.facets for i in face}) == 14
+
+
+def _swept_reference(poly, u):
+    """V(P, P, [0,u]) from a fresh hull of every point and its translate by u."""
+    swept = PolytopeV(poly.vertices + tuple(vadd(p, u) for p in poly.vertices))
+    return (volume_polytope(swept) - volume_polytope(PolytopeV(poly.vertices))) / 3
+
+
+class TestMvBodyBodySegEdgeCases:
+    SEGMENTS = (ZERO3, E1, E3, vec3("1/3", "-2/7", "5/11"), vec3(-2, 1, "3/2"))
+
+    @pytest.mark.parametrize("points", [
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)],  # unit square
+        [(0, 0, 0), ("1/2", 0, 0), (0, "1/4", 0), ("1/4", "1/8", 0), (0, 0, 0)],
+        [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)],  # collinear
+        [(1, "2/3", 0), (0, 1, "1/2"), (2, "1/3", "-1/2"), (3, 0, -1)],  # coplanar
+    ])
+    def test_flat_bodies(self, points):
+        poly = PolytopeV.from_vertices(points)
+        assert poly.hull.facets is None
+        for u in self.SEGMENTS:
+            assert mv_body_body_seg(poly, u) == _swept_reference(poly, u)
+
+    def test_unit_square_swept_up(self):
+        square = PolytopeV.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
+        assert mv_body_body_seg(square, E3) == F(1, 3)
+        assert mv_body_body_seg(square, E1) == 0
+
+    @pytest.mark.parametrize("points", [
+        [(1, 2, 3)],
+        [("1/2", 0, "1/3"), (1, 1, 1)],
+        [(0, 0, 0), (1, 0, 0), (0, 1, 0)],
+        [(0, 0, 0), ("1/2", "1/3", 0), ("-1/5", "1/7", "2/9")],
+    ])
+    def test_one_to_three_points(self, points):
+        poly = PolytopeV.from_vertices(points)
+        for u in self.SEGMENTS:
+            assert mv_body_body_seg(poly, u) == _swept_reference(poly, u)
+
+    def test_triangle_prism(self):
+        triangle = PolytopeV.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0)])
+        assert mv_body_body_seg(triangle, vec3(5, 7, 2)) == F(1, 3)  # area 1/2 times 2, over 3
+
+    def test_repeated_and_interior_points(self):
+        rng = SplitMix64(55)
+        for base in (TETRA, CUBE_VERTS, square_pyramid()):
+            inner = [vec3(*(sum(c) / (2 * len(base.vertices)) for c in zip(*base.vertices)))]
+            padded = PolytopeV(base.vertices * 3 + tuple(inner))
+            for _ in range(5):
+                u = random_vec3(rng, 9)
+                assert mv_body_body_seg(padded, u) == mv_body_body_seg(base, u) \
+                    == _swept_reference(base, u)
+
+    def test_zero_segment(self):
+        rng = SplitMix64(56)
+        for m in range(1, 6):
+            poly = polytope_of_zonotope(random_zonotope(rng, m, 9))
+            assert mv_body_body_seg(poly, ZERO3) == 0
+
+    def test_coprime_denominators(self):
+        # P's coordinates have denominators 2, 4 and 8; u's 3, 5 and 7.
+        poly = PolytopeV.from_vertices(
+            [(0, 0, 0), ("1/2", 0, 0), (0, "3/4", 0), (0, 0, "5/8"), ("1/2", "3/4", "5/8")])
+        u = vec3("1/3", "-2/5", "4/7")
+        assert poly.hull.scale == 8
+        assert mv_body_body_seg(poly, u) == _swept_reference(poly, u)
+
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_zonotope_polytopes_match_the_oracle(self, m):
+        rng = SplitMix64(57 + m)
+        for _ in range(4):
+            gens = [random_vec3(rng, 7) for _ in range(m)]
+            poly = polytope_of_zonotope(Zonotope3(tuple(gens)))
+            u = random_vec3(rng, 11)
+            expected = brute_mixed_volume(gens, gens, [u])
+            assert mv_body_body_seg(poly, u) == _swept_reference(poly, u) == expected
 
 
 class TestPyramidEquality:
