@@ -124,7 +124,7 @@ def cmd_volume(args) -> int:
 def _relation_verdict(point) -> tuple[str, bool]:
     """The exchange-relation line for a minor vector, and whether every residual is 0."""
     residuals = check_gp3(point)
-    bad = sum(1 for r in residuals if r != 0)
+    bad = sum(1 for r in residuals if r)
     return (f"exchange relations checked = {len(residuals)}, nonzero residuals = {bad}",
             bad == 0)
 

@@ -112,6 +112,11 @@ def trial_seed(seed: int, trial: int) -> int:
     return SplitMix64(start + trial * _GAMMA).next64()
 
 
+def trial_seeds(seed: int) -> SplitMix64:
+    """The stream whose output t is `trial_seed(seed, t)`, the run seed mixed once."""
+    return SplitMix64(SplitMix64(seed).next64())
+
+
 def _draw(rng: SplitMix64, count: int, bound: int) -> tuple[list[int], list[int]]:
     """`count` coordinates as numerators and denominators, in stream order.
 

@@ -5,8 +5,14 @@ The central check: for zonotopes A, B, C in R^3,
     V(A,A,A) * V(A,B,C)  <=  (3/2) * V(A,A,B) * V(A,A,C).
 
 The generator-matrix form of the same statement compares a triple-minor sum
-against two pair-minor sums; both checkers share one report type carrying
-exact rationals only.
+against two pair-minor sums; every checker returns one report type,
+`IneqReport`, carrying exact rationals only.
+
+Inside, a check works on integers: it passes its |det| sums and scale
+products to `IneqReport._from_ints`, which decides `holds` from the sign of
+an integer slack numerator and makes the report's `Fraction`s only when a
+caller reads them.  `fuzz` compares slack and ratio as integer pairs and
+makes the two `Fraction`s of its summary once, at the end.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .numeric import (
     sum_abs_det3_bezout,
     sum_abs_det3_combos,
 )
-from .rng import SplitMix64, random_vectors, random_zonotope, trial_seed
+from .rng import SplitMix64, random_vectors, random_zonotope, trial_seeds
 from .zonotope import Zonotope3, mixed_volume_repeated, render_zonotope
 
 # Largest fuzz m_max.  A trial draws up to m_max generators per body.  Bodies
@@ -57,6 +63,12 @@ class IneqReport:
 
     `ratio` is lhs divided by the rhs product *without* its constant; it is
     present exactly when both rhs factors are nonzero.
+
+    The checks build their reports with `_from_ints`, from integer sums and
+    scale products: `holds` is set at once, and lhs, rhs, slack and ratio
+    are kept as unreduced integer pairs and become `Fraction`s on first
+    read, as `Zonotope3.generators` does.  Equality, hashing and repr see
+    the five fields only, however the report was built.
     """
 
     lhs: Fraction
@@ -65,39 +77,79 @@ class IneqReport:
     holds: bool
     ratio: Optional[Fraction]
 
+    @classmethod
+    def _from_ints(cls, ln: int, ld: int, pn: int, pd: int,
+                   cn: int = 1, cd: int = 1) -> "IneqReport":
+        """The report for ln/ld <= (cn/cd) * (pn/pd); ld, pd and cd must be positive.
+
+        Nothing is reduced.  Every pair in the instance dict has a positive
+        denominator (the ratio's sign moves to its numerator), so `fuzz`
+        compares them by cross-multiplication.
+        """
+        rn, rd = cn * pn, cd * pd
+        sn = rn * ld - ln * rd
+        if pn > 0:
+            ratio = (ln * pd, ld * pn)
+        elif pn < 0:
+            ratio = (-ln * pd, -ld * pn)
+        else:
+            ratio = None
+        report = cls.__new__(cls)
+        report.__dict__.update(holds=sn >= 0, _parts={
+            "lhs": (ln, ld), "rhs": (rn, rd), "slack": (sn, rd * ld), "ratio": ratio})
+        return report
+
+    def __getattr__(self, name):
+        # Reached only when normal lookup fails: a field of a report built by
+        # `_from_ints`, made from its integer pair and kept.
+        parts = self.__dict__.get("_parts")
+        if parts is None or name not in parts:
+            raise AttributeError(name)
+        pair = parts[name]
+        value = self.__dict__[name] = Fraction(*pair) if pair is not None else None
+        return value
+
+    def _pairs(self):
+        """(slack, ratio) as (numerator, denominator) pairs, denominators positive.
+
+        ratio is None when undefined.  No `Fraction` is built for a report
+        from `_from_ints`; one from the constructor gives its fields' terms.
+        """
+        parts = self.__dict__.get("_parts")
+        if parts is not None:
+            return parts["slack"], parts["ratio"]
+        slack, ratio = self.slack, self.ratio
+        return ((slack.numerator, slack.denominator),
+                (ratio.numerator, ratio.denominator) if ratio is not None else None)
+
 
 def ineq_report(lhs: Fraction, factor1: Fraction, factor2: Fraction,
                 constant: Fraction = Fraction(1)) -> IneqReport:
     """Build a report for lhs <= constant * factor1 * factor2.
 
-    rhs, slack and ratio are taken from the integer numerators and
-    denominators of the arguments, one `Fraction` each; `holds` is the sign
-    of the slack numerator (its denominator is positive).
+    For callers that hold `Fraction`s: the report is made from their
+    integer numerators and denominators, as the checks make theirs.
     """
-    ln, ld = lhs.numerator, lhs.denominator
-    pn = factor1.numerator * factor2.numerator
-    pd = factor1.denominator * factor2.denominator
-    rn, rd = constant.numerator * pn, constant.denominator * pd
-    sn = rn * ld - ln * rd
-    return IneqReport(lhs=lhs, rhs=Fraction(rn, rd), slack=Fraction(sn, rd * ld), holds=sn >= 0,
-                      ratio=Fraction(ln * pd, ld * pn) if pn else None)
+    return IneqReport._from_ints(lhs.numerator, lhs.denominator,
+                                 factor1.numerator * factor2.numerator,
+                                 factor1.denominator * factor2.denominator,
+                                 constant.numerator, constant.denominator)
 
 
 def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
     """Check V(A,A,A)*V(A,B,C) <= (3/2)*V(A,A,B)*V(A,A,C).  Holds on all zonotopes.
 
     The four volumes are |det| sums over the integer views of the bodies,
-    all four from one `sum_abs_det3_bezout` call, combined into one
-    `Fraction` per report argument.
+    all four from one `sum_abs_det3_bezout` call.  With K = la^4 lb lc, lhs
+    is combos * triples / 6K and the rhs product is pairs_ab * pairs_ac / 9K;
+    the report is built from those integers.
     """
     ga, la = a.scaled
     gb, lb = b.scaled
     gc, lc = c.scaled
     combos, pairs_ab, pairs_ac, triples = sum_abs_det3_bezout(ga, gb, gc)
-    lhs = Fraction(combos * triples, 6 * la ** 4 * lb * lc)
-    vaab = Fraction(pairs_ab, 3 * la * la * lb)
-    vaac = Fraction(pairs_ac, 3 * la * la * lc)
-    return ineq_report(lhs, vaab, vaac, Fraction(3, 2))
+    k = la ** 4 * lb * lc
+    return IneqReport._from_ints(combos * triples, 6 * k, pairs_ab * pairs_ac, 9 * k, 3, 2)
 
 
 def tightness_ratio(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
@@ -120,17 +172,17 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
 
     Holds for arbitrary convex bodies; the constant 2 is sharp in general but
     not on zonotopes.  The four volumes come from one `sum_abs_det3_af_square`
-    call.
+    call.  With K = la^2 lb lc ld^2, lhs is pairs_ad * triples_bcd / 18K and
+    the rhs product is triples_abd * triples_acd / 36K.
     """
     ga, la = a.scaled
     gb, lb = b.scaled
     gc, lc = c.scaled
     gd, ld = d.scaled
     pairs_ad, triples_abd, triples_acd, triples_bcd = sum_abs_det3_af_square(ga, gb, gc, gd)
-    return af_square_report(Fraction(pairs_ad, 3 * la * la * ld),
-                            Fraction(triples_bcd, 6 * lb * lc * ld),
-                            Fraction(triples_abd, 6 * la * lb * ld),
-                            Fraction(triples_acd, 6 * la * lc * ld))
+    k = la * la * lb * lc * ld * ld
+    return IneqReport._from_ints(pairs_ad * triples_bcd, 18 * k,
+                                 triples_abd * triples_acd, 36 * k, 2)
 
 
 def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
@@ -146,10 +198,9 @@ def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
     xs = [v[0] for v in ints]
     ys = [v[1] for v in ints]
     zs = [v[2] for v in ints]
-    lhs = Fraction(triples * zsum, scale ** 4)
-    f1 = Fraction(sum_abs_det2_pairs(ys, zs), scale ** 2)
-    f2 = Fraction(sum_abs_det2_pairs(xs, zs), scale ** 2)
-    return ineq_report(lhs, f1, f2)
+    scale4 = scale ** 4
+    return IneqReport._from_ints(triples * zsum, scale4,
+                                 sum_abs_det2_pairs(ys, zs) * sum_abs_det2_pairs(xs, zs), scale4)
 
 
 # ---------------------------------------------------------------------------
@@ -232,29 +283,33 @@ def fuzz(config: FuzzConfig,
     """Run `config.trials` random checks of the target inequality, exactly.
 
     Trial t draws its inputs from a fresh splitmix64 stream seeded with
-    `trial_seed(seed, t)`, so runs are reproducible, runs with different
-    seeds draw different trials, and trials are independent of trial count.
-    The summary keeps the input of the minimum-slack trial (first one on
-    ties) serialized in the matching text format.
+    `trial_seed(seed, t)`, output t of `trial_seeds(seed)`, so runs are
+    reproducible, runs with different seeds draw different trials, and
+    trials are independent of trial count.  The summary keeps the input of
+    the minimum-slack trial (first one on ties) serialized in the matching
+    text format.  Slack and ratio are compared as integer pairs
+    (`IneqReport._pairs`); the summary's two `Fraction`s are made once, at
+    the end.
     """
     config.validate()
     run_trial = TARGETS[config.target]
+    seeds = trial_seeds(config.seed)
     failures = 0
-    min_slack: Optional[Fraction] = None
-    max_ratio: Optional[Fraction] = None
+    least = most = None  # (num, den), den > 0, of the min slack and the max ratio
     worst_case = ""
     for t in range(config.trials):
-        rng = SplitMix64(trial_seed(config.seed, t))
-        report, m, serialize = run_trial(rng, config)
+        report, m, serialize = run_trial(SplitMix64(seeds.next64()), config)
         if not report.holds:
             failures += 1
-        if min_slack is None or report.slack < min_slack:
-            min_slack = report.slack
+        slack, ratio = report._pairs()
+        if least is None or slack[0] * least[1] < least[0] * slack[1]:
+            least = slack
             worst_case = serialize()
-        if report.ratio is not None and (max_ratio is None or report.ratio > max_ratio):
-            max_ratio = report.ratio
+        if ratio is not None and (most is None or ratio[0] * most[1] > most[0] * ratio[1]):
+            most = ratio
         if on_trial is not None:
             on_trial(t, m, report)
-    assert min_slack is not None
-    return FuzzSummary(trials=config.trials, failures=failures, min_slack=min_slack,
-                       max_ratio=max_ratio, worst_case=worst_case, seed=config.seed)
+    assert least is not None
+    return FuzzSummary(trials=config.trials, failures=failures, min_slack=Fraction(*least),
+                       max_ratio=Fraction(*most) if most is not None else None,
+                       worst_case=worst_case, seed=config.seed)

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 from hypothesis import example, given, strategies as st
 
-from zonomix import zonotope
+from zonomix import verify, zonotope
 from zonomix.numeric import E1, E2, E3, Vec3, vec3
 from zonomix.rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from zonomix.verify import (
@@ -27,6 +27,7 @@ from zonomix.zonotope import (
     volume,
 )
 from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume
+from test_numeric import EDGE_CASES
 
 CUBE = Zonotope3((E1, E2, E3))
 SEG1 = Zonotope3((E1,))
@@ -132,6 +133,106 @@ class TestIneqReport:
             if q is not None:
                 assert type(q) is Fraction
                 assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+
+
+ints = st.integers(min_value=-10**6, max_value=10**6)
+positive = st.integers(min_value=1, max_value=10**6)
+
+
+class TestIntegerReport:
+    """`IneqReport._from_ints` against the Fraction formula, and its lazy fields."""
+
+    @staticmethod
+    def _pair(ln, ld, n1, d1, n2, d2, cn, cd):
+        return (IneqReport._from_ints(ln, ld, n1 * n2, d1 * d2, cn, cd),
+                _fraction_report(Fraction(ln, ld), Fraction(n1, d1), Fraction(n2, d2),
+                                 Fraction(cn, cd)))
+
+    @given(ints, positive, ints, positive, ints, positive, positive, positive)
+    @example(0, 6, 2, 3, 5, 7, 3, 2)  # zero lhs
+    @example(4, 9, 0, 1, 5, 7, 3, 2)  # a zero factor: ratio None
+    @example(0, 1, 0, 1, 0, 1, 2, 1)
+    @example(7, 3, 1, 2, 1, 3, 1, 1)  # negative slack
+    @example(6, 4, -2, 3, 9, 8, 2, 1)  # one negative factor
+    @example(-6, 4, -2, 3, -9, 8, 2, 1)  # two negative factors
+    def test_matches_fraction_formula(self, ln, ld, n1, d1, n2, d2, cn, cd):
+        report, expected = self._pair(ln, ld, n1, d1, n2, d2, cn, cd)
+        assert report.holds == expected.holds
+        for name in ("lhs", "rhs", "slack", "ratio"):
+            q = getattr(report, name)
+            assert q == getattr(expected, name)
+            if q is not None:
+                assert type(q) is Fraction
+                assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
+        assert report == expected
+        # Fresh reports: repr and hash build the fields themselves.
+        assert repr(self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]) == repr(expected)
+        assert hash(self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]) == hash(expected)
+        fresh = self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]
+        assert fresh == expected and expected == fresh
+
+    @given(ints, positive, ints, positive, ints, positive, positive, positive)
+    @example(6, 4, -2, 3, 9, 8, 2, 1)
+    def test_pairs_have_positive_denominators(self, ln, ld, n1, d1, n2, d2, cn, cd):
+        report, expected = self._pair(ln, ld, n1, d1, n2, d2, cn, cd)
+        for built in (report, expected):
+            slack, ratio = built._pairs()
+            assert slack[1] > 0 and Fraction(*slack) == expected.slack
+            if ratio is None:
+                assert expected.ratio is None
+            else:
+                assert ratio[1] > 0 and Fraction(*ratio) == expected.ratio
+
+    def test_fields_are_built_on_first_read_and_kept(self):
+        report = IneqReport._from_ints(4, 6, 10, 15, 3, 2)
+        assert report.holds and "lhs" not in vars(report) and "ratio" not in vars(report)
+        assert report.lhs is report.lhs == Fraction(2, 3)
+        assert "lhs" in vars(report) and "slack" not in vars(report)
+        assert report.ratio == 1
+        with pytest.raises(AttributeError):
+            report.nothing
+        with pytest.raises(AttributeError):
+            IneqReport(lhs=Fraction(1), rhs=Fraction(1), slack=Fraction(0), holds=True,
+                       ratio=None).nothing
+
+
+def _bezout_by_volumes(a, b, c):
+    return _fraction_report(volume(a) * mixed_volume(a, b, c), mixed_volume_repeated(a, b),
+                            mixed_volume_repeated(a, c), Fraction(3, 2))
+
+
+def _af_square_by_volumes(a, b, c, d):
+    return _fraction_report(mixed_volume(a, a, d) * mixed_volume(b, c, d),
+                            mixed_volume(a, b, d), mixed_volume(a, c, d), Fraction(2))
+
+
+def _lemma_by_sums(vectors):
+    xs, ys, zs = ([v[k] for v in vectors] for k in range(3))
+    return _fraction_report(brute_volume(vectors) * sum(abs(z) for z in zs),
+                            brute_pair_abs_sum(ys, zs), brute_pair_abs_sum(xs, zs), Fraction(1))
+
+
+class TestChecksMatchFractionFormulas:
+    """Each check's integer-built report equals the Fraction formula over its volumes."""
+
+    @pytest.mark.parametrize("case", list(EDGE_CASES))
+    def test_edge_cases(self, case):
+        a, b, c = (Zonotope3.from_generators(g) for g in EDGE_CASES[case])
+        assert check_bezout(a, b, c) == _bezout_by_volumes(a, b, c)
+        assert check_af_square(a, b, c, a) == _af_square_by_volumes(a, b, c, a)
+        assert check_af_square(b, c, a, b) == _af_square_by_volumes(b, c, a, b)
+        vectors = list(a.generators)
+        assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
+
+    @pytest.mark.parametrize("seed", [4, 2 ** 64 - 1])
+    def test_fuzz_draws(self, seed):
+        for t in range(100):
+            rng = SplitMix64(trial_seed(seed, t))
+            bodies = [random_zonotope(rng, 6, 16) for _ in range(4)]
+            assert check_bezout(*bodies[:3]) == _bezout_by_volumes(*bodies[:3])
+            assert check_af_square(*bodies) == _af_square_by_volumes(*bodies)
+            vectors = random_vectors(rng, 6, 16)
+            assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
 
 
 class TestTightnessRatio:
@@ -300,6 +401,78 @@ class TestFuzz:
             return seen
 
         assert run(40)[:15] == run(15)
+
+    @pytest.mark.parametrize("target", TARGETS)
+    @pytest.mark.parametrize("seed", [0, 13, 2 ** 64 - 1])
+    def test_summary_matches_a_fraction_loop(self, target, seed):
+        config = FuzzConfig(target=target, trials=300, m_max=5, coeff_bound=9, seed=seed)
+        reports = []
+        summary = fuzz(config, on_trial=lambda t, m, rep: reports.append(rep))
+        least = most = None
+        for t, report in enumerate(reports):
+            if least is None or report.slack < reports[least].slack:
+                least = t
+            if report.ratio is not None and (most is None or report.ratio > most):
+                most = report.ratio
+        _, _, serialize = TARGETS[target](SplitMix64(trial_seed(seed, least)), config)
+        assert summary == verify.FuzzSummary(
+            trials=300, failures=sum(not r.holds for r in reports),
+            min_slack=reports[least].slack, max_ratio=most, worst_case=serialize(), seed=seed)
+        assert type(summary.min_slack) is Fraction and type(summary.max_ratio) is Fraction
+
+    def test_first_of_equal_minimum_slacks_is_kept(self, monkeypatch):
+        # Two reports of slack -2 in different terms; the largest ratio, 2,
+        # comes through a negative factor.
+        reports = [
+            IneqReport._from_ints(1, 2, 2, 1),  # slack 3/2, ratio 1/4
+            IneqReport._from_ints(3, 6, 1, 1),  # slack 1/2, ratio 1/2
+            ineq_report(Fraction(-1), Fraction(-1, 2), Fraction(1)),  # slack 1/2, ratio 2
+            IneqReport(lhs=Fraction(0), rhs=Fraction(1, 2), slack=Fraction(1, 2), holds=True,
+                       ratio=Fraction(0)),
+            IneqReport._from_ints(-4, 2, -6, 3, 2, 1),  # slack -2, ratio 1
+            IneqReport._from_ints(-16, 8, -12, 6, 2, 1),  # slack -2, ratio 1
+        ]
+        trials = iter(enumerate(reports))
+
+        def trial(rng, config):
+            t, report = next(trials)
+            return report, 1, lambda: f"trial {t}"
+
+        monkeypatch.setitem(TARGETS, "bezout", trial)
+        summary = fuzz(FuzzConfig(target="bezout", trials=len(reports)))
+        assert summary.min_slack == -2 and summary.worst_case == "trial 4"
+        assert summary.max_ratio == 2 and summary.failures == 2
+
+    @pytest.mark.parametrize("seed", [0, 1, 2 ** 63, 2 ** 64 - 1])
+    def test_loop_seeds_are_trial_seeds(self, seed, monkeypatch):
+        seen = []
+
+        class Recording(SplitMix64):
+            def __init__(self, s):
+                seen.append(s)
+                super().__init__(s)
+
+        monkeypatch.setattr(verify, "SplitMix64", Recording)
+        monkeypatch.setitem(TARGETS, "bezout",
+                            lambda rng, config: (IneqReport._from_ints(0, 1, 0, 1), 1, str))
+        fuzz(FuzzConfig(target="bezout", trials=2000, seed=seed))
+        assert seen == [trial_seed(seed, t) for t in range(2000)]
+
+    def test_bezout_builds_no_fraction_per_trial(self, monkeypatch):
+        built = []
+
+        class Counting(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        monkeypatch.setattr(verify, "Fraction", Counting)
+        holds = []
+        summary = fuzz(FuzzConfig(target="bezout", trials=200, seed=6),
+                       on_trial=lambda t, m, rep: holds.append(rep.holds))
+        assert len(holds) == 200 and all(holds)
+        assert summary.max_ratio is not None
+        assert len(built) == 2  # min_slack and max_ratio, once each
 
     @pytest.mark.parametrize("bad", [
         dict(target="nope", trials=10),
