@@ -13,6 +13,7 @@ import argparse
 import functools
 import sys
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 from typing import Optional
 
@@ -182,12 +183,17 @@ def cmd_fuzz(args) -> int:
         _emit("trial,target,m,slack_num,slack_den,ratio_num,ratio_den\n", args)
 
         def on_trial(index: int, m: int, report: IneqReport) -> None:
-            if report.ratio is not None:
-                rn, rd = int_str(report.ratio.numerator), int_str(report.ratio.denominator)
+            # The report's integer pairs (denominators positive) in lowest
+            # terms, as the Fractions would print them, without building one.
+            (sn, sd), ratio = report._pairs()
+            g = gcd(sn, sd)
+            if ratio is not None:
+                rn, rd = ratio
+                h = gcd(rn, rd)
+                rn, rd = int_str(rn // h), int_str(rd // h)
             else:
                 rn, rd = "", ""
-            _emit(f"{index},{target},{m},{int_str(report.slack.numerator)},"
-                  f"{int_str(report.slack.denominator)},{rn},{rd}\n", args)
+            _emit(f"{index},{target},{m},{int_str(sn // g)},{int_str(sd // g)},{rn},{rd}\n", args)
 
         summary = fuzz(config, on_trial=on_trial)
     else:

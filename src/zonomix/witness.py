@@ -4,15 +4,22 @@ This is the only place general convex bodies (not zonotopes) appear: the
 square pyramid conv(0, e1, e2, e1+e2, e3) together with two unit segments
 attains equality in V(A,A,D)*V(B,C,D) <= 2*V(A,B,D)*V(A,C,D), showing the
 constant 2 cannot be improved for general bodies.  Everything reduces to
-exact polytope volumes:
+exact polytope data:
 
   V(P, [0,u], [0,v])  =  (width of P along u x v) / 6
-  V(P, P, [0,u])      =  (Vol(P + [0,u]) - Vol(P)) / 3
+  V(P, P, [0,u])      =  (1/3) sum over the facets F of P of h_[0,u](n_F) area(F)
 
-and P + [0,u] is the hull of P's hull vertices and their translates by u
-(only a vertex of P can give a vertex of the sweep), so no irrational
-quantity ever appears.  Each polytope is hulled once, on cleared integers,
-and both volumes are read from that hull.
+The second is V(K,K,L) = (1/3) * integral of h_L dS_K (Schneider, Convex
+Bodies: The Brunn-Minkowski Theory, section 5.1) for a polytope K = P.  The
+support function of [0,u] at a unit normal n is max(0, <u, n>), and a facet
+triangle's cross-product normal has twice its area as length, so each
+triangle adds max(0, <u, normal>) / 6 and no irrational quantity ever
+appears.  A flat P has no facets: then V(P, P, [0,u]) is the volume of the
+pyramid conv(P, p + u) for any point p of P.  Each polytope is hulled once,
+on cleared integers, and every volume is read from that hull.
+
+`polytope_of_zonotope` gives a zonotope's vertices, not its 2^m subset sums:
+m^2 - m + 2 of them for m generators in general position.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd
 from typing import Iterable, NamedTuple, Optional
 
 from .numeric import (
@@ -29,10 +36,12 @@ from .numeric import (
     E3,
     Vec3,
     ZERO3,
+    _angular_order,
     cross,
     det3,
     dot,
     int_scaled,
+    unscaled,
     vadd,
     vec3,
 )
@@ -90,15 +99,82 @@ def square_pyramid() -> PolytopeV:
 
 
 def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
-    """Vertex realization of a zonotope: all 2^m subset sums of its generators.
+    """The vertices of a zonotope: m^2 - m + 2 of them for m generators in general position.
 
-    Exponential in the generator count; intended for desk-scale cross-checks
-    of the zonotope formulas against the polytope pipeline.
+    A vertex is the sum of the generators g with <g, c> > 0 for every c in an
+    open cone, and each such cone has a ray n = +-(g_i x g_j) on its
+    boundary.  The face that n exposes is base + the plane zonotope of the
+    generators with <g, n> = 0, base being the sum of those with <g, n> > 0.
+    So the vertices are the points base + w over the distinct directions n,
+    both signs, and the vertices w of that plane zonotope (`_zonogon`).
+    When no two generators are independent, the single direction of the
+    first one (or none at all) gives the segment's two endpoints, or the
+    origin.  Works on the integer view; O(m^3) for the bases, plus the
+    in-plane sorts.
     """
-    points = [ZERO3]
-    for g in zono.generators:
-        points += [vadd(p, g) for p in points]
-    return PolytopeV(tuple(points))
+    ints, scale = zono.scaled
+    gens = [g for g in ints if g != (0, 0, 0)]
+    normals = {}
+    for i, (ax, ay, az) in enumerate(gens):
+        for bx, by, bz in gens[i + 1:]:
+            n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+            if n != (0, 0, 0):
+                d = gcd(*n) if n > (0, 0, 0) else -gcd(*n)
+                normals[n[0] // d, n[1] // d, n[2] // d] = None
+    if not normals:
+        normals[gens[0] if gens else (0, 0, 0)] = None
+    points = {}
+    for n in normals:
+        nx, ny, nz = n
+        px = py = pz = qx = qy = qz = 0
+        flat = []
+        for g in gens:
+            x, y, z = g
+            s = nx * x + ny * y + nz * z
+            if s > 0:
+                px, py, pz = px + x, py + y, pz + z
+            elif s < 0:
+                qx, qy, qz = qx + x, qy + y, qz + z
+            else:
+                flat.append(g)
+        for x, y, z in _zonogon(flat, n):
+            points[px + x, py + y, pz + z] = None
+            points[qx + x, qy + y, qz + z] = None
+    return PolytopeV(unscaled(points, scale))
+
+
+def _zonogon(gens: list[_IntPoint], n: _IntPoint) -> list[_IntPoint]:
+    """The vertices of the sum of the segments [0, g] over `gens`, all in the plane <x, n> = 0.
+
+    Each g is read through two coordinates that n does not vanish on the
+    third of, which maps the plane one to one, and flipped into the upper
+    half-plane of them (the body moves by g).  In the angular order of
+    `numeric._angular_order` the partial sums at each change of direction
+    are the vertices of one chain from the lowest point to the highest, S;
+    the body is symmetric about S / 2, so the other chain is S minus them.
+    Parallel generators lie in one run of that order and give no vertex
+    between them.  No generators give the origin.
+    """
+    p, q = (0, 1) if n[2] else (2, 0) if n[1] else (1, 2)
+    items = []
+    ox = oy = oz = 0
+    for g in gens:
+        u, v = g[p], g[q]
+        if v > 0 or (v == 0 and u > 0):
+            items.append((-u / ((u if u >= 0 else -u) + v), u, v, g))
+        else:
+            x, y, z = g
+            ox, oy, oz = ox + x, oy + y, oz + z
+            items.append((u / ((u if u >= 0 else -u) - v), -u, -v, (-x, -y, -z)))
+    _angular_order(items)
+    chain = [(ox, oy, oz)]
+    for k, (_, u, v, (x, y, z)) in enumerate(items, 1):
+        ox, oy, oz = ox + x, oy + y, oz + z
+        if k == len(items) or u * items[k][2] != v * items[k][1]:
+            chain.append((ox, oy, oz))
+    # The start of the walk plus the end of it is the centre twice over.
+    cx, cy, cz = chain[0][0] + ox, chain[0][1] + oy, chain[0][2] + oz
+    return chain + [(cx - x, cy - y, cz - z) for x, y, z in chain[1:-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -209,25 +285,24 @@ def mv_seg_seg(poly: PolytopeV, u: Vec3, v: Vec3) -> Fraction:
 
 
 def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:
-    """V(P, P, [0,u]) = (Vol(P + [0,u]) - Vol(P)) / 3.
+    """V(P, P, [0,u]), read from the facet triangles of P's kept hull.
 
-    The sweep P + [0,u] is the hull of P's hull vertices and their
-    translates by u; the volume expansion along a segment is linear, so the
-    difference captures the mixed term exactly.  The vertices are the points
-    of P's kept hull that lie on its facet triangles (every distinct point
-    when P is flat), brought with u to the common scale lcm(L, L_u), so both
-    volumes are integers over one denominator.
+    With P cleared to integers at scale L and u at scale L_u, a triangle of
+    integer normal n adds max(0, <L_u u, n>) / (6 L^2 L_u).  A flat P has
+    no facets; then the result is the volume of the pyramid conv(P, p + u)
+    for p the first point of P, and with P and u at their own scales that
+    pyramid, hulled from the n points of P and one apex, has the same
+    denominator.  No hull of a swept point set is built.
     """
     points, scale, facets = poly.hull
-    if facets is not None:
-        points = [points[i] for i in sorted({i for face in facets for i in face})]
-    common = lcm(scale, *(c.denominator for c in u))
-    ux, uy, uz = (c.numerator * (common // c.denominator) for c in u)
-    k = common // scale
-    points = [(k * x, k * y, k * z) for x, y, z in points]
-    swept = list(dict.fromkeys(points + [(x + ux, y + uy, z + uz) for x, y, z in points]))
-    six = _six_volume(_hull_facets(swept)) - _six_volume(facets) * k ** 3
-    return Fraction(six, 18 * common ** 3)
+    (uint,), uscale = int_scaled((u,))
+    ux, uy, uz = uint
+    if facets is None:
+        x, y, z = points[0]
+        six = _six_volume(_hull_facets(list(dict.fromkeys(points + [(x + ux, y + uy, z + uz)]))))
+    else:
+        six = sum(max(0, nx * ux + ny * uy + nz * uz) for nx, ny, nz, _ in facets.values())
+    return Fraction(six, 6 * scale * scale * uscale)
 
 
 def pyramid_equality_report() -> IneqReport:

@@ -140,6 +140,22 @@ class TestFuzzCommand:
         header = b1.decode().splitlines()[0]
         assert header == "trial,target,m,slack_num,slack_den,ratio_num,ratio_den"
 
+    @pytest.mark.parametrize("target", sorted(verify.TARGETS))
+    def test_csv_rows_match_report_fractions(self, target, tmp_path):
+        # Rows come from the reports' integer pairs; they must print as the Fractions do.
+        out = tmp_path / "run.csv"
+        assert main(["fuzz", "--target", target.replace("_", "-"), "--trials", "2000",
+                     "--seed", "11", "--output", "csv", "--out", str(out)]) == 0
+        rows = ["trial,target,m,slack_num,slack_den,ratio_num,ratio_den\n"]
+
+        def on_trial(index, m, report):
+            slack, ratio = report.slack, report.ratio
+            tail = f"{ratio.numerator},{ratio.denominator}" if ratio is not None else ","
+            rows.append(f"{index},{target},{m},{slack.numerator},{slack.denominator},{tail}\n")
+
+        verify.fuzz(verify.FuzzConfig(target=target, trials=2000, seed=11), on_trial=on_trial)
+        assert out.read_bytes() == "".join(rows).encode()
+
     def test_zero_trials_is_usage_error(self, files):
         assert main(["fuzz", "--target", "bezout", "--trials", "0"]) == 2
 

@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from zonomix import witness
-from zonomix.numeric import E1, E2, E3, ZERO3, vadd, vec3
+from zonomix.numeric import E1, E2, E3, ZERO3, det3, vadd, vec3, vscale
+from zonomix.reduction import SStats, extremal_config
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.witness import (
     PolytopeV,
@@ -16,7 +19,7 @@ from zonomix.witness import (
     volume_polytope,
 )
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
-from oracles import brute_mixed_volume
+from oracles import brute_mixed_volume, subset_sums
 
 F = Fraction
 
@@ -112,13 +115,13 @@ class TestMvBodyBodySeg:
                             lambda pts: hulled.append(len(pts)) or _hull_facets(pts))
         pyramid = square_pyramid()
         assert pyramid_equality_report().slack == 0
-        # Vol(P) once, then the sweeps P + [0,e1] and P + [0,e2], 8 distinct points each.
-        assert hulled == [5, 8, 8]
+        # Vol(P) once; both sweeps read P's facets and hull nothing.
+        assert hulled == [5]
         hulled.clear()
         assert mv_body_body_seg(pyramid, E1) == mv_body_body_seg(pyramid, E2) == F(1, 6)
         assert volume_polytope(pyramid) == F(1, 3)
-        # The sweep reads P's hull first, so Vol(P) is hulled before either sweep.
-        assert hulled == [5, 8, 8]
+        # The sweep reads P's hull first, and Vol(P) reuses it.
+        assert hulled == [5]
         # The kept volume is not a field: equality, hash and repr are unchanged.
         fresh = square_pyramid()
         assert {"hull", "volume"} <= vars(pyramid).keys()
@@ -126,17 +129,18 @@ class TestMvBodyBodySeg:
         assert pyramid == fresh and hash(pyramid) == hash(fresh) and repr(pyramid) == repr(fresh)
 
     def test_sweep_hulls_only_vertices(self, monkeypatch):
-        # Four generators in general position: 16 subset sums, of which 14 are
-        # vertices and 2 interior, so the sweep hulls 14 points and 14 translates.
+        # Four generators in general position: 4^2 - 4 + 2 = 14 vertices, all
+        # on P's hull; once P is hulled, the sweep builds no hull of its own.
         zono = Zonotope3.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
         poly = polytope_of_zonotope(zono)
+        assert len(poly.vertices) == len({i for face in poly.hull.facets for i in face}) == 14
         hulled = []
         monkeypatch.setattr(witness, "_hull_facets",
                             lambda pts: hulled.append(len(pts)) or _hull_facets(pts))
         u = vec3("1/2", "-2/3", "3/5")
         assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
-        assert hulled == [16, 28]
-        assert len({i for face in poly.hull.facets for i in face}) == 14
+        assert hulled == []
+        assert mv_body_body_seg(poly, u) == _swept_reference(poly, u)
 
 
 def _swept_reference(poly, u):
@@ -246,12 +250,144 @@ class TestCrossModuleAgreement:
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
 
     def test_eight_generator_zonotopes(self):
-        # 256 subset sums per body, as in the benchmark's witness pass.
+        # 8^2 - 8 + 2 = 58 vertices per body, as in the benchmark's witness pass.
         rng = SplitMix64(54)
         for _ in range(3):
             zono = Zonotope3(tuple(random_vec3(rng, 16) for _ in range(8)))
             poly = polytope_of_zonotope(zono)
-            assert len(poly.vertices) == 256
+            assert len(poly.vertices) == 58
+            assert len({i for face in poly.hull.facets for i in face}) == 58
             assert volume_polytope(poly) == volume(zono)
             u = random_vec3(rng, 16)
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
+
+
+def _rank(vectors):
+    if any(det3(a, b, c) for a, b, c in combinations(vectors, 3)):
+        return 3
+    if any(a[1] * b[2] - a[2] * b[1] or a[2] * b[0] - a[0] * b[2] or a[0] * b[1] - a[1] * b[0]
+           for a, b in combinations(vectors, 2)):
+        return 2
+    return 1 if any(any(v) for v in vectors) else 0
+
+
+def _subset_sum_vertices(gens):
+    """The vertices of conv(`oracles.subset_sums(gens)`), from a hull of every subset sum.
+
+    A body of rank r < 3 first gets 3 - r apexes from e1, e2, e3 off its
+    span, which makes the hull a pyramid (or a tetrahedron) whose other
+    vertices are the body's.  A point is a vertex iff the facet planes
+    through it have normals of rank 3.
+    """
+    apexes = []
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        if _rank(list(gens) + apexes + [e]) > _rank(list(gens) + apexes):
+            apexes.append(e)
+    hull = PolytopeV.from_vertices(subset_sums(gens) + apexes).hull
+    planes = set(hull.facets.values())
+    vertices = set()
+    for x, y, z in hull.points:
+        normals = [(nx, ny, nz) for nx, ny, nz, h in planes if nx * x + ny * y + nz * z == h]
+        if _rank(normals) == 3:
+            vertices.add((F(x, hull.scale), F(y, hull.scale), F(z, hull.scale)))
+    return vertices - set(map(vec3, *zip(*apexes))) if apexes else vertices
+
+
+def _general_position(gens):
+    return all(det3(a, b, c) for a, b, c in combinations(gens, 3))
+
+
+def _integer_body(rng, m, bound):
+    return Zonotope3.from_generators(
+        [(rng.randint(-bound, bound), rng.randint(-bound, bound), rng.randint(-bound, bound))
+         for _ in range(m)])
+
+
+class TestZonotopeVertices:
+    @pytest.mark.parametrize("gens", [
+        [],
+        [(0, 0, 0), (0, 0, 0)],
+        [(1, 2, 3)],
+        [(1, 2, 3), (0, 0, 0), (-2, -4, -6), ("1/2", 1, "3/2")],  # rank 1
+        [(1, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 0), (-1, 3, 0), (0, 0, 0), (3, -1, 0),
+         (-2, 0, 0)],  # rank 2, in z = 0, parallel pairs and a zero generator
+        [(1, -1, 0), (0, 1, -1), (1, 0, -1), (2, -2, 0), ("-1/2", 1, "-1/2"),
+         (0, "-1/3", "1/3")],  # rank 2, in x + y + z = 0
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 0), (2, 0, 0), (0, 0, 0), (1, 1, 1),
+         (-1, -1, -1), (1, 2, 3), (3, -1, 2)],  # rank 3: parallels, coplanar triples, a zero
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)],
+    ])
+    def test_vertices_of_subset_sums(self, gens):
+        zono = Zonotope3.from_generators(gens)
+        poly = polytope_of_zonotope(zono)
+        assert len(set(poly.vertices)) == len(poly.vertices)
+        assert set(poly.vertices) == _subset_sum_vertices(zono.generators)
+
+    @pytest.mark.parametrize("m", [5, 8, 10])
+    def test_small_entries_tie_often(self, m):
+        # Entries in [-2, 2]: parallel pairs, coplanar triples and zero generators abound.
+        rng = SplitMix64(60 + m)
+        for _ in range(2):
+            zono = _integer_body(rng, m, 2)
+            poly = polytope_of_zonotope(zono)
+            assert set(poly.vertices) == _subset_sum_vertices(zono.generators)
+
+    @pytest.mark.parametrize("m", range(3, 13))
+    def test_general_position_count(self, m):
+        rng = SplitMix64(70 + m)
+        zono = _integer_body(rng, m, 16)
+        while not _general_position(zono.scaled[0]):
+            zono = _integer_body(rng, m, 16)
+        assert len(polytope_of_zonotope(zono).vertices) == m * m - m + 2
+
+    def test_planar_forty_generators(self):
+        # 40 directions in z = 0: a 2^40 subset-sum route would never return.
+        zono = Zonotope3.from_generators([(1, k, 0) for k in range(-20, 20)])
+        poly = polytope_of_zonotope(zono)
+        assert len(poly.vertices) == 80
+        assert poly.hull.facets is None
+        assert mv_body_body_seg(poly, E3) == mixed_volume_repeated(zono, Zonotope3((E3,)))
+
+
+class TestPolytopeReferee:
+    """The hull route against the |det| sums, which it shares no formula with, from m = 12 on."""
+
+    @staticmethod
+    def _agree(zono, rng):
+        poly = polytope_of_zonotope(zono)
+        u, v = random_vec3(rng, 9), random_vec3(rng, 9)
+        assert volume_polytope(poly) == volume(zono)
+        assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
+        assert mv_seg_seg(poly, u, v) == mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
+
+    @pytest.mark.parametrize("m", [12, 16, 24])
+    def test_random_bodies(self, m):
+        rng = SplitMix64(80 + m)
+        self._agree(_integer_body(rng, m, 16), rng)
+
+    def test_tied_bodies(self):
+        rng = SplitMix64(81)
+        base = [random_vec3(rng, 7) for _ in range(6)]
+        parallel = base + [vscale(F(-3, 2), g) for g in base]
+        coplanar = base + [vadd(a, b) for a, b in combinations(base[:4], 2)]
+        zeros = base + [ZERO3] * 3 + [vscale(F(2), g) for g in base[:3]]
+        for gens in (parallel, coplanar, zeros):
+            assert len(gens) >= 12
+            self._agree(Zonotope3(tuple(gens)), rng)
+
+    @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (2, 3, 4, 6)])
+    def test_split_extremal_config(self, weights):
+        # As in test_reduction's split test: A's generators cut into 3-5
+        # pieces each, signs mixed, which keeps every volume of A.
+        a, _, _ = extremal_config(SStats(*map(F, weights)), F(0), F(1), F(0), F(1))
+        rnd = random.Random(sum(weights))
+        pieces = []
+        for g in a.generators:
+            parts = [rnd.randint(1, 9) for _ in range(rnd.randint(3, 5))]
+            pieces += [vscale(F(rnd.choice((-w, w)), sum(parts)), g) for w in parts]
+        rnd.shuffle(pieces)
+        assert len(pieces) >= 12
+        split = Zonotope3(tuple(pieces))
+        assert polytope_of_zonotope(split).vertices
+        self._agree(split, SplitMix64(82))
+        assert volume_polytope(polytope_of_zonotope(split)) == volume(a)
