@@ -146,14 +146,14 @@ def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
 def _zonogon(gens: list[_IntPoint], n: _IntPoint) -> list[_IntPoint]:
     """The vertices of the sum of the segments [0, g] over `gens`, all in the plane <x, n> = 0.
 
-    Each g is read through two coordinates that n does not vanish on the
-    third of, which maps the plane one to one, and flipped into the upper
-    half-plane of them (the body moves by g).  In the angular order of
-    `numeric._angular_order` the partial sums at each change of direction
-    are the vertices of one chain from the lowest point to the highest, S;
-    the body is symmetric about S / 2, so the other chain is S minus them.
-    Parallel generators lie in one run of that order and give no vertex
-    between them.  No generators give the origin.
+    Each g is read through the two coordinates other than one where n is
+    nonzero, a projection that is one to one on the plane, and flipped into
+    the upper half-plane of them, which moves the body by g.  In the angular
+    order of `numeric._angular_order` the partial sums at each change of
+    direction are the vertices of one chain, from the lowest point to the
+    highest; the body is symmetric about their midpoint, which gives the
+    other chain.  Parallel generators lie in one run of that order and give
+    no vertex between them.  No generators give the origin.
     """
     p, q = (0, 1) if n[2] else (2, 0) if n[1] else (1, 2)
     items = []
@@ -172,7 +172,7 @@ def _zonogon(gens: list[_IntPoint], n: _IntPoint) -> list[_IntPoint]:
         ox, oy, oz = ox + x, oy + y, oz + z
         if k == len(items) or u * items[k][2] != v * items[k][1]:
             chain.append((ox, oy, oz))
-    # The start of the walk plus the end of it is the centre twice over.
+    # The first point of the chain plus the last is twice the centre.
     cx, cy, cz = chain[0][0] + ox, chain[0][1] + oy, chain[0][2] + oz
     return chain + [(cx - x, cy - y, cz - z) for x, y, z in chain[1:-1]]
 
@@ -289,10 +289,10 @@ def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:
 
     With P cleared to integers at scale L and u at scale L_u, a triangle of
     integer normal n adds max(0, <L_u u, n>) / (6 L^2 L_u).  A flat P has
-    no facets; then the result is the volume of the pyramid conv(P, p + u)
-    for p the first point of P, and with P and u at their own scales that
-    pyramid, hulled from the n points of P and one apex, has the same
-    denominator.  No hull of a swept point set is built.
+    no facets; then the result is Vol(conv(P, p + u)) for any point p of P,
+    a pyramid whose volume is linear in its height.  The integer points of
+    P and the one apex p + L_u u hull to L^3 (L_u / L) times that volume,
+    which shares the facet sum's denominator.
     """
     points, scale, facets = poly.hull
     (uint,), uscale = int_scaled((u,))

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from zonomix import witness
-from zonomix.numeric import E1, E2, E3, ZERO3, det3, vadd, vec3, vscale
+from zonomix.numeric import E1, E2, E3, ZERO3, cross, det3, vadd, vec3, vscale
 from zonomix.reduction import SStats, extremal_config
 from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
 from zonomix.witness import (
@@ -265,8 +265,7 @@ class TestCrossModuleAgreement:
 def _rank(vectors):
     if any(det3(a, b, c) for a, b, c in combinations(vectors, 3)):
         return 3
-    if any(a[1] * b[2] - a[2] * b[1] or a[2] * b[0] - a[0] * b[2] or a[0] * b[1] - a[1] * b[0]
-           for a, b in combinations(vectors, 2)):
+    if any(any(cross(a, b)) for a, b in combinations(vectors, 2)):
         return 2
     return 1 if any(any(v) for v in vectors) else 0
 
@@ -290,7 +289,7 @@ def _subset_sum_vertices(gens):
         normals = [(nx, ny, nz) for nx, ny, nz, h in planes if nx * x + ny * y + nz * z == h]
         if _rank(normals) == 3:
             vertices.add((F(x, hull.scale), F(y, hull.scale), F(z, hull.scale)))
-    return vertices - set(map(vec3, *zip(*apexes))) if apexes else vertices
+    return vertices - set(apexes)
 
 
 def _general_position(gens):
@@ -387,7 +386,4 @@ class TestPolytopeReferee:
             pieces += [vscale(F(rnd.choice((-w, w)), sum(parts)), g) for w in parts]
         rnd.shuffle(pieces)
         assert len(pieces) >= 12
-        split = Zonotope3(tuple(pieces))
-        assert polytope_of_zonotope(split).vertices
-        self._agree(split, SplitMix64(82))
-        assert volume_polytope(polytope_of_zonotope(split)) == volume(a)
+        self._agree(Zonotope3(tuple(pieces)), SplitMix64(82))
