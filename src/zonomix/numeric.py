@@ -183,30 +183,31 @@ def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
 # drawn numerators the same way and builds the body from its integer view,
 # and `unscaled` makes its rational generators only when they are read.
 #
-# The three 3D sums are dispatchers over two exact integer paths.  The cubic
-# loops evaluate one determinant per triple.  The sweep, `_class_sweep`,
-# fixes one pivot generator p at a time and projects the others, in up to
-# three classes A, B, C, into the plane along p, so that |det(p, u, v)|
+# Every 3D sum is a total of one kernel contract: given (p, (A, B, C))
+# pairs, return the sums of |det(p, u, v)| over the pairs u, v from A x A
+# (i < j), A x B, A x C and B x C.  Two kernels keep it.  The loop,
+# `_class_loop`, takes one determinant per pair, a cross product p x u
+# dotted with v: O(m^3) for a single sum.  The sweep, `_class_sweep`,
+# projects the classes into the plane along p, so that |det(p, u, v)|
 # becomes a 2D |cross| scaled by a pivot coordinate; over the images in
-# angular order, one pass of prefix sums (`_three_classes2`) returns the
-# pair-class sums AA, AB, AC and BC.  That is O(m^2 log m) instead of
-# O(m^3).  Each single sum reads one total: combos and pairs the AA pairs
-# of one class, triples the BC pairs of two.  The sweep overtakes the loops
-# at about m = 8 to 10 (triples first, combos last) and runs 10-16x faster
-# at m = 96 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+# angular order, one pass of prefix sums (`_three_classes2`) gives all four
+# totals.  That is O(m^2 log m).  Each dispatcher picks its kernel by size
+# and reads one total.  For a single sum the sweep overtakes the loop at
+# about m = 7 to 10 (triples first, combos last) and runs 10-16x faster at
+# m = 96 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
 #
 # A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and
-# `sum_abs_det3_af_square` take all four from one sweep: each pivot projects
-# and sorts the three classes once.  A bezout check projects 2.5 m^2 images
-# instead of 4.5 m^2, an af-square check 3 m^2 instead of 7 m^2.  While
-# every list of a check is shorter than SWEEP_MIN the four sums go to the
-# dispatchers and so to the loops: fuzz at its default m_max = 6 never
-# leaves them.
+# `sum_abs_det3_af_square` take all four from one kernel call.  On the sweep
+# each pivot projects and sorts the three classes once: a bezout check
+# projects 2.5 m^2 images instead of 4.5 m^2, an af-square check 3 m^2
+# instead of 7 m^2.  On the loop each cross product is taken once and dotted
+# with every class it pairs with.  fuzz at its default m_max = 6 never
+# leaves the loop.
 
-# Smallest size at which the 3D sums sweep: the length of ga for pairs and
-# combos, the middle length of the three lists for triples (the sweep pivots
-# over the shortest list and sorts the other two), and the longest list for
-# the four sums of a check.
+# Smallest size at which a sum sweeps instead of looping: the length of ga
+# for pairs and combos, the middle length of the three lists for triples
+# (both kernels pivot over the shortest list), and the longest list for the
+# four sums of a check.
 SWEEP_MIN = 9
 
 
@@ -228,55 +229,6 @@ def unscaled(ints: Iterable[tuple[int, int, int]], scale: int) -> tuple[Vec3, ..
     """The rational vectors ints[i] / scale: `int_scaled` undone."""
     return tuple(Vec3(Fraction(x, scale), Fraction(y, scale), Fraction(z, scale))
                  for x, y, z in ints)
-
-
-def sum_abs_det3_triples_cubic(ga, gb, gc):
-    """Sum of |det(a, b, c)| over all (a, b, c) in ga x gb x gc, one determinant each."""
-    total = 0
-    for bx, by, bz in gb:
-        for cx, cy, cz in gc:
-            px = by * cz - bz * cy
-            py = bz * cx - bx * cz
-            pz = bx * cy - by * cx
-            for ax, ay, az in ga:
-                d = ax * px + ay * py + az * pz
-                total += d if d >= 0 else -d
-    return total
-
-
-def sum_abs_det3_pairs_cubic(ga, gb):
-    """Sum of |det(a_i, a_j, b)| over pairs i < j from ga and all b in gb, one determinant each."""
-    total = 0
-    n = len(ga)
-    for i in range(n):
-        ax, ay, az = ga[i]
-        for j in range(i + 1, n):
-            bx, by, bz = ga[j]
-            px = ay * bz - az * by
-            py = az * bx - ax * bz
-            pz = ax * by - ay * bx
-            for cx, cy, cz in gb:
-                d = cx * px + cy * py + cz * pz
-                total += d if d >= 0 else -d
-    return total
-
-
-def sum_abs_det3_combos_cubic(g):
-    """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k, one determinant each."""
-    total = 0
-    n = len(g)
-    for i in range(n):
-        ax, ay, az = g[i]
-        for j in range(i + 1, n):
-            bx, by, bz = g[j]
-            px = ay * bz - az * by
-            py = az * bx - ax * bz
-            pz = ax * by - ay * bx
-            for k in range(j + 1, n):
-                cx, cy, cz = g[k]
-                d = cx * px + cy * py + cz * pz
-                total += d if d >= 0 else -d
-    return total
 
 
 def _pivot_images(a, classes):
@@ -386,27 +338,55 @@ def _class_sweep(pivoted):
     return aa, ab, ac, bc
 
 
+def _class_loop(pivoted):
+    """`_class_sweep`'s four totals, one determinant at a time: the small-m path.
+
+    For each pivot p, p x u is taken once per A item u and dotted with the
+    A items after u, all of B and all of C; p x b once per B item and dotted
+    with all of C.  Any numbers serve, floats included: nothing is divided.
+    """
+    aa = ab = ac = bc = 0
+    for (px, py, pz), (ga, gb, gc) in pivoted:
+        for i, (ux, uy, uz) in enumerate(ga):
+            wx, wy, wz = py * uz - pz * uy, pz * ux - px * uz, px * uy - py * ux
+            for vx, vy, vz in ga[i + 1:]:
+                d = wx * vx + wy * vy + wz * vz
+                aa += d if d >= 0 else -d
+            for vx, vy, vz in gb:
+                d = wx * vx + wy * vy + wz * vz
+                ab += d if d >= 0 else -d
+            for vx, vy, vz in gc:
+                d = wx * vx + wy * vy + wz * vz
+                ac += d if d >= 0 else -d
+        for ux, uy, uz in gb:
+            wx, wy, wz = py * uz - pz * uy, pz * ux - px * uz, px * uy - py * ux
+            for vx, vy, vz in gc:
+                d = wx * vx + wy * vy + wz * vz
+                bc += d if d >= 0 else -d
+    return aa, ab, ac, bc
+
+
 def sum_abs_det3_triples(ga, gb, gc):
     """Sum of |det(a, b, c)| over all (a, b, c) in ga x gb x gc."""
-    # Two lists shorter than SWEEP_MIN: the middle length is below it.
-    if (len(ga) < SWEEP_MIN) + (len(gb) < SWEEP_MIN) + (len(gc) < SWEEP_MIN) >= 2:
-        return sum_abs_det3_triples_cubic(ga, gb, gc)
+    # Both paths pivot over the shortest list; the size rule reads the middle one.
     ga, gb, gc = sorted((ga, gb, gc), key=len)
-    return _class_sweep((a, ((), gb, gc)) for a in ga)[3]
+    kernel = _class_loop if len(gb) < SWEEP_MIN else _class_sweep
+    return kernel((a, ((), gb, gc)) for a in ga)[3]
 
 
 def sum_abs_det3_pairs(ga, gb):
     """Sum of |det(a_i, a_j, b)| over pairs i < j from ga and all b in gb."""
+    # The loop pivots over ga, which takes each a_i x a_j once; the sweep
+    # pivots over gb, which sorts ga once per b.
     if len(ga) < SWEEP_MIN:
-        return sum_abs_det3_pairs_cubic(ga, gb)
+        return _class_loop((a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga))[3]
     return _class_sweep((b, (ga, (), ())) for b in gb)[0]
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
-    if len(g) < SWEEP_MIN:
-        return sum_abs_det3_combos_cubic(g)
-    return _class_sweep((a, (g[i + 1:], (), ())) for i, a in enumerate(g))[0]
+    kernel = _class_loop if len(g) < SWEEP_MIN else _class_sweep
+    return kernel((a, (g[i + 1:], (), ())) for i, a in enumerate(g))[0]
 
 
 def sum_abs_det3_bezout(ga, gb, gc):
@@ -416,10 +396,8 @@ def sum_abs_det3_bezout(ga, gb, gc):
     four at once: the A x A pairs after each pivot make combos(A), the A x B
     and A x C pairs the two pair sums, and the B x C pairs the triples.
     """
-    if max(len(ga), len(gb), len(gc)) < SWEEP_MIN:
-        return (sum_abs_det3_combos(ga), sum_abs_det3_pairs(ga, gb), sum_abs_det3_pairs(ga, gc),
-                sum_abs_det3_triples(ga, gb, gc))
-    return _class_sweep((a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga))
+    kernel = _class_loop if max(len(ga), len(gb), len(gc)) < SWEEP_MIN else _class_sweep
+    return kernel((a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga))
 
 
 def sum_abs_det3_af_square(ga, gb, gc, gd):
@@ -427,10 +405,8 @@ def sum_abs_det3_af_square(ga, gb, gc, gd):
 
     Pivoting over D with the classes (A, B, C) gives all four at once.
     """
-    if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN:
-        return (sum_abs_det3_pairs(ga, gd), sum_abs_det3_triples(ga, gb, gd),
-                sum_abs_det3_triples(ga, gc, gd), sum_abs_det3_triples(gb, gc, gd))
-    return _class_sweep((d, (ga, gb, gc)) for d in gd)
+    kernel = _class_loop if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN else _class_sweep
+    return kernel((d, (ga, gb, gc)) for d in gd)
 
 
 def sum_abs_det2_pairs(us, vs):

@@ -26,20 +26,19 @@ from .numeric import (
     Vec3,
     int_scaled,
     render_matrix,
-    sum_abs_det2_pairs,
     sum_abs_det3_af_square,
     sum_abs_det3_bezout,
-    sum_abs_det3_combos,
 )
 from .rng import SplitMix64, random_vectors, random_zonotope, trial_seeds
 from .zonotope import Zonotope3, mixed_volume_repeated, render_zonotope
 
-# Largest fuzz m_max.  A trial draws up to m_max generators per body.  Bodies
-# of at least numeric.SWEEP_MIN generators take the O(m^2 log m) sweep, not
-# the cubic |det| loops: a bezout trial with 64 generators in each body took
-# 0.015 s, against 0.16 s on the loops alone (Python 3.11, Intel Xeon).  The
-# cap stays at 64 and bounds the memory and the time of every trial before
-# any is drawn; the default m_max = 6 never reaches the sweep.
+# Largest fuzz m_max.  A trial draws up to m_max generators per body.  A
+# check on bodies of at least numeric.SWEEP_MIN generators takes the
+# O(m^2 log m) sweep, not the cubic |det| loop: a bezout trial with 64
+# generators in each body took 0.011-0.016 s, against 0.20-0.29 s on the loop
+# alone (Python 3.11, Intel Xeon).  The cap stays at 64 and bounds the memory
+# and the time of every trial before any is drawn; the default m_max = 6
+# never reaches the sweep.
 MAX_M_MAX = 64
 
 # Largest fuzz coeff_bound B.  A coordinate is one 64-bit draw modulo 2B + 1
@@ -161,12 +160,6 @@ def tightness_ratio(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
     return ratio
 
 
-def af_square_report(v_aad: Fraction, v_bcd: Fraction, v_abd: Fraction,
-                     v_acd: Fraction) -> IneqReport:
-    """Report for V(A,A,D)*V(B,C,D) <= 2*V(A,B,D)*V(A,C,D) from its four volumes."""
-    return ineq_report(v_aad * v_bcd, v_abd, v_acd, Fraction(2))
-
-
 def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> IneqReport:
     """Check V(A,A,D)*V(B,C,D) <= 2*V(A,B,D)*V(A,C,D) on zonotopes.
 
@@ -190,17 +183,15 @@ def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
 
     Equivalent to check_bezout with B = [0,e1] and C = [0,e2]: the lhs here is
     6*V(A,A,A)*V(A,B,C) and the rhs is 9*V(A,A,B)*V(A,A,C), so slack scales by 6
-    and the hold/violate verdicts coincide.
+    and the hold/violate verdicts coincide.  The four sums are those of that
+    check, from one `sum_abs_det3_bezout` call: |det(a_i, a_j, e1)| is
+    |y_i z_j - z_i y_j|, |det(a_i, a_j, e2)| is |x_i z_j - z_i x_j| and
+    |det(a_i, e1, e2)| is |z_i|.
     """
     ints, scale = int_scaled(vectors)
-    triples = sum_abs_det3_combos(ints)
-    zsum = sum(v[2] if v[2] >= 0 else -v[2] for v in ints)
-    xs = [v[0] for v in ints]
-    ys = [v[1] for v in ints]
-    zs = [v[2] for v in ints]
+    combos, pairs_yz, pairs_xz, zsum = sum_abs_det3_bezout(ints, ((1, 0, 0),), ((0, 1, 0),))
     scale4 = scale ** 4
-    return IneqReport._from_ints(triples * zsum, scale4,
-                                 sum_abs_det2_pairs(ys, zs) * sum_abs_det2_pairs(xs, zs), scale4)
+    return IneqReport._from_ints(combos * zsum, scale4, pairs_yz * pairs_xz, scale4)
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,7 @@ from .numeric import (
     vadd,
     vec3,
 )
-from .verify import IneqReport, af_square_report
+from .verify import IneqReport, ineq_report
 from .zonotope import Zonotope3
 
 
@@ -313,9 +313,5 @@ def pyramid_equality_report() -> IneqReport:
     to exactly 1/18.
     """
     pyramid = square_pyramid()
-    return af_square_report(
-        volume_polytope(pyramid),
-        mv_seg_seg(pyramid, E1, E2),
-        mv_body_body_seg(pyramid, E1),
-        mv_body_body_seg(pyramid, E2),
-    )
+    return ineq_report(volume_polytope(pyramid) * mv_seg_seg(pyramid, E1, E2),
+                       mv_body_body_seg(pyramid, E1), mv_body_body_seg(pyramid, E2), Fraction(2))

@@ -5,10 +5,12 @@ vectors a_i, each encoding the segment [0, a_i]: mixed volumes are invariant
 under translation, so a base point would carry no information.  All mixed
 volumes reduce, by multilinearity, to sums of |det| over generator triples,
 with V([0,a],[0,b],[0,c]) = |det(a,b,c)| / 6 as the atomic case.  The
-kernels in `numeric` take those sums exactly, with a cubic loop for small
-bodies and an O(m^2 log m) angular sweep from `numeric.SWEEP_MIN`
-generators on.  The volumes here read one sum each and the checks in
-`verify` four (`numeric.sum_abs_det3_bezout`), all through the one sweep.
+kernels in `numeric` take those sums exactly on two paths with one contract:
+four class-pair totals over (pivot, classes) pairs, from a loop of one
+determinant per triple for small bodies (`numeric._class_loop`) and from an
+O(m^2 log m) angular sweep from `numeric.SWEEP_MIN` generators on
+(`numeric._class_sweep`).  The volumes here read one total each and the
+checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`).
 """
 
 from __future__ import annotations
@@ -22,13 +24,13 @@ from .numeric import (
     Mat3xM,
     Vec3,
     ZERO3,
+    _class_loop,
     cross,
     int_scaled,
     mat_vec,
     parse_rows,
     render_rows,
     sum_abs_det3_combos,
-    sum_abs_det3_combos_cubic,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
     unscaled,
@@ -164,12 +166,12 @@ def apply_linear(zono: Zonotope3, mat: Mat3xM) -> Zonotope3:
 # ---------------------------------------------------------------------------
 # Float volume, kept only for perfbench's traced `float_lane`, its one caller,
 # which times it against `volume`; it goes when that metric does.  No verdict
-# uses it.  It calls the cubic loop directly: the sweep divides exactly, which
-# only integers can.
+# uses it.  It calls `numeric._class_loop` directly, never the sweep: the sweep
+# divides exactly, which only integers can.
 
 def volume_float(a: Zonotope3) -> float:
-    return float(sum_abs_det3_combos_cubic([(float(x), float(y), float(z))
-                                            for x, y, z in a.generators]))
+    g = [(float(x), float(y), float(z)) for x, y, z in a.generators]
+    return float(_class_loop((p, (g[i + 1:], (), ())) for i, p in enumerate(g))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -31,11 +31,8 @@ from zonomix.numeric import (
     sum_abs_det3_af_square,
     sum_abs_det3_bezout,
     sum_abs_det3_combos,
-    sum_abs_det3_combos_cubic,
     sum_abs_det3_pairs,
-    sum_abs_det3_pairs_cubic,
     sum_abs_det3_triples,
-    sum_abs_det3_triples_cubic,
     vadd,
     vec3,
     vscale,
@@ -142,9 +139,11 @@ def test_int_scaled_determinant_matches_oracle(a, b, c):
     assert Fraction(det3(*ints), scale ** 3) == leibniz_det3(a, b, c)
 
 
-# |det| kernels.  Each dispatcher must equal its cubic loop and the oracle
-# exactly, whichever path it takes: the cubic loop below SWEEP_MIN, the
-# angular sweep at or above it.
+# |det| kernels.  Each dispatcher must equal the oracle exactly on both of
+# its paths, the loop below SWEEP_MIN and the angular sweep at or above it,
+# and so must the two check kernels.  The two paths share one contract:
+# `_class_loop` and `_class_sweep` return the same four totals for the same
+# (pivot, classes) pairs.
 
 def _expected(ga, gb, gc):
     """(triples, pairs, combos) sums from the oracles; pairs counts i < j once."""
@@ -152,11 +151,20 @@ def _expected(ga, gb, gc):
             brute_volume(ga))
 
 
+def _on_path(path, kernel, *args):
+    """kernel(*args) with every dispatch routed to one path: "cubic" (the loop) or "sweep"."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "SWEEP_MIN", 0 if path == "sweep" else 10 ** 9)
+        return kernel(*args)
+
+
 def _assert_kernels_agree(ga, gb, gc):
     triples, pairs, combos = _expected(ga, gb, gc)
-    assert sum_abs_det3_triples(ga, gb, gc) == sum_abs_det3_triples_cubic(ga, gb, gc) == triples
-    assert sum_abs_det3_pairs(ga, gb) == sum_abs_det3_pairs_cubic(ga, gb) == pairs
-    assert sum_abs_det3_combos(ga) == sum_abs_det3_combos_cubic(ga) == combos
+    for kernel, args, expected in ((sum_abs_det3_triples, (ga, gb, gc), triples),
+                                   (sum_abs_det3_pairs, (ga, gb), pairs),
+                                   (sum_abs_det3_combos, (ga,), combos)):
+        assert kernel(*args) == _on_path("cubic", kernel, *args) \
+            == _on_path("sweep", kernel, *args) == expected
     assert all(type(k(*args)) is int for k, args in (
         (sum_abs_det3_triples, (ga, gb, gc)), (sum_abs_det3_pairs, (ga, gb)),
         (sum_abs_det3_combos, (ga,))))
@@ -231,16 +239,77 @@ def test_collision_reaches_the_sweep_at_its_natural_size():
     _assert_kernels_agree(COLLIDING, COLLIDING[::-1], COLLIDING[1:SWEEP_MIN + 1])
 
 
+MIXED_SIZES = (1, 2, SWEEP_MIN - 1, SWEEP_MIN, 40)
+
+
+def _pivot_lists(ga, gb, gc):
+    """(pivot, classes) lists over the three generator lists, as the kernels get them and more.
+
+    The dispatchers' and check kernels' own shapes, a zero pivot, pivots from
+    every list, and every class left empty in turn.
+    """
+    pivots = [(0, 0, 0)] + ga + gb + gc
+    return [
+        [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)],
+        [(a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga)],
+        [(d, (ga, gb, gc)) for d in gc[::-1] + ga],
+        [(p, (ga, gb, gc)) for p in pivots],
+        [(p, ((), gb, gc)) for p in pivots],
+        [(p, (gc, (), gb)) for p in pivots],
+        [(p, (gb, ga, ())) for p in pivots],
+    ]
+
+
+def _assert_loop_matches_sweep(ga, gb, gc):
+    for pivoted in _pivot_lists(ga, gb, gc):
+        loop = numeric._class_loop(pivoted)
+        assert loop == numeric._class_sweep(pivoted)
+        assert all(type(s) is int for s in loop)
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_class_loop_matches_class_sweep_on_edge_cases(case):
+    _assert_loop_matches_sweep(*EDGE_CASES[case])
+
+
+def test_class_loop_matches_class_sweep_on_mixed_sizes():
+    rnd = random.Random(13)
+    for sizes in itertools.product(MIXED_SIZES, repeat=3):
+        _assert_loop_matches_sweep(*(_random_generators(rnd, m) for m in sizes))
+
+
+class _Counted(int):
+    """An integer coordinate that counts the products it is the right factor of."""
+
+    products = 0
+
+    def __rmul__(self, other):
+        _Counted.products += 1
+        return int(self) * other
+
+
+def test_class_loop_takes_one_determinant_per_pair():
+    # A cross product p x u is 6 products with the coordinates of u, taken
+    # once per A and B item; each determinant (p x u) . v is 3 more.
+    rnd = random.Random(14)
+    ga, gb, gc = ([tuple(map(_Counted, g)) for g in _random_generators(rnd, m)]
+                  for m in (5, 3, 4))
+    pivoted = [((1, 2, 3), (ga, gb, gc)), ((-4, 0, 5), (ga[2:], (), gc))]
+    _Counted.products = 0
+    numeric._class_loop(pivoted)
+    crosses = (5 + 3) + (3 + 0)
+    pairs = (comb(5, 2) + 5 * 3 + 5 * 4 + 3 * 4) + (comb(3, 2) + 3 * 4)
+    assert _Counted.products == 6 * crosses + 3 * pairs
+
+
 @pytest.fixture
 def kernel_calls(monkeypatch):
     """The list of kernel paths run, in order: "cubic" for each loop, "sweep" for each sweep."""
     calls = []
-    for kernel in ("combos", "pairs", "triples"):
-        cubic = getattr(numeric, f"sum_abs_det3_{kernel}_cubic")
-        monkeypatch.setattr(numeric, f"sum_abs_det3_{kernel}_cubic",
-                            lambda *a, _f=cubic: calls.append("cubic") or _f(*a))
-    sweep = numeric._class_sweep
-    monkeypatch.setattr(numeric, "_class_sweep", lambda p: calls.append("sweep") or sweep(p))
+    for path, name in (("cubic", "_class_loop"), ("sweep", "_class_sweep")):
+        kernel = getattr(numeric, name)
+        monkeypatch.setattr(numeric, name,
+                            lambda p, _path=path, _f=kernel: calls.append(_path) or _f(p))
     return calls
 
 
@@ -261,7 +330,7 @@ def test_dispatch_switches_at_sweep_min(kernel, args, kernel_calls):
 
 
 # The four-sum kernels of a check.  Each must equal the separate dispatcher
-# sums, the cubic loops and the oracles, on either path.
+# sums and the oracles, on either path.
 
 def _bezout_parts(ga, gb, gc, kernels):
     combos, pairs, triples = kernels
@@ -274,15 +343,17 @@ def _af_square_parts(ga, gb, gc, gd, kernels):
 
 
 DISPATCHERS = (sum_abs_det3_combos, sum_abs_det3_pairs, sum_abs_det3_triples)
-CUBIC = (sum_abs_det3_combos_cubic, sum_abs_det3_pairs_cubic, sum_abs_det3_triples_cubic)
 
 
 def _assert_check_kernels_agree(ga, gb, gc, gd):
     bezout = sum_abs_det3_bezout(ga, gb, gc)
-    assert bezout == _bezout_parts(ga, gb, gc, DISPATCHERS) == _bezout_parts(ga, gb, gc, CUBIC)
+    assert bezout == _on_path("cubic", sum_abs_det3_bezout, ga, gb, gc) \
+        == _on_path("sweep", sum_abs_det3_bezout, ga, gb, gc) \
+        == _bezout_parts(ga, gb, gc, DISPATCHERS)
     af_square = sum_abs_det3_af_square(ga, gb, gc, gd)
-    assert af_square == _af_square_parts(ga, gb, gc, gd, DISPATCHERS) \
-        == _af_square_parts(ga, gb, gc, gd, CUBIC)
+    assert af_square == _on_path("cubic", sum_abs_det3_af_square, ga, gb, gc, gd) \
+        == _on_path("sweep", sum_abs_det3_af_square, ga, gb, gc, gd) \
+        == _af_square_parts(ga, gb, gc, gd, DISPATCHERS)
     assert all(type(s) is int for s in bezout + af_square)
     return bezout, af_square
 
@@ -296,9 +367,6 @@ def test_check_kernels_agree_on_edge_cases(case, forced_path):
     assert bezout == (combos, pairs_ab, 3 * brute_mixed_volume(ga, ga, gc), triples)
     assert af_square == (3 * brute_mixed_volume(ga, ga, gd), 6 * brute_mixed_volume(ga, gb, gd),
                          6 * brute_mixed_volume(ga, gc, gd), 6 * brute_mixed_volume(gb, gc, gd))
-
-
-MIXED_SIZES = (1, 2, SWEEP_MIN - 1, SWEEP_MIN, 40)
 
 
 def test_check_kernels_agree_on_mixed_sizes():
@@ -319,7 +387,7 @@ def test_check_kernels_on_one_generator_b_and_c():
     xs, ys, zs = zip(*ga)
     assert pairs_ab == sum_abs_det2_pairs(ys, zs) and pairs_ac == sum_abs_det2_pairs(xs, zs)
     assert triples == sum(abs(z) for z in zs)
-    assert combos == sum_abs_det3_combos_cubic(ga)
+    assert combos == brute_volume(ga)
 
 
 @pytest.mark.parametrize("check, count", [("check_bezout", 3), ("check_af_square", 4)])
@@ -327,7 +395,8 @@ def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_cal
     g = _random_generators(random.Random(2), SWEEP_MIN)
     small, big = Zonotope3.from_scaled(g[:-1], 1), Zonotope3.from_scaled(g, 1)
     assert getattr(verify, check)(*[small] * count).holds
-    assert kernel_calls == ["cubic"] * 4
+    # Below it: one loop gives all four sums.
+    assert kernel_calls == ["cubic"]
     kernel_calls.clear()
     # One list at SWEEP_MIN: one sweep gives all four sums.
     assert getattr(verify, check)(*[small] * (count - 1), big).holds

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from zonomix import verify, zonotope
-from zonomix.numeric import E1, E2, E3, Vec3, vec3
+from zonomix.numeric import SWEEP_MIN, E1, E2, E3, Vec3, vec3
 from zonomix.rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from zonomix.verify import (
     TARGETS,
@@ -232,6 +232,15 @@ class TestChecksMatchFractionFormulas:
             assert check_bezout(*bodies[:3]) == _bezout_by_volumes(*bodies[:3])
             assert check_af_square(*bodies) == _af_square_by_volumes(*bodies)
             vectors = random_vectors(rng, 6, 16)
+            assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
+
+    def test_lemma_on_the_sweep(self):
+        # From SWEEP_MIN vectors on, the lemma's sums come from the sweep,
+        # with B = e1 and C = e2 as two one-generator classes.
+        rng = SplitMix64(40)
+        draws = [random_vectors(rng, 40, 16) for _ in range(6)]
+        assert sum(len(vectors) >= SWEEP_MIN for vectors in draws) >= 4
+        for vectors in draws:
             assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
 
 
