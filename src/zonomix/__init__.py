@@ -25,7 +25,6 @@ from .verify import (
     check_bezout,
     check_lemma_matrix,
     fuzz,
-    tightness_ratio,
 )
 from .zonotope import (
     Zonotope3,
@@ -42,5 +41,5 @@ __all__ = [
     "FuzzConfig", "FuzzSummary", "IneqReport", "Mat3xM", "Vec3", "Zonotope3",
     "check_af_square", "check_bezout", "check_lemma_matrix", "fuzz",
     "mixed_volume", "mixed_volume_repeated", "parse_matrix", "parse_zonotope",
-    "render_matrix", "render_zonotope", "tightness_ratio", "vec3", "volume",
+    "render_matrix", "render_zonotope", "vec3", "volume",
 ]

@@ -99,14 +99,6 @@ def vadd(a: Vec3, b: Vec3) -> Vec3:
     return Vec3(a.x + b.x, a.y + b.y, a.z + b.z)
 
 
-def vneg(a: Vec3) -> Vec3:
-    return Vec3(-a.x, -a.y, -a.z)
-
-
-def vscale(q: Fraction, a: Vec3) -> Vec3:
-    return Vec3(q * a.x, q * a.y, q * a.z)
-
-
 def cross(a, b) -> Vec3:
     """Cross product of two 3-tuples; like det3, exact for Vec3 and integer triples."""
     return Vec3(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
@@ -133,10 +125,6 @@ class Mat3xM:
 
     columns: tuple[Vec3, ...]
 
-    @classmethod
-    def from_columns(cls, cols: Iterable) -> "Mat3xM":
-        return cls(tuple(c if isinstance(c, Vec3) else vec3(*c) for c in cols))
-
     @property
     def m(self) -> int:
         return len(self.columns)
@@ -145,28 +133,6 @@ class Mat3xM:
         return (tuple(c.x for c in self.columns),
                 tuple(c.y for c in self.columns),
                 tuple(c.z for c in self.columns))
-
-
-def minor3(mat: Mat3xM, indices: Sequence[int]) -> Fraction:
-    """3x3 minor of the columns selected by three distinct 1-based indices.
-
-    The determinant is taken over the columns in increasing index order.
-    """
-    if len(indices) != 3 or len(set(indices)) != 3:
-        raise ValueError(f"need 3 distinct column indices, got {tuple(indices)}")
-    i, j, k = sorted(indices)
-    if i < 1 or k > mat.m:
-        raise ValueError(f"column index out of range 1..{mat.m}: {tuple(indices)}")
-    cols = mat.columns
-    return det3(cols[i - 1], cols[j - 1], cols[k - 1])
-
-
-def mat_vec(mat: Mat3xM, v: Vec3) -> Vec3:
-    """Apply the 3x3 matrix (columns c1, c2, c3) to v."""
-    if mat.m != 3:
-        raise ValueError(f"need a square 3x3 matrix, got 3x{mat.m}")
-    c1, c2, c3 = mat.columns
-    return vadd(vadd(vscale(v.x, c1), vscale(v.y, c2)), vscale(v.z, c3))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ denominator.  `random_zonotope` keeps the draws as integers: it clears them
 to a common scale (the lcm of the drawn denominators) with integer
 arithmetic only and builds the body from that integer view
 (`Zonotope3.from_scaled`), so no `Fraction` is made until the body's
-rational generators are read.  `random_rational`, `random_vec3` and
-`random_vectors` return rationals.
+rational generators are read.  `random_vec3` and `random_vectors` return
+rationals.
 """
 
 from __future__ import annotations
@@ -128,12 +128,6 @@ def _draw(rng: SplitMix64, count: int, bound: int) -> tuple[list[int], list[int]
     draws = rng.take(2 * count)
     span = 2 * bound + 1
     return [d % span - bound for d in draws[0::2]], [d % bound + 1 for d in draws[1::2]]
-
-
-def random_rational(rng: SplitMix64, bound: int) -> Fraction:
-    """Numerator in [-bound, bound], denominator in [1, bound]; zero included."""
-    (num,), (den,) = _draw(rng, 1, bound)
-    return Fraction(num, den)
 
 
 def random_vec3(rng: SplitMix64, bound: int) -> Vec3:

@@ -30,7 +30,7 @@ from .numeric import (
     sum_abs_det3_bezout,
 )
 from .rng import SplitMix64, random_vectors, random_zonotope, trial_seeds
-from .zonotope import Zonotope3, mixed_volume_repeated, render_zonotope
+from .zonotope import Zonotope3, render_zonotope
 
 # Largest fuzz m_max.  A trial draws up to m_max generators per body.  A
 # check on bodies of at least numeric.SWEEP_MIN generators takes the
@@ -149,15 +149,6 @@ def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
     combos, pairs_ab, pairs_ac, triples = sum_abs_det3_bezout(ga, gb, gc)
     k = la ** 4 * lb * lc
     return IneqReport._from_ints(combos * triples, 6 * k, pairs_ab * pairs_ac, 9 * k, 3, 2)
-
-
-def tightness_ratio(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
-    """V(A,A,A)*V(A,B,C) / (V(A,A,B)*V(A,A,C)); at most 3/2 on zonotopes."""
-    ratio = check_bezout(a, b, c).ratio
-    if ratio is None:
-        zero = "V(A,A,B)" if mixed_volume_repeated(a, b) == 0 else "V(A,A,C)"
-        raise ZeroDivisionError(f"{zero} = 0: tightness ratio undefined")
-    return ratio
 
 
 def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> IneqReport:

@@ -67,7 +67,7 @@ class PolytopeV:
     triangles of `_hull_facets` (None when the points are affinely
     dependent).  Like `Zonotope3.scaled`, it lives in the instance dict,
     outside the dataclass fields, so equality, hashing and repr see the
-    vertices only; so does `volume`, which reads it.
+    vertices only.
     """
 
     vertices: tuple[Vec3, ...]
@@ -85,12 +85,6 @@ class PolytopeV:
         ints, scale = int_scaled(self.vertices)
         points = list(dict.fromkeys(ints))
         return _Hull(points, scale, _hull_facets(points))
-
-    @cached_property
-    def volume(self) -> Fraction:
-        """Exact volume of the hull, 0 if lower-dimensional."""
-        _, scale, facets = self.hull
-        return Fraction(_six_volume(facets), 6 * scale ** 3)
 
 
 def square_pyramid() -> PolytopeV:
@@ -268,7 +262,8 @@ def _six_volume(facets: Optional[dict[_Face, _Plane]]) -> int:
 
 def volume_polytope(poly: PolytopeV) -> Fraction:
     """Exact volume of the convex hull of the vertices; 0 if lower-dimensional."""
-    return poly.volume
+    _, scale, facets = poly.hull
+    return Fraction(_six_volume(facets), 6 * scale ** 3)
 
 
 def mv_seg_seg(poly: PolytopeV, u: Vec3, v: Vec3) -> Fraction:

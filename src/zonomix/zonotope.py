@@ -21,13 +21,9 @@ from functools import cached_property
 from typing import Iterable
 
 from .numeric import (
-    Mat3xM,
     Vec3,
-    ZERO3,
     _class_loop,
-    cross,
     int_scaled,
-    mat_vec,
     parse_rows,
     render_rows,
     sum_abs_det3_combos,
@@ -35,8 +31,6 @@ from .numeric import (
     sum_abs_det3_triples,
     unscaled,
     vec3,
-    vneg,
-    vscale,
 )
 
 
@@ -44,8 +38,8 @@ from .numeric import (
 class Zonotope3:
     """Sum of the segments [0, a_i] over the generator list, up to translation.
 
-    Zero generators are permitted (they are points and contribute nothing);
-    `canonicalize` removes them.  Generator order never affects any volume.
+    Zero generators are permitted: they are points and contribute nothing.
+    Generator order never affects any volume.
 
     A body has two views of its generators: `generators`, rational `Vec3`s,
     and `scaled`, integer triples with a scale L >= 1 such that each
@@ -94,42 +88,6 @@ class Zonotope3:
         return tuple(ints), scale
 
 
-def minkowski_sum(a: Zonotope3, b: Zonotope3) -> Zonotope3:
-    """Minkowski sum of two zonotopes: concatenation of generator lists."""
-    return Zonotope3(a.generators + b.generators)
-
-
-def scale_zonotope(q, zono: Zonotope3) -> Zonotope3:
-    """Scale all generators by q.  Mixed volumes scale by |q| per slot."""
-    q = Fraction(q)
-    return Zonotope3(tuple(vscale(q, g) for g in zono.generators))
-
-
-def canonicalize(zono: Zonotope3) -> Zonotope3:
-    """Drop zero generators and merge parallel ones.
-
-    Parallel segments sum to a translate of a single longer segment, so each
-    parallel class collapses to one generator carrying the total length.  The
-    class direction is the sign-normalised representative (lexicographically
-    larger of +/-a), kept rational: no norms appear, the merged generator is
-    (sum of |c_i|) * d where a_i = c_i * d.  Mixed volumes against any other
-    bodies are unchanged.
-    """
-    merged: list[tuple[Vec3, Fraction]] = []
-    for g in zono.generators:
-        if g == ZERO3:
-            continue
-        for idx, (rep, total) in enumerate(merged):
-            if cross(rep, g) == ZERO3:
-                coeff = next(gc / rc for gc, rc in zip(g, rep) if rc != 0)
-                merged[idx] = (rep, total + abs(coeff))
-                break
-        else:
-            rep = g if g >= vneg(g) else vneg(g)
-            merged.append((rep, abs(next(gc / rc for gc, rc in zip(g, rep) if rc != 0))))
-    return Zonotope3(tuple(vscale(total, rep) for rep, total in merged))
-
-
 def mixed_volume(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> Fraction:
     """V(A, B, C) = (1/6) sum of |det(a_i, b_j, c_k)| over all generator triples.
 
@@ -156,11 +114,6 @@ def volume(a: Zonotope3) -> Fraction:
     """
     ga, la = a.scaled
     return Fraction(sum_abs_det3_combos(ga), la ** 3)
-
-
-def apply_linear(zono: Zonotope3, mat: Mat3xM) -> Zonotope3:
-    """Image of the zonotope under a linear map given by its 3 columns."""
-    return Zonotope3(tuple(mat_vec(mat, g) for g in zono.generators))
 
 
 # ---------------------------------------------------------------------------

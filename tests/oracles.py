@@ -4,7 +4,8 @@ Everything here is deliberately naive and separate from the package
 implementation: determinants by the signed permutation sum, mixed volumes by
 full triple enumeration over Fractions (no integer rescaling), elementary
 symmetric polynomials by direct expansion.  Tests freeze values computed by
-these oracles and assert the package agrees exactly.
+these oracles and assert the package agrees exactly.  The last three helpers
+build test inputs: a rational draw, a scaled vector and a linear image.
 """
 
 from fractions import Fraction
@@ -94,3 +95,18 @@ def exchange_residuals(n, coords):
                 total += (-1) ** (k + inversions) * coords[tuple(sorted(seq))] * coords[remainder]
             out.append(total)
     return out
+
+
+def random_rational(rng, bound):
+    """Numerator in [-bound, bound], then denominator in [1, bound], drawn from rng."""
+    return Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+
+
+def scale_vec(q, v):
+    """q * v, coordinate by coordinate."""
+    return tuple(q * x for x in v)
+
+
+def linear_image(columns, v):
+    """The image of v under the 3x3 matrix with the given columns."""
+    return tuple(sum(col[row] * x for col, x in zip(columns, v)) for row in range(3))

@@ -25,13 +25,13 @@ from zonomix.reduction import (
     s_stats,
     slack_identity,
 )
-from zonomix.rng import SplitMix64, random_rational, random_vec3, random_zonotope
+from zonomix.rng import SplitMix64, random_vec3, random_zonotope
 from zonomix.verify import (
     FuzzConfig,
     check_af_square,
+    check_bezout,
     check_lemma_matrix,
     fuzz,
-    tightness_ratio,
 )
 from zonomix.witness import (
     mv_body_body_seg,
@@ -42,14 +42,12 @@ from zonomix.witness import (
 )
 from zonomix.zonotope import (
     Zonotope3,
-    apply_linear,
-    minkowski_sum,
     mixed_volume,
     mixed_volume_repeated,
-    scale_zonotope,
     volume,
 )
 from zonomix.cli import main
+from oracles import linear_image, random_rational, scale_vec
 
 F = Fraction
 SEG1 = Zonotope3((E1,))
@@ -82,17 +80,19 @@ def test_criterion_01_mixed_volume_axioms():
             assert all(mixed_volume(*p) == base for p in permutations((a, b, c)))
             # Minkowski additivity and nonnegative homogeneity in the first slot
             extra = random_zonotope(rng, 6, 16)
-            assert mixed_volume(minkowski_sum(a, extra), b, c) == \
+            assert mixed_volume(Zonotope3(a.generators + extra.generators), b, c) == \
                 base + mixed_volume(extra, b, c)
             lam = abs(random_rational(rng, 16))
-            assert mixed_volume(scale_zonotope(lam, a), b, c) == lam * base
+            scaled = Zonotope3.from_generators(scale_vec(lam, g) for g in a.generators)
+            assert mixed_volume(scaled, b, c) == lam * base
             # diagonal equals the volume
             assert volume(a) == mixed_volume(a, a, a)
             # linear images scale by |det|
-            mat = Mat3xM((random_vec3(rng, 16), random_vec3(rng, 16),
-                          random_vec3(rng, 16)))
-            assert mixed_volume(apply_linear(a, mat), apply_linear(b, mat),
-                                apply_linear(c, mat)) == abs(det3(*mat.columns)) * base
+            columns = (random_vec3(rng, 16), random_vec3(rng, 16), random_vec3(rng, 16))
+            a2, b2, c2 = (Zonotope3.from_generators(linear_image(columns, g)
+                                                    for g in body.generators)
+                          for body in (a, b, c))
+            assert mixed_volume(a2, b2, c2) == abs(det3(*columns)) * base
             # parallel segments kill the mixed volume
             u = random_vec3(rng, 16)
             lam = random_rational(rng, 16)
@@ -112,14 +112,14 @@ def _tight_slopes(rng):
 def test_criterion_02_sharpness_of_the_constant():
     with criterion(2, "3/2 attained exactly iff s1*s4 == s2*s3 (1 + 100 + 100 configs)"):
         unit = extremal_config(SStats(F(1), F(1), F(1), F(1)), F(0), F(1), F(0), F(1))
-        assert tightness_ratio(*unit) == HALF3
+        assert check_bezout(*unit).ratio == HALF3
 
         rng = SplitMix64(102)
         for _ in range(100):
             p, q, r, t = (_positive_rational(rng) for _ in range(4))
             s = SStats(p * q, p * r, t * q, t * r)  # forces s1*s4 == s2*s3
             triple = extremal_config(s, *_tight_slopes(rng))
-            assert tightness_ratio(*triple) == HALF3
+            assert check_bezout(*triple).ratio == HALF3
 
         produced = 0
         while produced < 100:
@@ -127,7 +127,7 @@ def test_criterion_02_sharpness_of_the_constant():
             if s1 * s4 == s2 * s3:
                 s4 += 1  # still positive, now strictly unbalanced
             triple = extremal_config(SStats(s1, s2, s3, s4), *_tight_slopes(rng))
-            assert tightness_ratio(*triple) < HALF3
+            assert check_bezout(*triple).ratio < HALF3
             produced += 1
 
 

@@ -344,7 +344,7 @@ class TestResourceGuards:
         else:  # 200 generators of 4000-digit integers
             gens = [[10 ** 3999 + 3 * i + k for k in range(3)] for i in range(200)]
         big = tmp_path / "big"
-        big.write_text(render_matrix(Mat3xM.from_columns(gens)) if command == "check lemma"
+        big.write_text(render_matrix(Mat3xM(tuple(vec3(*g) for g in gens))) if command == "check lemma"
                        else render_zonotope(Zonotope3.from_generators(gens)))
         small = tmp_path / "small.zt"
         small.write_text(render_zonotope(Zonotope3((E2,))))

@@ -20,8 +20,6 @@ from zonomix.numeric import (
     Vec3,
     det3,
     int_scaled,
-    mat_vec,
-    minor3,
     parse_matrix,
     parse_rational,
     parse_rows,
@@ -33,9 +31,7 @@ from zonomix.numeric import (
     sum_abs_det3_combos,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
-    vadd,
     vec3,
-    vscale,
 )
 from zonomix.zonotope import Zonotope3
 from oracles import brute_mixed_volume, brute_volume, leibniz_det3
@@ -70,37 +66,14 @@ def test_det3_antisymmetry(a, b, c):
 
 @given(vectors, vectors, vectors, vectors, rationals, rationals)
 def test_det3_multilinear_first_slot(a, a2, b, c, alpha, beta):
-    combined = vadd(vscale(alpha, a), vscale(beta, a2))
+    combined = tuple(alpha * x + beta * y for x, y in zip(a, a2))
     assert det3(combined, b, c) == alpha * det3(a, b, c) + beta * det3(a2, b, c)
 
 
 @given(vectors, vectors, rationals, rationals)
 def test_det3_vanishes_on_dependent_columns(a, b, alpha, beta):
-    c = vadd(vscale(alpha, a), vscale(beta, b))
+    c = tuple(alpha * x + beta * y for x, y in zip(a, b))
     assert det3(a, b, c) == 0
-
-
-_M4 = Mat3xM((E1, E2, E3, vec3(1, 1, 1)))
-
-
-@pytest.mark.parametrize("indices, expected", [
-    ((1, 2, 3), 1),
-    ((1, 3, 4), -1),  # frozen from the permutation-sum oracle
-    ((2, 3, 4), 1),
-])
-def test_minor3_examples(indices, expected):
-    cols = [_M4.columns[i - 1] for i in sorted(indices)]
-    assert leibniz_det3(*cols) == expected
-    assert minor3(_M4, indices) == expected
-
-
-def test_minor3_rejects_bad_indices():
-    with pytest.raises(ValueError):
-        minor3(_M4, (1, 1, 2))
-    with pytest.raises(ValueError):
-        minor3(_M4, (0, 1, 2))
-    with pytest.raises(ValueError):
-        minor3(_M4, (2, 3, 5))
 
 
 def _scaled_by_fraction_product(vectors):
@@ -506,11 +479,6 @@ class TestMatrixFormat:
     def test_malformed(self, bad):
         with pytest.raises(ValueError, match=self.HEADER_ERRORS.get(bad)):
             parse_matrix(bad)
-
-
-def test_mat_vec_needs_a_square_matrix():
-    with pytest.raises(ValueError, match="need a square 3x3 matrix, got 3x2"):
-        mat_vec(Mat3xM((E1, E2)), E3)
 
 
 class TestClearedBits:

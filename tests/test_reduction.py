@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from zonomix.numeric import SWEEP_MIN, vscale
+from zonomix.numeric import SWEEP_MIN
 from zonomix.reduction import (
     BraidCell,
     SStats,
@@ -20,10 +20,10 @@ from zonomix.reduction import (
     s_stats,
     slack_identity,
 )
-from zonomix.rng import SplitMix64, random_rational
-from zonomix.verify import check_bezout, tightness_ratio
+from zonomix.rng import SplitMix64
+from zonomix.verify import check_bezout
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
-from oracles import esym
+from oracles import esym, random_rational, scale_vec
 
 F = Fraction
 nonneg = st.fractions(min_value=0, max_value=30, max_denominator=10)
@@ -229,18 +229,18 @@ class TestExtremalConfig:
     def test_unit_weights(self):
         a, b, c = extremal_config(SStats(*frs(1, 1, 1, 1)), F(0), F(1), F(0), F(1))
         assert set(a.generators) == {(0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)}
-        assert tightness_ratio(a, b, c) == F(3, 2)
+        assert check_bezout(a, b, c).ratio == F(3, 2)
 
     def test_unbalanced_weights_fall_short(self):
         a, b, c = extremal_config(SStats(*frs(1, 2, 3, 4)), F(0), F(1), F(0), F(1))
-        ratio = tightness_ratio(a, b, c)
+        ratio = check_bezout(a, b, c).ratio
         assert ratio < F(3, 2)
         # frozen via the closed forms: ratio = (3/2) * 500 / 504
         assert ratio == F(3, 2) * F(500, 504)
 
     def test_balanced_weights_attain(self):
         a, b, c = extremal_config(SStats(*frs(1, 2, 2, 4)), F(0), F(1), F(0), F(1))
-        assert tightness_ratio(a, b, c) == F(3, 2)
+        assert check_bezout(a, b, c).ratio == F(3, 2)
 
     @pytest.mark.parametrize("weights", [(1, 1, 1, 1), (1, 2, 2, 4), (2, 3, 4, 6)])
     def test_split_generators_attain_on_the_sweep(self, weights):
@@ -253,10 +253,10 @@ class TestExtremalConfig:
         pieces = []
         for g in a.generators:
             parts = [rnd.randint(1, 9) for _ in range(rnd.randint(3, 5))]
-            pieces += [vscale(F(rnd.choice((-w, w)), sum(parts)), g) for w in parts]
+            pieces += [scale_vec(F(rnd.choice((-w, w)), sum(parts)), g) for w in parts]
         rnd.shuffle(pieces)
         assert len(pieces) >= SWEEP_MIN
-        split = Zonotope3(tuple(pieces))
+        split = Zonotope3.from_generators(pieces)
         assert check_bezout(split, b, c).ratio == F(3, 2)
         assert volume(split) == volume(a)
         assert mixed_volume(split, split, b) == mixed_volume(a, a, b)

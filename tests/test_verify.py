@@ -16,7 +16,6 @@ from zonomix.verify import (
     check_lemma_matrix,
     fuzz,
     ineq_report,
-    tightness_ratio,
 )
 from zonomix.zonotope import (
     Zonotope3,
@@ -246,10 +245,10 @@ class TestChecksMatchFractionFormulas:
 
 class TestTightnessRatio:
     def test_equality_configuration(self):
-        assert tightness_ratio(TIGHT, SEG1, SEG2) == Fraction(3, 2)
+        assert check_bezout(TIGHT, SEG1, SEG2).ratio == Fraction(3, 2)
 
     def test_cube_with_segments(self):
-        assert tightness_ratio(CUBE, SEG1, SEG2) == Fraction(3, 2)
+        assert check_bezout(CUBE, SEG1, SEG2).ratio == Fraction(3, 2)
 
     def test_cube_plus_diagonal(self):
         a = Zonotope3((E1, E2, E3, vec3(1, 1, 1)))
@@ -257,14 +256,7 @@ class TestTightnessRatio:
         assert brute_volume(a.generators) == 4
         assert brute_mixed_volume(a.generators, SEG1.generators, SEG2.generators) \
             == Fraction(1, 3)
-        assert tightness_ratio(a, SEG1, SEG2) == Fraction(4, 3)
-
-    def test_zero_denominator_names_factor(self):
-        flat = Zonotope3((E1, E2))
-        with pytest.raises(ZeroDivisionError, match=r"V\(A,A,B\)"):
-            tightness_ratio(flat, SEG1, SEG2)
-        with pytest.raises(ZeroDivisionError, match=r"V\(A,A,C\)"):
-            tightness_ratio(CUBE, SEG1, Zonotope3(()))
+        assert check_bezout(a, SEG1, SEG2).ratio == Fraction(4, 3)
 
 
 class TestAfSquare:
