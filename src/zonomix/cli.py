@@ -19,6 +19,7 @@ from typing import Optional
 
 from .grassmann import (
     MAX_COLUMNS,
+    ZERO,
     abs_map,
     check_gp3,
     check_quad_ineq,
@@ -125,7 +126,8 @@ def cmd_volume(args) -> int:
 def _relation_verdict(point) -> tuple[str, bool]:
     """The exchange-relation line for a minor vector, and whether every residual is 0."""
     residuals = check_gp3(point)
-    bad = sum(1 for r in residuals if r)
+    # Every zero check_gp3 returns is ZERO, which list.count matches by identity.
+    bad = len(residuals) - residuals.count(ZERO)
     return (f"exchange relations checked = {len(residuals)}, nonzero residuals = {bad}",
             bad == 0)
 

@@ -269,16 +269,15 @@ def fuzz(config: FuzzConfig,
     reproducible, runs with different seeds draw different trials, and
     trials are independent of trial count.  The summary keeps the input of
     the minimum-slack trial (first one on ties) serialized in the matching
-    text format.  Slack and ratio are compared as integer pairs
-    (`IneqReport._pairs`); the summary's two `Fraction`s are made once, at
-    the end.
+    text format; drawn inputs never change, so it is rendered once, at the
+    end.  Slack and ratio are compared as integer pairs (`IneqReport._pairs`);
+    the summary's two `Fraction`s are made once, at the end too.
     """
     config.validate()
     run_trial = TARGETS[config.target]
     seeds = trial_seeds(config.seed)
     failures = 0
     least = most = None  # (num, den), den > 0, of the min slack and the max ratio
-    worst_case = ""
     for t in range(config.trials):
         report, m, serialize = run_trial(SplitMix64(seeds.next64()), config)
         if not report.holds:
@@ -286,7 +285,7 @@ def fuzz(config: FuzzConfig,
         slack, ratio = report._pairs()
         if least is None or slack[0] * least[1] < least[0] * slack[1]:
             least = slack
-            worst_case = serialize()
+            worst_serialize = serialize
         if ratio is not None and (most is None or ratio[0] * most[1] > most[0] * ratio[1]):
             most = ratio
         if on_trial is not None:
@@ -294,4 +293,4 @@ def fuzz(config: FuzzConfig,
     assert least is not None
     return FuzzSummary(trials=config.trials, failures=failures, min_slack=Fraction(*least),
                        max_ratio=Fraction(*most) if most is not None else None,
-                       worst_case=worst_case, seed=config.seed)
+                       worst_case=worst_serialize(), seed=config.seed)

@@ -14,7 +14,8 @@ from zonomix.grassmann import (
     pluecker,
     render_pluecker_csv,
 )
-from zonomix.numeric import E1, E2, E3, Mat3xM, vec3
+from zonomix.cli import main
+from zonomix.numeric import E1, E2, E3, Mat3xM, render_matrix, vec3
 from zonomix.rng import SplitMix64, random_vec3, random_vectors
 from zonomix.verify import check_lemma_matrix
 from oracles import exchange_residuals, leibniz_det3
@@ -144,15 +145,52 @@ class TestExchangeRelations:
         perturbed = PlueckerVector(6, coords)
         assert any(r != 0 for r in check_gp3(perturbed))
 
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        """The argument tuples of each walk of the relations, which still runs."""
+        calls = []
+        relation_residuals = grassmann._relation_residuals
+        monkeypatch.setattr(grassmann, "_relation_residuals",
+                            lambda *args: calls.append(args) or relation_residuals(*args))
+        return calls
+
+    @staticmethod
+    def _vectors(rng, n):
+        """(name, coords, realizable) at n columns: minor vectors of a random matrix, of a
+        rank-2 one (all zero), of ones whose first triples vanish, and perturbations."""
+        def minors(cols):
+            return pluecker(Mat3xM(tuple(cols))).coords
+
+        cols = [random_vec3(rng, 9) for _ in range(n)]
+        realizable = minors(cols)
+        dependent = minors(cols[:2] + [vec3(*(x - 2 * y for x, y in zip(cols[0], cols[1])))]
+                           + cols[3:])
+        keys = list(realizable)
+        single = dict(realizable)
+        single[keys[rng.below(len(keys))]] += 1
+        shifted = dict(dependent)
+        shifted[2, 4, n] += F(1, 2)
+        return [
+            ("realizable", realizable, True),
+            ("rank 2", minors([vec3(x, y, 0) for x, y, _ in cols]), True),
+            ("first three columns dependent", dependent, True),
+            ("zero first column", minors([vec3(0, 0, 0)] + cols[1:]), True),
+            ("one coordinate perturbed", single, False),
+            ("dependent, one coordinate perturbed", shifted, False),
+            ("every coordinate perturbed",
+             {k: v + F(rng.below(5) - 2, 3) for k, v in realizable.items()}, False),
+            ("random coordinates",
+             {k: F(rng.below(19) - 9, rng.below(4) + 1) for k in keys}, False),
+        ]
+
     def test_values_match_oracle(self):
         rng = SplitMix64(49)
-        for n in (6, 7, 8):
-            realizable = pluecker(_random_matrix(rng, n)).coords
-            perturbed = {k: v + F(rng.below(5) - 2, 3) for k, v in realizable.items()}
-            for coords in (realizable, perturbed):
+        for n in (6, 7, 8, 9):
+            for name, coords, realizable in self._vectors(rng, n):
                 residuals = check_gp3(PlueckerVector(n, coords))
-                assert residuals == exchange_residuals(n, coords)
-            assert any(r != 0 for r in residuals)  # the perturbed values are really compared
+                assert residuals == exchange_residuals(n, coords), (n, name)
+                assert any(r != 0 for r in residuals) != realizable, (n, name)
+                assert (set(coords.values()) == {0}) == (name == "rank 2")
         # Pairwise coprime denominators: the cleared scale is a product of many primes.
         n = 7
         primes = iter(_PRIMES_NEAR_10K)
@@ -164,6 +202,43 @@ class TestExchangeRelations:
             residuals = check_gp3(PlueckerVector(n, coords))
             assert residuals == exchange_residuals(n, coords)
             assert any(r != 0 for r in residuals) == nonzero
+
+    def test_chart_decides_what_the_relations_decide(self, walked):
+        rng = SplitMix64(51)
+        for n in (6, 7, 8, 9):
+            for _ in range(3):
+                for name, coords, _ in self._vectors(rng, n):
+                    del walked[:]
+                    check_gp3(PlueckerVector(n, coords))
+                    oracle = exchange_residuals(n, coords)
+                    assert bool(walked) == any(r != 0 for r in oracle), (n, name)
+
+    def test_relations_miss_a_vector_the_chart_rejects(self, walked):
+        # With column 1 zero, every product in a 6-index relation has a factor whose
+        # triple contains 1, so every residual is 0; columns 2..6 are not realizable.
+        cols = (vec3(0, 0, 0),) + _random_matrix(SplitMix64(53), 5).columns
+        coords = dict(pluecker(Mat3xM(cols)).coords)
+        coords[4, 5, 6] += 1
+        assert check_gp3(PlueckerVector(6, coords)) == exchange_residuals(6, coords) == [0] * 15
+        assert walked
+
+    def test_realizable_cli_paths_never_walk_the_relations(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "sixteen.mat"
+        path.write_text(render_matrix(_random_matrix(SplitMix64(52), MAX_COLUMNS, 16)))
+        runs = (["grassmann-sample", "--n", "12", "--seed", "3"], ["check", "grassmann", str(path)])
+        expected = []
+        for argv in runs:
+            assert main(argv) == 0
+            expected.append(capsys.readouterr())
+
+        def walk(*args):
+            raise AssertionError("the exchange relations were walked")
+
+        monkeypatch.setattr(grassmann, "_relation_residuals", walk)
+        for argv, output in zip(runs, expected):
+            assert main(argv) == 0
+            assert capsys.readouterr() == output
+        assert "nonzero residuals = 0" in expected[0].out
 
     def test_zero_at_column_limit(self):
         residuals = check_gp3(pluecker(_random_matrix(SplitMix64(50), MAX_COLUMNS, 16)))

@@ -361,12 +361,13 @@ class TestFuzz:
         slacks = []
         fuzz(FuzzConfig(target="bezout", trials=500, seed=5),
              on_trial=lambda t, m, rep: slacks.append(rep.slack))
-        renders, least = 0, None
+        new_worst, least = 0, None
         for slack in slacks:
             if least is None or slack < least:
-                renders, least = renders + 1, slack
-        assert 0 < renders < 500
-        assert len(derived) == 3 * renders
+                new_worst, least = new_worst + 1, slack
+        assert new_worst > 1
+        # One render, of the final worst case: its three bodies.
+        assert len(derived) == 3
         assert scaled == []
 
     def test_worst_case_is_serialized_input(self):
