@@ -16,7 +16,7 @@ reduction steps, minor coordinates, polytope witnesses, the random
 generator, the integer kernels) lives in the submodules.
 """
 
-from .numeric import Mat3xM, Vec3, parse_matrix, render_matrix, vec3
+from .numeric import Vec3, parse_matrix, render_matrix, vec3
 from .verify import (
     FuzzConfig,
     FuzzSummary,
@@ -38,7 +38,7 @@ from .zonotope import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "FuzzConfig", "FuzzSummary", "IneqReport", "Mat3xM", "Vec3", "Zonotope3",
+    "FuzzConfig", "FuzzSummary", "IneqReport", "Vec3", "Zonotope3",
     "check_af_square", "check_bezout", "check_lemma_matrix", "fuzz",
     "mixed_volume", "mixed_volume_repeated", "parse_matrix", "parse_zonotope",
     "render_matrix", "render_zonotope", "vec3", "volume",

@@ -27,7 +27,6 @@ from .grassmann import (
     render_pluecker_csv,
 )
 from .numeric import (
-    Mat3xM,
     approx_str,
     int_str,
     parse_matrix,
@@ -133,16 +132,16 @@ def _relation_verdict(point) -> tuple[str, bool]:
 
 
 def _check_grassmann(args) -> int:
-    mat = _load(parse_matrix, args.files[0])
-    point = pluecker(mat)
+    columns = _load(parse_matrix, args.files[0])
+    point = pluecker(columns)
     relations, ok = _relation_verdict(point)
-    quad = check_quad_ineq(abs_map(point)) if mat.m >= 5 else None
+    quad = check_quad_ineq(abs_map(point)) if len(columns) >= 5 else None
     ok = ok and (quad is None or quad.holds)
     if args.output == "csv":
         row = f"quad-ineq,{_csv_row(quad)}\n" if quad is not None else ""
         _emit(f"name,{_CSV_HEADER}\n{row}", args)
     else:
-        text = f"columns = {mat.m}, minor coordinates = {len(point.coords)}\n{relations}\n"
+        text = f"columns = {len(columns)}, minor coordinates = {len(point.coords)}\n{relations}\n"
         if quad is not None:
             text += _report_text(quad)
         _emit(text, args)
@@ -156,15 +155,15 @@ def cmd_check(args) -> int:
                          f"got {len(args.files)}")
     if args.target == "grassmann":
         return _check_grassmann(args)
-    matrix = args.target == "lemma"
-    parse, render = (parse_matrix, render_matrix) if matrix else (parse_zonotope, render_zonotope)
+    # Built per call, so each check is this module's global at call time
+    # (perfbench's tracer rebinds them).
+    parse, render, check = {
+        "bezout": (parse_zonotope, render_zonotope, check_bezout),
+        "lemma": (parse_matrix, render_matrix, check_lemma_matrix),
+        "af-square": (parse_zonotope, render_zonotope, check_af_square),
+    }[args.target]
     inputs = [_load(parse, p) for p in args.files]
-    if matrix:
-        report = check_lemma_matrix(inputs[0].columns)
-    elif args.target == "bezout":
-        report = check_bezout(*inputs)
-    else:
-        report = check_af_square(*inputs)
+    report = check(*inputs)
     if args.output == "csv":
         _emit(f"{_CSV_HEADER}\n{_csv_row(report)}\n", args)
     else:
@@ -247,14 +246,14 @@ def cmd_grassmann_sample(args) -> int:
         raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
     check_coeff_bound(args.coeff_bound)
     rng = SplitMix64(args.seed)
-    mat = Mat3xM(tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n)))
-    point = pluecker(mat)
+    columns = tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n))
+    point = pluecker(columns)
     if args.output == "csv":
         _emit(render_pluecker_csv(point), args)
         return 0
     relations, ok = _relation_verdict(point)
     text = (f"# random 3x{args.n} matrix, seed {args.seed}\n"
-            + render_matrix(mat)
+            + render_matrix(columns)
             + f"# minor coordinates ({len(point.coords)}):\n"
             + render_pluecker_csv(point)
             + f"# {relations}\n")
@@ -277,8 +276,7 @@ def cmd_report(args) -> int:
     checks.append(("unit cube vs its edge segments", check_bezout(cube, seg1, seg2)))
     checks.append(("generator-matrix form on the cube", check_lemma_matrix(cube.generators)))
 
-    mat6 = Mat3xM(equality[0].generators + seg1.generators + seg2.generators)
-    minors = pluecker(mat6)
+    minors = pluecker(equality[0].generators + seg1.generators + seg2.generators)
     _, gp_ok = _relation_verdict(minors)
     checks.append(("quadratic minor inequality (6 columns)", check_quad_ineq(abs_map(minors))))
 

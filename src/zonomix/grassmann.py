@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm
+from typing import Sequence
 
-from .numeric import Mat3xM, det3, int_scaled, render_rational
+from .numeric import Vec3, det3, int_scaled, render_rational
 from .verify import IneqReport, ineq_report
 
 Subset3 = tuple[int, int, int]
@@ -46,19 +47,19 @@ class PlueckerVector:
                              f"3-subsets of 1..{self.n}")
 
 
-def pluecker(mat: Mat3xM) -> PlueckerVector:
-    """Minor vector of a 3 x n matrix, 3 <= n <= MAX_COLUMNS.
+def pluecker(columns: Sequence[Vec3]) -> PlueckerVector:
+    """Minor vector of the 3 x n matrix with these columns, 3 <= n <= MAX_COLUMNS.
 
     The minors are taken on cleared integers: `int_scaled` multiplies the
     columns by L, the lcm of their denominators, so each integer
     determinant is L^3 times the rational minor and becomes one `Fraction`.
     """
-    n = mat.m
+    n = len(columns)
     if n < 3:
         raise ValueError(f"need at least 3 columns, got {n}")
     if n > MAX_COLUMNS:
         raise ValueError(f"need at most {MAX_COLUMNS} columns, got {n}")
-    cols, scale = int_scaled(mat.columns)
+    cols, scale = int_scaled(columns)
     cube = scale ** 3
     coords = {(i + 1, j + 1, k + 1): Fraction(det3(cols[i], cols[j], cols[k]), cube)
               for i, j, k in combinations(range(n), 3)}

@@ -14,7 +14,6 @@ from __future__ import annotations
 import re
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
@@ -117,22 +116,6 @@ def det3(a, b, c):
     return (a[0] * (b[1] * c[2] - b[2] * c[1])
             - a[1] * (b[0] * c[2] - b[2] * c[0])
             + a[2] * (b[0] * c[1] - b[1] * c[0]))
-
-
-@dataclass(frozen=True)
-class Mat3xM:
-    """A 3 x m collection of column vectors; column order is significant."""
-
-    columns: tuple[Vec3, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.columns)
-
-    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
-        return (tuple(c.x for c in self.columns),
-                tuple(c.y for c in self.columns),
-                tuple(c.z for c in self.columns))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +443,8 @@ def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> Mat3xM:
+def parse_matrix(text: str) -> tuple[Vec3, ...]:
+    """A 3 x n matrix file as its n columns, in order."""
     header, rows = parse_rows(text, "matrix")
     fields = header.split()
     if len(fields) != 3 or fields[0] != "matrix" or fields[1] != "3":
@@ -474,14 +458,15 @@ def parse_matrix(text: str) -> Mat3xM:
     if n == 0:
         if rows:
             raise ValueError("matrix with 0 columns must have no rows")
-        return Mat3xM(())
+        return ()
     if len(rows) != 3:
         raise ValueError(f"expected 3 matrix rows, got {len(rows)}")
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix: expected {n} entries per row, got {len(row)}")
-    return Mat3xM(tuple(Vec3(*col) for col in zip(*rows)))
+    return tuple(Vec3(*col) for col in zip(*rows))
 
 
-def render_matrix(mat: Mat3xM) -> str:
-    return render_rows(f"matrix 3 {mat.m}", mat.rows() if mat.m > 0 else ())
+def render_matrix(columns: Sequence[Vec3]) -> str:
+    """The matrix file of these columns: header, then the x, y and z rows."""
+    return render_rows(f"matrix 3 {len(columns)}", zip(*columns))

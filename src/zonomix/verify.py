@@ -9,9 +9,9 @@ against two pair-minor sums; every checker returns one report type,
 `IneqReport`, carrying exact rationals only.
 
 Inside, a check works on integers: it passes its |det| sums and scale
-products to `IneqReport._from_ints`, which decides `holds` from the sign of
-an integer slack numerator and makes the report's `Fraction`s only when a
-caller reads them.  `fuzz` compares slack and ratio as integer pairs and
+products to `IneqReport`, which decides `holds` from the sign of an integer
+slack numerator and makes the report's `Fraction`s only when a caller
+reads them.  `fuzz` compares slack and ratio as integer pairs and
 makes the two `Fraction`s of its summary once, at the end.
 """
 
@@ -22,7 +22,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .numeric import (
-    Mat3xM,
     Vec3,
     int_scaled,
     render_matrix,
@@ -56,18 +55,17 @@ def check_coeff_bound(bound: int) -> None:
         raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {bound}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class IneqReport:
     """One evaluated inequality: lhs <= rhs, with slack = rhs - lhs.
 
     `ratio` is lhs divided by the rhs product *without* its constant; it is
     present exactly when both rhs factors are nonzero.
 
-    The checks build their reports with `_from_ints`, from integer sums and
-    scale products: `holds` is set at once, and lhs, rhs, slack and ratio
-    are kept as unreduced integer pairs and become `Fraction`s on first
-    read, as `Zonotope3.generators` does.  Equality, hashing and repr see
-    the five fields only, however the report was built.
+    A report is built from integer sums and scale products: `holds` is set
+    at once, and lhs, rhs, slack and ratio are kept as unreduced integer
+    pairs and become `Fraction`s on first read, as `Zonotope3.generators`
+    does.  Equality, hashing and repr see the five fields only.
     """
 
     lhs: Fraction
@@ -76,9 +74,7 @@ class IneqReport:
     holds: bool
     ratio: Optional[Fraction]
 
-    @classmethod
-    def _from_ints(cls, ln: int, ld: int, pn: int, pd: int,
-                   cn: int = 1, cd: int = 1) -> "IneqReport":
+    def __init__(self, ln: int, ld: int, pn: int, pd: int, cn: int = 1, cd: int = 1):
         """The report for ln/ld <= (cn/cd) * (pn/pd); ld, pd and cd must be positive.
 
         Nothing is reduced.  Every pair in the instance dict has a positive
@@ -93,14 +89,12 @@ class IneqReport:
             ratio = (-ln * pd, -ld * pn)
         else:
             ratio = None
-        report = cls.__new__(cls)
-        report.__dict__.update(holds=sn >= 0, _parts={
+        self.__dict__.update(holds=sn >= 0, _parts={
             "lhs": (ln, ld), "rhs": (rn, rd), "slack": (sn, rd * ld), "ratio": ratio})
-        return report
 
     def __getattr__(self, name):
-        # Reached only when normal lookup fails: a field of a report built by
-        # `_from_ints`, made from its integer pair and kept.
+        # Reached only when normal lookup fails: a field not read before,
+        # made from its integer pair and kept.
         parts = self.__dict__.get("_parts")
         if parts is None or name not in parts:
             raise AttributeError(name)
@@ -109,17 +103,12 @@ class IneqReport:
         return value
 
     def _pairs(self):
-        """(slack, ratio) as (numerator, denominator) pairs, denominators positive.
+        """(slack, ratio) as unreduced (numerator, denominator) pairs, denominators positive.
 
-        ratio is None when undefined.  No `Fraction` is built for a report
-        from `_from_ints`; one from the constructor gives its fields' terms.
+        ratio is None when undefined.  No `Fraction` is built.
         """
-        parts = self.__dict__.get("_parts")
-        if parts is not None:
-            return parts["slack"], parts["ratio"]
-        slack, ratio = self.slack, self.ratio
-        return ((slack.numerator, slack.denominator),
-                (ratio.numerator, ratio.denominator) if ratio is not None else None)
+        parts = self._parts
+        return parts["slack"], parts["ratio"]
 
 
 def ineq_report(lhs: Fraction, factor1: Fraction, factor2: Fraction,
@@ -129,10 +118,10 @@ def ineq_report(lhs: Fraction, factor1: Fraction, factor2: Fraction,
     For callers that hold `Fraction`s: the report is made from their
     integer numerators and denominators, as the checks make theirs.
     """
-    return IneqReport._from_ints(lhs.numerator, lhs.denominator,
-                                 factor1.numerator * factor2.numerator,
-                                 factor1.denominator * factor2.denominator,
-                                 constant.numerator, constant.denominator)
+    return IneqReport(lhs.numerator, lhs.denominator,
+                      factor1.numerator * factor2.numerator,
+                      factor1.denominator * factor2.denominator,
+                      constant.numerator, constant.denominator)
 
 
 def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
@@ -148,7 +137,7 @@ def check_bezout(a: Zonotope3, b: Zonotope3, c: Zonotope3) -> IneqReport:
     gc, lc = c.scaled
     combos, pairs_ab, pairs_ac, triples = sum_abs_det3_bezout(ga, gb, gc)
     k = la ** 4 * lb * lc
-    return IneqReport._from_ints(combos * triples, 6 * k, pairs_ab * pairs_ac, 9 * k, 3, 2)
+    return IneqReport(combos * triples, 6 * k, pairs_ab * pairs_ac, 9 * k, 3, 2)
 
 
 def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> IneqReport:
@@ -165,8 +154,7 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
     gd, ld = d.scaled
     pairs_ad, triples_abd, triples_acd, triples_bcd = sum_abs_det3_af_square(ga, gb, gc, gd)
     k = la * la * lb * lc * ld * ld
-    return IneqReport._from_ints(pairs_ad * triples_bcd, 18 * k,
-                                 triples_abd * triples_acd, 36 * k, 2)
+    return IneqReport(pairs_ad * triples_bcd, 18 * k, triples_abd * triples_acd, 36 * k, 2)
 
 
 def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
@@ -182,7 +170,7 @@ def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
     ints, scale = int_scaled(vectors)
     combos, pairs_yz, pairs_xz, zsum = sum_abs_det3_bezout(ints, ((1, 0, 0),), ((0, 1, 0),))
     scale4 = scale ** 4
-    return IneqReport._from_ints(combos * zsum, scale4, pairs_yz * pairs_xz, scale4)
+    return IneqReport(combos * zsum, scale4, pairs_yz * pairs_xz, scale4)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +230,7 @@ def _bezout_trial(rng: SplitMix64, cfg: FuzzConfig):
 def _lemma_trial(rng: SplitMix64, cfg: FuzzConfig):
     vectors = random_vectors(rng, cfg.m_max, cfg.coeff_bound)
     report = check_lemma_matrix(vectors)
-    return report, len(vectors), lambda: render_matrix(Mat3xM(tuple(vectors)))
+    return report, len(vectors), lambda: render_matrix(vectors)
 
 
 def _af_square_trial(rng: SplitMix64, cfg: FuzzConfig):

@@ -11,7 +11,7 @@ from fractions import Fraction
 from itertools import permutations
 
 from zonomix.grassmann import abs_map, check_gp3, check_quad_ineq, pluecker
-from zonomix.numeric import E1, E2, Mat3xM, Vec3, det3, vec3
+from zonomix.numeric import E1, E2, Vec3, det3, vec3
 from zonomix.reduction import (
     SStats,
     TwoValuePattern,
@@ -201,20 +201,20 @@ def test_criterion_07_minor_coordinate_form():
     with criterion(7, "exchange residuals, quadratic form and equivalence (1,000 + 500)"):
         rng = SplitMix64(107)
         for _ in range(1000):
-            mat = Mat3xM(tuple(random_vec3(rng, 9) for _ in range(6)))
+            mat = tuple(random_vec3(rng, 9) for _ in range(6))
             point = pluecker(mat)
             assert all(r == 0 for r in check_gp3(point))
             assert check_quad_ineq(abs_map(point)).holds
 
         for _ in range(500):
             gens = tuple(random_vec3(rng, 9) for _ in range(4))
-            quad = check_quad_ineq(abs_map(pluecker(Mat3xM(gens + (E1, E2)))))
+            quad = check_quad_ineq(abs_map(pluecker(gens + (E1, E2))))
             lemma = check_lemma_matrix(list(gens))
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
 
         equality_gens = tuple(
             vec3(*t) for t in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
-        report = check_quad_ineq(abs_map(pluecker(Mat3xM(equality_gens + (E1, E2)))))
+        report = check_quad_ineq(abs_map(pluecker(equality_gens + (E1, E2))))
         assert report.lhs == report.rhs == 16
 
 

@@ -11,7 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
 
 HEADLINE = {
-    "Zonotope3", "Vec3", "vec3", "Mat3xM",
+    "Zonotope3", "Vec3", "vec3",
     "mixed_volume", "mixed_volume_repeated", "volume",
     "check_bezout", "check_lemma_matrix", "check_af_square",
     "fuzz", "FuzzConfig", "FuzzSummary", "IneqReport",

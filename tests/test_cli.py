@@ -8,7 +8,7 @@ import pytest
 from zonomix import cli, grassmann, numeric, verify, zonotope
 from zonomix.cli import main
 from zonomix.grassmann import MAX_COLUMNS
-from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, E3, Mat3xM, render_matrix, vec3
+from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, E3, render_matrix, vec3
 from zonomix.verify import MAX_COEFF_BOUND, MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
 
@@ -25,10 +25,10 @@ def files(tmp_path):
         p.write_text(render_zonotope(z))
         paths[name] = str(p)
     mat = tmp_path / "cube.mat"
-    mat.write_text(render_matrix(Mat3xM((E1, E2, E3))))
+    mat.write_text(render_matrix((E1, E2, E3)))
     paths["mat"] = str(mat)
     mat6 = tmp_path / "six.mat"
-    mat6.write_text(render_matrix(Mat3xM((E1, E2, E3, vec3(1, 1, 0), E2, E3))))
+    mat6.write_text(render_matrix((E1, E2, E3, vec3(1, 1, 0), E2, E3)))
     paths["mat6"] = str(mat6)
     paths["dir"] = str(tmp_path)
     return paths
@@ -113,8 +113,7 @@ class TestCheck:
         ("lemma", "check_lemma_matrix", ("mat",)),
     ])
     def test_violation_prints_input(self, target, checker, names, files, capsys, monkeypatch):
-        violated = IneqReport(lhs=Fraction(2), rhs=Fraction(1), slack=Fraction(-1),
-                              holds=False, ratio=Fraction(2))
+        violated = IneqReport(2, 1, 1, 1)  # lhs 2, rhs 1, slack -1, ratio 2
         monkeypatch.setattr(cli, checker, lambda *args: violated)
         assert main(["check", target, *(files[n] for n in names)]) == 1
         texts = [Path(files[n]).read_text() for n in names]
@@ -185,8 +184,7 @@ class TestFuzzCommand:
         assert len(Path(out).read_text().splitlines()) == 1201
 
     def test_failures_are_counted(self, capsys, monkeypatch):
-        violated = IneqReport(lhs=Fraction(2), rhs=Fraction(1), slack=Fraction(-1),
-                              holds=False, ratio=Fraction(2))
+        violated = IneqReport(2, 1, 1, 1)  # lhs 2, rhs 1, slack -1, ratio 2
         monkeypatch.setattr(verify, "check_bezout", lambda *args: violated)
         summary = verify.fuzz(verify.FuzzConfig(target="bezout", trials=7))
         assert summary.failures == summary.trials == 7
@@ -300,7 +298,7 @@ class TestResourceGuards:
 
     def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
         wide = tmp_path / "wide.mat"
-        wide.write_text(render_matrix(Mat3xM((E1,) * (MAX_COLUMNS + 1))))
+        wide.write_text(render_matrix((E1,) * (MAX_COLUMNS + 1)))
         # pluecker clears the columns, then takes each minor by det3: neither may run.
         monkeypatch.setattr(grassmann, "int_scaled", self._never)
         monkeypatch.setattr(grassmann, "det3", self._never)
@@ -321,7 +319,7 @@ class TestResourceGuards:
     def test_generators_per_body(self, command, tmp_path, capsys, monkeypatch):
         over = MAX_GENERATORS + 1
         big = tmp_path / "big"
-        big.write_text(render_matrix(Mat3xM((E1,) * over)) if command == "check lemma"
+        big.write_text(render_matrix((E1,) * over) if command == "check lemma"
                        else render_zonotope(Zonotope3((E1,) * over)))
         small = tmp_path / "small.zt"
         small.write_text(render_zonotope(Zonotope3((E2,))))
@@ -344,7 +342,7 @@ class TestResourceGuards:
         else:  # 200 generators of 4000-digit integers
             gens = [[10 ** 3999 + 3 * i + k for k in range(3)] for i in range(200)]
         big = tmp_path / "big"
-        big.write_text(render_matrix(Mat3xM(tuple(vec3(*g) for g in gens))) if command == "check lemma"
+        big.write_text(render_matrix(tuple(vec3(*g) for g in gens)) if command == "check lemma"
                        else render_zonotope(Zonotope3.from_generators(gens)))
         small = tmp_path / "small.zt"
         small.write_text(render_zonotope(Zonotope3((E2,))))
@@ -408,8 +406,8 @@ class TestExactOutputSize:
 
     def test_fuzz_csv(self, capsys, monkeypatch):
         big = 10 ** 5000 + 1
-        report = IneqReport(lhs=Fraction(big, 3), rhs=Fraction(big, 3), slack=Fraction(big, 3),
-                            holds=True, ratio=Fraction(3, big))
+        # lhs big/(big-3) and product big^2/(3(big-3)): slack big/3, ratio 3/big.
+        report = IneqReport(big, big - 3, big * big, 3 * (big - 3))
 
         def one_trial(config, on_trial):
             on_trial(0, 3, report)

@@ -2,8 +2,9 @@
 
 Every expected string below is pinned byte for byte, so any change to a
 value, a label, the decimal annotation or the CSV layout shows up here.
-`fuzz` and `report` are pinned only through the sampler: the first coordinates
-drawn by `random_vec3` and one bezout CSV digest.  The digest was updated on
+`fuzz` and `report` are pinned through the sampler (the first coordinates
+drawn by `random_vec3`), through their text at fixed seeds, and through two
+digests: bezout CSV and af-square text.  The bezout digest was updated on
 purpose when trial seeds changed from seed XOR trial to `rng.trial_seed`,
 which mixes (seed, trial); the sampler draws did not move.
 """
@@ -13,7 +14,7 @@ import hashlib
 import pytest
 
 from zonomix.cli import main
-from zonomix.numeric import Mat3xM, render_matrix, vec3
+from zonomix.numeric import render_matrix, vec3
 from zonomix.rng import SplitMix64, random_vec3
 from zonomix.zonotope import Zonotope3, render_zonotope
 
@@ -26,6 +27,7 @@ INPUTS = {
     "M": "matrix 3 4\n1 1/2 0 2\n# second row\n2 -1 1 0\n\n3 0 -2/3 1\n",
     "T": "matrix 3 3\n1 0 0\n0 2 0\n0 0 1/3\n",
     "G": "matrix 3 6\n1 1/2 0 2 1 0\n2 -1 1 0 0 1\n3 0 -2/3 1 0 0\n",
+    "Z": "matrix 3 0\n",
 }
 
 BEZOUT_TEXT = """\
@@ -70,6 +72,73 @@ MINORS_SEED5 = """\
 4,5,6,-40409/10080
 """
 
+# The worst case of this run has 5 columns, written back as 3 rows.
+LEMMA_FUZZ_SEED45 = """\
+target      = lemma
+trials      = 10
+seed        = 45
+failures    = 0
+min slack   = 462747266993/32006016000 (14.4581339643)
+max ratio   = 694055851250/847087820683 (0.819343442679)
+worst case (minimum slack):
+matrix 3 5
+13/5 1/9 2 1/2 15/14
+-3/7 -1/6 11/8 -8/9 0
+-11/16 -1 -4/15 1/3 2/7
+"""
+
+REPORT_SEED3 = """\
+== 4-generator equality configuration
+lhs   = 8/3 (2.66666666667)
+rhs   = 8/3 (2.66666666667)
+slack = 0 (0)
+ratio = 3/2 (1.5)
+holds = yes
+
+== square pyramid segment witness
+lhs   = 1/18 (0.0555555555556)
+rhs   = 1/18 (0.0555555555556)
+slack = 0 (0)
+ratio = 2 (2)
+holds = yes
+
+== unit cube vs its edge segments
+lhs   = 1/6 (0.166666666667)
+rhs   = 1/6 (0.166666666667)
+slack = 0 (0)
+ratio = 3/2 (1.5)
+holds = yes
+
+== generator-matrix form on the cube
+lhs   = 1 (1)
+rhs   = 1 (1)
+slack = 0 (0)
+ratio = 1 (1)
+holds = yes
+
+== quadratic minor inequality (6 columns)
+lhs   = 16 (16)
+rhs   = 16 (16)
+slack = 0 (0)
+ratio = 1 (1)
+holds = yes
+
+== exchange-relation residuals all zero: yes
+
+fuzz bezout    trials=20 failures=0 min_slack=0
+fuzz lemma     trials=20 failures=0 min_slack=0
+fuzz af_square trials=20 failures=0 min_slack=726786215823401/8449588224000
+"""
+
+REPORT_SEED3_CSV = """\
+name,lhs,rhs,slack,ratio,holds
+4-generator equality configuration,8/3,8/3,0,3/2,True
+square pyramid segment witness,1/18,1/18,0,2,True
+unit cube vs its edge segments,1/6,1/6,0,3/2,True
+generator-matrix form on the cube,1,1,0,1,True
+quadratic minor inequality (6 columns),16,16,0,1,True
+"""
+
 GOLDEN = [
     (["mixedvol", "A", "B", "C"], "301/72 (4.18055555556)\n"),
     (["volume", "A"], "49/3 (16.3333333333)\n"),
@@ -84,6 +153,10 @@ GOLDEN = [
     (["check", "lemma", "M"], LEMMA_TEXT),
     (["check", "lemma", "M", "--output", "csv"],
      "lhs,rhs,slack,ratio,holds\n686/9,112,322/9,49/72,True\n"),
+    (["check", "lemma", "Z"],
+     "lhs   = 0 (0)\nrhs   = 0 (0)\nslack = 0 (0)\n"
+     "ratio = undefined (a right-hand factor vanishes)\nholds = yes\n"),
+    (["check", "lemma", "Z", "--output", "csv"], "lhs,rhs,slack,ratio,holds\n0,0,0,,True\n"),
     (["check", "af-square", "A", "B", "C", "D"],
      "lhs   = 568183/8100 (70.1460493827)\n"
      "rhs   = 869077/5400 (160.940185185)\n"
@@ -146,6 +219,9 @@ s1*s4 == s2*s3: no
      + MINORS_SEED5
      + "# exchange relations checked = 15, nonzero residuals = 0\n"),
     (["grassmann-sample", "--n", "6", "--seed", "5", "--output", "csv"], MINORS_SEED5),
+    (["fuzz", "--target", "lemma", "--trials", "10", "--seed", "45"], LEMMA_FUZZ_SEED45),
+    (["report", "--trials", "20", "--seed", "3"], REPORT_SEED3),
+    (["report", "--trials", "20", "--seed", "3", "--output", "csv"], REPORT_SEED3_CSV),
 ]
 
 
@@ -182,9 +258,9 @@ def test_render_zonotope():
 
 
 def test_render_matrix():
-    mat = Mat3xM((vec3(1, 2, 3), vec3("1/2", -1, 0)))
+    mat = (vec3(1, 2, 3), vec3("1/2", -1, 0))
     assert render_matrix(mat) == "matrix 3 2\n1 1/2\n2 -1\n3 0\n"
-    assert render_matrix(Mat3xM(())) == "matrix 3 0\n"
+    assert render_matrix(()) == "matrix 3 0\n"
 
 
 SAMPLER_STREAM = {
@@ -207,3 +283,11 @@ def test_bezout_fuzz_csv_is_pinned(capsys):
     assert out.count("\n") == 51
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0479bae2cc978c5df64bf801575e63847a6b4dea158b2fa3d76f4bf9c37cc559"
+
+
+def test_af_square_fuzz_text_is_pinned(capsys):
+    assert main(["fuzz", "--target", "af-square", "--trials", "20", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("\n") == 25
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "a9ea0777ea2e247a7151938e5a708ba2c1bbf5a2e1586f0bae945aac1518dcae"

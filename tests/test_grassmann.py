@@ -15,7 +15,7 @@ from zonomix.grassmann import (
     render_pluecker_csv,
 )
 from zonomix.cli import main
-from zonomix.numeric import E1, E2, E3, Mat3xM, render_matrix, vec3
+from zonomix.numeric import E1, E2, E3, render_matrix, vec3
 from zonomix.rng import SplitMix64, random_vec3, random_vectors
 from zonomix.verify import check_lemma_matrix
 from oracles import exchange_residuals, leibniz_det3
@@ -28,23 +28,23 @@ _PRIMES_NEAR_10K = [p for p in range(10_001, 10_600) if all(p % d for d in range
 
 
 def _random_matrix(rng, n, bound=9):
-    return Mat3xM(tuple(random_vec3(rng, bound) for _ in range(n)))
+    return tuple(random_vec3(rng, bound) for _ in range(n))
 
 
 class TestPluecker:
     def test_basis(self):
-        p = pluecker(Mat3xM((E1, E2, E3)))
+        p = pluecker((E1, E2, E3))
         assert p.coords == {(1, 2, 3): F(1)}
 
     def test_basis_plus_ones(self):
-        mat = Mat3xM((E1, E2, E3, vec3(1, 1, 1)))
-        expected = {idx: leibniz_det3(*(mat.columns[i - 1] for i in idx))
+        mat = (E1, E2, E3, vec3(1, 1, 1))
+        expected = {idx: leibniz_det3(*(mat[i - 1] for i in idx))
                     for idx in combinations(range(1, 5), 3)}
         assert expected == {(1, 2, 3): 1, (1, 2, 4): 1, (1, 3, 4): -1, (2, 3, 4): 1}
         assert pluecker(mat).coords == expected
 
     def test_repeated_column_kills_coords(self):
-        mat = Mat3xM((E1, E2, E1, E3))
+        mat = (E1, E2, E1, E3)
         p = pluecker(mat)
         for idx, value in p.coords.items():
             if 1 in idx and 3 in idx:
@@ -52,24 +52,24 @@ class TestPluecker:
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
-            pluecker(Mat3xM((E1, E2)))
+            pluecker((E1, E2))
 
     def test_coords_must_be_complete(self):
         with pytest.raises(ValueError, match="exactly the 4 3-subsets of 1..4"):
             PlueckerVector(n=4, coords={})
 
     def test_column_limit(self):
-        assert len(pluecker(Mat3xM((E1,) * MAX_COLUMNS)).coords) == comb(MAX_COLUMNS, 3)
+        assert len(pluecker((E1,) * MAX_COLUMNS).coords) == comb(MAX_COLUMNS, 3)
         with pytest.raises(ValueError, match=f"at most {MAX_COLUMNS} columns"):
-            pluecker(Mat3xM((E1,) * (MAX_COLUMNS + 1)))
+            pluecker((E1,) * (MAX_COLUMNS + 1))
 
     def test_column_permutation_equivariance_up_to_sign(self):
         rng = SplitMix64(41)
         for _ in range(20):
             cols = tuple(random_vec3(rng, 9) for _ in range(5))
-            base = abs_map(pluecker(Mat3xM(cols)))
+            base = abs_map(pluecker(cols))
             perm = list(permutations(range(5)))[rng.below(120)]
-            permuted = abs_map(pluecker(Mat3xM(tuple(cols[i] for i in perm))))
+            permuted = abs_map(pluecker(tuple(cols[i] for i in perm)))
             relabel = {old + 1: new + 1 for new, old in enumerate(perm)}
             for idx, value in base.coords.items():
                 new_idx = tuple(sorted(relabel[i] for i in idx))
@@ -85,7 +85,7 @@ class TestPlueckerAgainstTheOracle:
         if degenerate:
             cols[1] = vec3(0, 0, 0)
             cols[-1] = cols[0]
-        return Mat3xM(tuple(cols))
+        return tuple(cols)
 
     @pytest.mark.parametrize("degenerate", [False, True])
     @pytest.mark.parametrize("n", [3, 6, 12, 16])
@@ -94,7 +94,7 @@ class TestPlueckerAgainstTheOracle:
         coords = pluecker(mat).coords
         assert list(coords) == list(combinations(range(1, n + 1), 3))
         for idx, value in coords.items():
-            assert value == leibniz_det3(*(mat.columns[i - 1] for i in idx))
+            assert value == leibniz_det3(*(mat[i - 1] for i in idx))
         if degenerate:
             assert all(coords[idx] == 0 for idx in coords if 2 in idx or {1, n} <= set(idx))
 
@@ -108,7 +108,7 @@ class TestPlueckerAgainstTheOracle:
 
 class TestAbsMap:
     def test_flips_negatives_only(self):
-        p = pluecker(Mat3xM((E1, E2, E3, vec3(1, 1, 1))))
+        p = pluecker((E1, E2, E3, vec3(1, 1, 1)))
         q = abs_map(p)
         assert q.coords[(1, 3, 4)] == 1
         assert all(v >= 0 for v in q.coords.values())
@@ -159,7 +159,7 @@ class TestExchangeRelations:
         """(name, coords, realizable) at n columns: minor vectors of a random matrix, of a
         rank-2 one (all zero), of ones whose first triples vanish, and perturbations."""
         def minors(cols):
-            return pluecker(Mat3xM(tuple(cols))).coords
+            return pluecker(tuple(cols)).coords
 
         cols = [random_vec3(rng, 9) for _ in range(n)]
         realizable = minors(cols)
@@ -194,8 +194,8 @@ class TestExchangeRelations:
         # Pairwise coprime denominators: the cleared scale is a product of many primes.
         n = 7
         primes = iter(_PRIMES_NEAR_10K)
-        mat = Mat3xM(tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
-                           for _ in range(n)))
+        mat = tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
+                    for _ in range(n))
         realizable = pluecker(mat).coords
         perturbed = {k: v + F(rng.below(5) - 2, next(primes)) for k, v in realizable.items()}
         for coords, nonzero in ((realizable, False), (perturbed, True)):
@@ -216,8 +216,8 @@ class TestExchangeRelations:
     def test_relations_miss_a_vector_the_chart_rejects(self, walked):
         # With column 1 zero, every product in a 6-index relation has a factor whose
         # triple contains 1, so every residual is 0; columns 2..6 are not realizable.
-        cols = (vec3(0, 0, 0),) + _random_matrix(SplitMix64(53), 5).columns
-        coords = dict(pluecker(Mat3xM(cols)).coords)
+        cols = (vec3(0, 0, 0),) + _random_matrix(SplitMix64(53), 5)
+        coords = dict(pluecker(cols).coords)
         coords[4, 5, 6] += 1
         assert check_gp3(PlueckerVector(6, coords)) == exchange_residuals(6, coords) == [0] * 15
         assert walked
@@ -254,13 +254,13 @@ class TestExchangeRelations:
 class TestQuadIneq:
     def test_equality_configuration(self):
         gens = [vec3(0, 0, 1), vec3(0, 1, 1), vec3(1, 0, 1), vec3(1, 1, 1)]
-        q = abs_map(pluecker(Mat3xM(tuple(gens) + (E1, E2))))
+        q = abs_map(pluecker(tuple(gens) + (E1, E2)))
         report = check_quad_ineq(q)
         assert report.lhs == report.rhs == 16
         assert report.slack == 0 and report.holds
 
     def test_degenerate_columns(self):
-        q = abs_map(pluecker(Mat3xM((E1, E2, E3, E1, E2))))
+        q = abs_map(pluecker((E1, E2, E3, E1, E2)))
         report = check_quad_ineq(q)
         assert report.holds
         assert report.lhs == 1 and report.rhs == 1  # frozen by direct minor count
@@ -272,7 +272,7 @@ class TestQuadIneq:
         assert report.lhs == 0 and report.rhs == 0 and report.holds
 
     def test_needs_three_generators(self):
-        q = abs_map(pluecker(Mat3xM((E1, E2, E1, E2))))
+        q = abs_map(pluecker((E1, E2, E1, E2)))
         with pytest.raises(ValueError, match="need m >= 3, got 2"):
             check_quad_ineq(q)
 
@@ -289,7 +289,7 @@ class TestQuadIneq:
             if len(vectors) < 3:
                 continue
             m = len(vectors)
-            q = abs_map(pluecker(Mat3xM(tuple(vectors) + (E1, E2))))
+            q = abs_map(pluecker(tuple(vectors) + (E1, E2)))
             quad = check_quad_ineq(q)
             lemma = check_lemma_matrix(vectors)
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
@@ -297,7 +297,7 @@ class TestQuadIneq:
 
 class TestPlueckerCsv:
     def test_rows_in_lex_order(self):
-        p = pluecker(Mat3xM((E1, E2, E3, vec3(1, 1, 1))))
+        p = pluecker((E1, E2, E3, vec3(1, 1, 1)))
         assert render_pluecker_csv(p) == ("1,2,3,1\n"
                                           "1,2,4,1\n"
                                           "1,3,4,-1\n"

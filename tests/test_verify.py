@@ -1,3 +1,4 @@
+from dataclasses import astuple
 from fractions import Fraction
 from math import gcd
 
@@ -107,11 +108,11 @@ class TestScalingPerCheck:
 
 
 def _fraction_report(lhs, factor1, factor2, constant):
-    """ineq_report by Fraction arithmetic throughout."""
+    """ineq_report by Fraction arithmetic throughout: (lhs, rhs, slack, holds, ratio)."""
     product = factor1 * factor2
     slack = constant * product - lhs
-    return IneqReport(lhs=lhs, rhs=constant * product, slack=slack, holds=slack >= 0,
-                      ratio=lhs / product if product != 0 else None)
+    return (lhs, constant * product, slack, slack >= 0,
+            lhs / product if product != 0 else None)
 
 
 rationals = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
@@ -127,7 +128,7 @@ class TestIneqReport:
     @example(Fraction(6, 4), Fraction(-2, 3), Fraction(-9, 8), Fraction(2))
     def test_matches_fraction_formula(self, lhs, factor1, factor2, constant):
         report = ineq_report(lhs, factor1, factor2, constant)
-        assert report == _fraction_report(lhs, factor1, factor2, constant)
+        assert astuple(report) == _fraction_report(lhs, factor1, factor2, constant)
         for q in (report.rhs, report.slack, report.ratio):
             if q is not None:
                 assert type(q) is Fraction
@@ -139,11 +140,11 @@ positive = st.integers(min_value=1, max_value=10**6)
 
 
 class TestIntegerReport:
-    """`IneqReport._from_ints` against the Fraction formula, and its lazy fields."""
+    """The integer constructor against the Fraction formula, and its lazy fields."""
 
     @staticmethod
     def _pair(ln, ld, n1, d1, n2, d2, cn, cd):
-        return (IneqReport._from_ints(ln, ld, n1 * n2, d1 * d2, cn, cd),
+        return (IneqReport(ln, ld, n1 * n2, d1 * d2, cn, cd),
                 _fraction_report(Fraction(ln, ld), Fraction(n1, d1), Fraction(n2, d2),
                                  Fraction(cn, cd)))
 
@@ -156,34 +157,37 @@ class TestIntegerReport:
     @example(-6, 4, -2, 3, -9, 8, 2, 1)  # two negative factors
     def test_matches_fraction_formula(self, ln, ld, n1, d1, n2, d2, cn, cd):
         report, expected = self._pair(ln, ld, n1, d1, n2, d2, cn, cd)
-        assert report.holds == expected.holds
-        for name in ("lhs", "rhs", "slack", "ratio"):
+        lhs, rhs, slack, holds, ratio = expected
+        assert report.holds == holds
+        for name, value in (("lhs", lhs), ("rhs", rhs), ("slack", slack), ("ratio", ratio)):
             q = getattr(report, name)
-            assert q == getattr(expected, name)
+            assert q == value
             if q is not None:
                 assert type(q) is Fraction
                 assert q.denominator > 0 and gcd(q.numerator, q.denominator) == 1
-        assert report == expected
-        # Fresh reports: repr and hash build the fields themselves.
-        assert repr(self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]) == repr(expected)
-        assert hash(self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]) == hash(expected)
+        assert astuple(report) == expected
+        # Fresh reports: repr, hash and equality build the fields themselves.
+        assert repr(self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]) == repr(report) == (
+            f"IneqReport(lhs={lhs!r}, rhs={rhs!r}, slack={slack!r}, holds={holds!r}, "
+            f"ratio={ratio!r})")
+        assert hash(self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]) == hash(report)
         fresh = self._pair(ln, ld, n1, d1, n2, d2, cn, cd)[0]
-        assert fresh == expected and expected == fresh
+        assert fresh == report and report == fresh
 
     @given(ints, positive, ints, positive, ints, positive, positive, positive)
     @example(6, 4, -2, 3, 9, 8, 2, 1)
     def test_pairs_have_positive_denominators(self, ln, ld, n1, d1, n2, d2, cn, cd):
-        report, expected = self._pair(ln, ld, n1, d1, n2, d2, cn, cd)
-        for built in (report, expected):
-            slack, ratio = built._pairs()
-            assert slack[1] > 0 and Fraction(*slack) == expected.slack
-            if ratio is None:
-                assert expected.ratio is None
-            else:
-                assert ratio[1] > 0 and Fraction(*ratio) == expected.ratio
+        report, (_, _, expected_slack, _, expected_ratio) = self._pair(ln, ld, n1, d1, n2, d2,
+                                                                        cn, cd)
+        slack, ratio = report._pairs()
+        assert slack[1] > 0 and Fraction(*slack) == expected_slack
+        if ratio is None:
+            assert expected_ratio is None
+        else:
+            assert ratio[1] > 0 and Fraction(*ratio) == expected_ratio
 
     def test_fields_are_built_on_first_read_and_kept(self):
-        report = IneqReport._from_ints(4, 6, 10, 15, 3, 2)
+        report = IneqReport(4, 6, 10, 15, 3, 2)
         assert report.holds and "lhs" not in vars(report) and "ratio" not in vars(report)
         assert report.lhs is report.lhs == Fraction(2, 3)
         assert "lhs" in vars(report) and "slack" not in vars(report)
@@ -191,8 +195,7 @@ class TestIntegerReport:
         with pytest.raises(AttributeError):
             report.nothing
         with pytest.raises(AttributeError):
-            IneqReport(lhs=Fraction(1), rhs=Fraction(1), slack=Fraction(0), holds=True,
-                       ratio=None).nothing
+            IneqReport(1, 1, 0, 1).nothing
 
 
 def _bezout_by_volumes(a, b, c):
@@ -217,21 +220,21 @@ class TestChecksMatchFractionFormulas:
     @pytest.mark.parametrize("case", list(EDGE_CASES))
     def test_edge_cases(self, case):
         a, b, c = (Zonotope3.from_generators(g) for g in EDGE_CASES[case])
-        assert check_bezout(a, b, c) == _bezout_by_volumes(a, b, c)
-        assert check_af_square(a, b, c, a) == _af_square_by_volumes(a, b, c, a)
-        assert check_af_square(b, c, a, b) == _af_square_by_volumes(b, c, a, b)
+        assert astuple(check_bezout(a, b, c)) == _bezout_by_volumes(a, b, c)
+        assert astuple(check_af_square(a, b, c, a)) == _af_square_by_volumes(a, b, c, a)
+        assert astuple(check_af_square(b, c, a, b)) == _af_square_by_volumes(b, c, a, b)
         vectors = list(a.generators)
-        assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
+        assert astuple(check_lemma_matrix(vectors)) == _lemma_by_sums(vectors)
 
     @pytest.mark.parametrize("seed", [4, 2 ** 64 - 1])
     def test_fuzz_draws(self, seed):
         for t in range(100):
             rng = SplitMix64(trial_seed(seed, t))
             bodies = [random_zonotope(rng, 6, 16) for _ in range(4)]
-            assert check_bezout(*bodies[:3]) == _bezout_by_volumes(*bodies[:3])
-            assert check_af_square(*bodies) == _af_square_by_volumes(*bodies)
+            assert astuple(check_bezout(*bodies[:3])) == _bezout_by_volumes(*bodies[:3])
+            assert astuple(check_af_square(*bodies)) == _af_square_by_volumes(*bodies)
             vectors = random_vectors(rng, 6, 16)
-            assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
+            assert astuple(check_lemma_matrix(vectors)) == _lemma_by_sums(vectors)
 
     def test_lemma_on_the_sweep(self):
         # From SWEEP_MIN vectors on, the lemma's sums come from the sweep,
@@ -240,7 +243,7 @@ class TestChecksMatchFractionFormulas:
         draws = [random_vectors(rng, 40, 16) for _ in range(6)]
         assert sum(len(vectors) >= SWEEP_MIN for vectors in draws) >= 4
         for vectors in draws:
-            assert check_lemma_matrix(vectors) == _lemma_by_sums(vectors)
+            assert astuple(check_lemma_matrix(vectors)) == _lemma_by_sums(vectors)
 
 
 class TestTightnessRatio:
@@ -426,13 +429,12 @@ class TestFuzz:
         # Two reports of slack -2 in different terms; the largest ratio, 2,
         # comes through a negative factor.
         reports = [
-            IneqReport._from_ints(1, 2, 2, 1),  # slack 3/2, ratio 1/4
-            IneqReport._from_ints(3, 6, 1, 1),  # slack 1/2, ratio 1/2
+            IneqReport(1, 2, 2, 1),  # slack 3/2, ratio 1/4
+            IneqReport(3, 6, 1, 1),  # slack 1/2, ratio 1/2
             ineq_report(Fraction(-1), Fraction(-1, 2), Fraction(1)),  # slack 1/2, ratio 2
-            IneqReport(lhs=Fraction(0), rhs=Fraction(1, 2), slack=Fraction(1, 2), holds=True,
-                       ratio=Fraction(0)),
-            IneqReport._from_ints(-4, 2, -6, 3, 2, 1),  # slack -2, ratio 1
-            IneqReport._from_ints(-16, 8, -12, 6, 2, 1),  # slack -2, ratio 1
+            IneqReport(0, 1, 1, 2),  # slack 1/2, ratio 0
+            IneqReport(-4, 2, -6, 3, 2, 1),  # slack -2, ratio 1
+            IneqReport(-16, 8, -12, 6, 2, 1),  # slack -2, ratio 1
         ]
         trials = iter(enumerate(reports))
 
@@ -456,7 +458,7 @@ class TestFuzz:
 
         monkeypatch.setattr(verify, "SplitMix64", Recording)
         monkeypatch.setitem(TARGETS, "bezout",
-                            lambda rng, config: (IneqReport._from_ints(0, 1, 0, 1), 1, str))
+                            lambda rng, config: (IneqReport(0, 1, 0, 1), 1, str))
         fuzz(FuzzConfig(target="bezout", trials=2000, seed=seed))
         assert seen == [trial_seed(seed, t) for t in range(2000)]
 
