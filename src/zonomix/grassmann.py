@@ -6,6 +6,9 @@ absolute value carries all the minor sums the zonotope inequality compares.
 Realizable vectors satisfy the quadratic exchange relations checked here;
 appending the two unit columns e1, e2 to a generator matrix turns the
 zonotope inequality into a quadratic inequality in these coordinates.
+
+A minor vector is integers with one scale, as `Zonotope3.scaled` is, and
+every check reads those integers.
 """
 
 from __future__ import annotations
@@ -13,21 +16,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm
+from math import comb
 from typing import Sequence
 
 from .numeric import Vec3, det3, int_scaled, render_rational
-from .verify import IneqReport, ineq_report
+from .verify import IneqReport
 
 Subset3 = tuple[int, int, int]
 
 # Largest column count `pluecker` accepts.  check_gp3 settles a realizable
 # vector, which every `pluecker` output is, with C(n,3) integer determinants
-# in O(n^3): 0.5-0.7 ms at n = 12 and 1.5-2.0 ms at n = 16 (Python 3.11.7,
-# 2-core Intel Xeon).  It still returns its C(n,2) * C(n-2,4) zeros as one
-# list, 120,120 at n = 16 and 813,960 at n = 21.  Only a vector that fails
-# that test is walked relation by relation, O(n^6): 9-15 ms at n = 12 and
-# about 70 ms at n = 16.
+# in O(n^3): 0.3 ms at n = 12 and 1.1-1.3 ms at n = 16 (Python 3.11.7, 2-core
+# Intel Xeon), but still returns its C(n,2) * C(n-2,4) zeros as one list,
+# 120,120 at n = 16 and 813,960 at n = 21.  Only a vector that fails that
+# test is walked relation by relation, O(n^6): 8 ms at n = 12, 87 ms at 16.
 MAX_COLUMNS = 16
 
 ZERO = Fraction(0)
@@ -35,10 +37,11 @@ ZERO = Fraction(0)
 
 @dataclass(frozen=True)
 class PlueckerVector:
-    """All C(n,3) minors of a 3 x n matrix, keyed by ascending 1-based index triples."""
+    """All C(n,3) minors of a 3 x n matrix: coords[t] / scale, t an ascending 1-based triple."""
 
     n: int
-    coords: dict[Subset3, Fraction]
+    coords: dict[Subset3, int]
+    scale: int
 
     def __post_init__(self):
         expected = list(combinations(range(1, self.n + 1), 3))
@@ -52,7 +55,7 @@ def pluecker(columns: Sequence[Vec3]) -> PlueckerVector:
 
     The minors are taken on cleared integers: `int_scaled` multiplies the
     columns by L, the lcm of their denominators, so each integer
-    determinant is L^3 times the rational minor and becomes one `Fraction`.
+    determinant is L^3 times the rational minor, and L^3 is the scale.
     """
     n = len(columns)
     if n < 3:
@@ -60,15 +63,14 @@ def pluecker(columns: Sequence[Vec3]) -> PlueckerVector:
     if n > MAX_COLUMNS:
         raise ValueError(f"need at most {MAX_COLUMNS} columns, got {n}")
     cols, scale = int_scaled(columns)
-    cube = scale ** 3
-    coords = {(i + 1, j + 1, k + 1): Fraction(det3(cols[i], cols[j], cols[k]), cube)
+    coords = {(i + 1, j + 1, k + 1): det3(cols[i], cols[j], cols[k])
               for i, j, k in combinations(range(n), 3)}
-    return PlueckerVector(n=n, coords=coords)
+    return PlueckerVector(n, coords, scale ** 3)
 
 
 def abs_map(p: PlueckerVector) -> PlueckerVector:
-    """Componentwise absolute value; idempotent."""
-    return PlueckerVector(n=p.n, coords={k: abs(v) for k, v in p.coords.items()})
+    """Componentwise absolute value, at the same scale; idempotent."""
+    return PlueckerVector(p.n, {k: abs(v) for k, v in p.coords.items()}, p.scale)
 
 
 def check_gp3(p: PlueckerVector) -> list[Fraction]:
@@ -93,21 +95,18 @@ def check_gp3(p: PlueckerVector) -> list[Fraction]:
     M_abc^-1 M the columns C_j / q_abc; conversely C, one row divided by
     q_abc^2, is one.
 
-    A vector that fails the test is not realizable, but its residuals may
-    still all vanish (at n = 6, when every coordinate with one index is 0, so
-    is every residual).  It is walked relation by relation, O(n^6), on
-    cleared integers: every coordinate is multiplied by L, the lcm of their
-    denominators (for a `pluecker` vector L divides the cube of the matrix's
-    scale), so an integer residual r stands for r / L^2.
+    Both the test and the relations are homogeneous, so they run on the
+    integer coordinates.  A vector that fails the test is not realizable,
+    but its residuals may still all vanish (at n = 6, when every coordinate
+    with one index is 0, so is every residual).  It is walked relation by
+    relation, O(n^6), and an integer residual r stands for r / scale^2.
     """
     n = p.n
     if n < 6:
         return []
-    scale = lcm(*(v.denominator for v in p.coords.values()))
-    q = {t: v.numerator * (scale // v.denominator) for t, v in p.coords.items()}
-    if _chart_realizable(n, q):
+    if _chart_realizable(n, p.coords):
         return [ZERO] * (comb(n, 2) * comb(n - 2, 4))
-    return _relation_residuals(n, q, scale * scale)
+    return _relation_residuals(n, p.coords, p.scale ** 2)
 
 
 def _signed(q: dict[Subset3, int], i: int, j: int, k: int) -> int:
@@ -171,26 +170,26 @@ def check_quad_ineq(q: PlueckerVector) -> IneqReport:
             <= (sum over 2-subsets S of q_{S+(m+1,)}) * (same with m+2).
 
     Holds whenever q is the componentwise absolute value of a realizable
-    minor vector.
+    minor vector.  Both sides are sums of integer coordinates, each product
+    over the scale squared.
     """
     m = q.n - 2
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
-    for key, value in q.coords.items():
-        if value < 0:
-            raise ValueError(f"negative coordinate at {key}: {value}")
     coords = q.coords
-    body = sum((coords[idx] for idx in combinations(range(1, m + 1), 3)), Fraction(0))
-    seg = sum((coords[(i, m + 1, m + 2)] for i in range(1, m + 1)), Fraction(0))
-    side1 = sum((coords[(i, j, m + 1)] for i, j in combinations(range(1, m + 1), 2)),
-                Fraction(0))
-    side2 = sum((coords[(i, j, m + 2)] for i, j in combinations(range(1, m + 1), 2)),
-                Fraction(0))
-    return ineq_report(body * seg, side1, side2)
+    for key, value in coords.items():
+        if value < 0:
+            raise ValueError(f"negative coordinate at {key}: {Fraction(value, q.scale)}")
+    body = sum(coords[idx] for idx in combinations(range(1, m + 1), 3))
+    seg = sum(coords[i, m + 1, m + 2] for i in range(1, m + 1))
+    side1 = sum(coords[i, j, m + 1] for i, j in combinations(range(1, m + 1), 2))
+    side2 = sum(coords[i, j, m + 2] for i, j in combinations(range(1, m + 1), 2))
+    square = q.scale ** 2
+    return IneqReport(body * seg, square, side1 * side2, square)
 
 
 def render_pluecker_csv(p: PlueckerVector) -> str:
-    """CSV rows "i,j,k,value" in lexicographic subset order."""
-    lines = [f"{i},{j},{k},{render_rational(p.coords[(i, j, k)])}"
+    """CSV rows "i,j,k,value" in subset order; the one place a minor becomes a `Fraction`."""
+    lines = [f"{i},{j},{k},{render_rational(Fraction(p.coords[i, j, k], p.scale))}"
              for (i, j, k) in combinations(range(1, p.n + 1), 3)]
     return "\n".join(lines) + "\n"

@@ -103,10 +103,6 @@ def cross(a, b) -> Vec3:
     return Vec3(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def dot(a: Vec3, b: Vec3) -> Fraction:
-    return a.x * b.x + a.y * b.y + a.z * b.z
-
-
 def det3(a, b, c):
     """Determinant of the 3x3 matrix with columns a, b, c (any numeric 3-tuples).
 

@@ -39,7 +39,6 @@ from .numeric import (
     _angular_order,
     cross,
     det3,
-    dot,
     int_scaled,
     unscaled,
     vadd,
@@ -267,16 +266,17 @@ def volume_polytope(poly: PolytopeV) -> Fraction:
 
 
 def mv_seg_seg(poly: PolytopeV, u: Vec3, v: Vec3) -> Fraction:
-    """V(P, [0,u], [0,v]) = (max - min of <u x v, p> over vertices) / 6.
+    """V(P, [0,u], [0,v]) = (max - min of <u x v, p> over P) / 6, read from P's kept hull.
 
-    Vanishes for parallel segments; no normalization, so the result is exact
-    for arbitrary rational u, v.
+    With P's integer points at scale L and u, v cleared together at scale
+    L_uv, their heights along (L_uv u) x (L_uv v) span L L_uv^2 times that
+    width; 0 for parallel segments.  Exact for arbitrary rational u, v.
     """
-    normal = cross(u, v)
-    if normal == ZERO3:
-        return Fraction(0)
-    heights = [dot(normal, p) for p in poly.vertices]
-    return Fraction(max(heights) - min(heights), 6)
+    points, scale, _ = poly.hull
+    (uint, vint), uvscale = int_scaled((u, v))
+    nx, ny, nz = cross(uint, vint)
+    heights = [nx * x + ny * y + nz * z for x, y, z in points]
+    return Fraction(max(heights) - min(heights), 6 * scale * uvscale * uvscale)
 
 
 def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:

@@ -82,9 +82,13 @@ class Zonotope3:
         way the view lives in the instance dict, outside the dataclass
         fields, so equality, hashing and repr see the generators only.  The
         integer generators are a tuple because every volume of the body
-        shares them.
+        shares them.  An AttributeError raised in here would reach
+        `__getattr__` and be hidden, so it leaves as a TypeError.
         """
-        ints, scale = int_scaled(self.generators)
+        try:
+            ints, scale = int_scaled(self.generators)
+        except AttributeError as error:
+            raise TypeError(f"generators must be Vec3s: {error}") from error
         return tuple(ints), scale
 
 

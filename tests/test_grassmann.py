@@ -1,6 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import comb
+from math import comb, lcm
 
 import pytest
 
@@ -31,6 +31,24 @@ def _random_matrix(rng, n, bound=9):
     return tuple(random_vec3(rng, bound) for _ in range(n))
 
 
+def _coprime_matrix(rng, n):
+    """n columns whose 3n entries have pairwise coprime denominators, one prime each."""
+    primes = iter(_PRIMES_NEAR_10K)
+    return tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
+                 for _ in range(n))
+
+
+def _vector(n, coords):
+    """The minor vector of these rational coordinates, cleared to integers over their lcm."""
+    scale = lcm(*(F(v).denominator for v in coords.values()))
+    return PlueckerVector(n, {t: int(v * scale) for t, v in coords.items()}, scale)
+
+
+def _minors(p):
+    """The rational coordinates of a minor vector."""
+    return {t: F(v, p.scale) for t, v in p.coords.items()}
+
+
 class TestPluecker:
     def test_basis(self):
         p = pluecker((E1, E2, E3))
@@ -56,7 +74,7 @@ class TestPluecker:
 
     def test_coords_must_be_complete(self):
         with pytest.raises(ValueError, match="exactly the 4 3-subsets of 1..4"):
-            PlueckerVector(n=4, coords={})
+            PlueckerVector(n=4, coords={}, scale=1)
 
     def test_column_limit(self):
         assert len(pluecker((E1,) * MAX_COLUMNS).coords) == comb(MAX_COLUMNS, 3)
@@ -91,19 +109,30 @@ class TestPlueckerAgainstTheOracle:
     @pytest.mark.parametrize("n", [3, 6, 12, 16])
     def test_every_minor_is_the_leibniz_determinant(self, n, degenerate):
         mat = self._columns(n, degenerate)
-        coords = pluecker(mat).coords
+        p = pluecker(mat)
+        coords = p.coords
         assert list(coords) == list(combinations(range(1, n + 1), 3))
         for idx, value in coords.items():
-            assert value == leibniz_det3(*(mat[i - 1] for i in idx))
+            assert type(value) is int
+            assert Fraction(value, p.scale) == leibniz_det3(*(mat[i - 1] for i in idx))
         if degenerate:
             assert all(coords[idx] == 0 for idx in coords if 2 in idx or {1, n} <= set(idx))
 
-    def test_one_fraction_per_coordinate(self, monkeypatch):
-        built = []
-        monkeypatch.setattr(grassmann, "Fraction", lambda *args: built.append(args) or F(*args))
+    def test_no_fraction_between_matrix_and_verdict(self, monkeypatch, tmp_path, capsys):
         mat = self._columns(12, False)
-        assert len(pluecker(mat).coords) == len(built) == comb(12, 3)
-        assert all(type(num) is int and type(den) is int for num, den in built)
+        path = tmp_path / "twelve.mat"
+        path.write_text(render_matrix(mat))
+
+        def refuse(*args):
+            raise AssertionError(f"grassmann made a Fraction of {args}")
+
+        monkeypatch.setattr(grassmann, "Fraction", refuse)
+        p = pluecker(mat)
+        assert check_gp3(p) == [0] * (comb(12, 2) * comb(10, 4))
+        assert abs_map(p).scale == p.scale > 1
+        assert check_quad_ineq(abs_map(pluecker(mat[:-2] + (E1, E2)))).holds
+        assert main(["check", "grassmann", str(path)]) == 0
+        assert "nonzero residuals = 0" in capsys.readouterr().out
 
 
 class TestAbsMap:
@@ -114,13 +143,14 @@ class TestAbsMap:
         assert all(v >= 0 for v in q.coords.values())
 
     def test_zero_vector(self):
-        zero = PlueckerVector(3, {(1, 2, 3): F(0)})
+        zero = _vector(3, {(1, 2, 3): F(0)})
         assert abs_map(zero) == zero
 
     def test_idempotent(self):
         rng = SplitMix64(42)
         p = pluecker(_random_matrix(rng, 6))
         assert abs_map(abs_map(p)) == abs_map(p)
+        assert abs_map(p).scale == p.scale > 1
 
 
 class TestExchangeRelations:
@@ -140,9 +170,9 @@ class TestExchangeRelations:
     def test_perturbation_breaks_realizability(self):
         rng = SplitMix64(45)
         p = pluecker(_random_matrix(rng, 6))
-        coords = dict(p.coords)
+        coords = _minors(p)
         coords[(1, 2, 3)] += 1
-        perturbed = PlueckerVector(6, coords)
+        perturbed = _vector(6, coords)
         assert any(r != 0 for r in check_gp3(perturbed))
 
     @pytest.fixture
@@ -159,7 +189,7 @@ class TestExchangeRelations:
         """(name, coords, realizable) at n columns: minor vectors of a random matrix, of a
         rank-2 one (all zero), of ones whose first triples vanish, and perturbations."""
         def minors(cols):
-            return pluecker(tuple(cols)).coords
+            return _minors(pluecker(tuple(cols)))
 
         cols = [random_vec3(rng, 9) for _ in range(n)]
         realizable = minors(cols)
@@ -187,19 +217,19 @@ class TestExchangeRelations:
         rng = SplitMix64(49)
         for n in (6, 7, 8, 9):
             for name, coords, realizable in self._vectors(rng, n):
-                residuals = check_gp3(PlueckerVector(n, coords))
+                residuals = check_gp3(_vector(n, coords))
                 assert residuals == exchange_residuals(n, coords), (n, name)
                 assert any(r != 0 for r in residuals) != realizable, (n, name)
                 assert (set(coords.values()) == {0}) == (name == "rank 2")
         # Pairwise coprime denominators: the cleared scale is a product of many primes.
         n = 7
-        primes = iter(_PRIMES_NEAR_10K)
-        mat = tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
-                    for _ in range(n))
-        realizable = pluecker(mat).coords
+        primes = iter(_PRIMES_NEAR_10K[3 * n:])
+        realizable = _minors(pluecker(_coprime_matrix(rng, n)))
         perturbed = {k: v + F(rng.below(5) - 2, next(primes)) for k, v in realizable.items()}
         for coords, nonzero in ((realizable, False), (perturbed, True)):
-            residuals = check_gp3(PlueckerVector(n, coords))
+            vector = _vector(n, coords)
+            assert vector.scale.bit_length() > 150
+            residuals = check_gp3(vector)
             assert residuals == exchange_residuals(n, coords)
             assert any(r != 0 for r in residuals) == nonzero
 
@@ -209,7 +239,7 @@ class TestExchangeRelations:
             for _ in range(3):
                 for name, coords, _ in self._vectors(rng, n):
                     del walked[:]
-                    check_gp3(PlueckerVector(n, coords))
+                    check_gp3(_vector(n, coords))
                     oracle = exchange_residuals(n, coords)
                     assert bool(walked) == any(r != 0 for r in oracle), (n, name)
 
@@ -217,9 +247,9 @@ class TestExchangeRelations:
         # With column 1 zero, every product in a 6-index relation has a factor whose
         # triple contains 1, so every residual is 0; columns 2..6 are not realizable.
         cols = (vec3(0, 0, 0),) + _random_matrix(SplitMix64(53), 5)
-        coords = dict(pluecker(cols).coords)
+        coords = _minors(pluecker(cols))
         coords[4, 5, 6] += 1
-        assert check_gp3(PlueckerVector(6, coords)) == exchange_residuals(6, coords) == [0] * 15
+        assert check_gp3(_vector(6, coords)) == exchange_residuals(6, coords) == [0] * 15
         assert walked
 
     def test_realizable_cli_paths_never_walk_the_relations(self, monkeypatch, tmp_path, capsys):
@@ -268,7 +298,7 @@ class TestQuadIneq:
     def test_single_nonzero_coordinate(self):
         coords = {idx: F(0) for idx in combinations(range(1, 6), 3)}
         coords[(1, 2, 3)] = F(5)
-        report = check_quad_ineq(PlueckerVector(5, coords))
+        report = check_quad_ineq(_vector(5, coords))
         assert report.lhs == 0 and report.rhs == 0 and report.holds
 
     def test_needs_three_generators(self):
@@ -278,21 +308,24 @@ class TestQuadIneq:
 
     def test_rejects_negative_coordinate(self):
         coords = {idx: F(0) for idx in combinations(range(1, 6), 3)}
-        coords[(1, 2, 4)] = F(-1)
-        with pytest.raises(ValueError):
-            check_quad_ineq(PlueckerVector(5, coords))
+        for value in (F(-1), F(-3, 4)):
+            coords[(1, 2, 4)] = value
+            with pytest.raises(ValueError, match=rf"at \(1, 2, 4\): {value}$"):
+                check_quad_ineq(_vector(5, coords))
 
     def test_matches_generator_matrix_form(self):
         rng = SplitMix64(48)
-        for _ in range(60):
-            vectors = random_vectors(rng, 6, 9)
+        inputs = [random_vectors(rng, 6, 9) for _ in range(60)]
+        # Pairwise coprime denominators: the minors' scale is a product of many primes.
+        inputs.append(_coprime_matrix(rng, 7))
+        for vectors in inputs:
             if len(vectors) < 3:
                 continue
-            m = len(vectors)
             q = abs_map(pluecker(tuple(vectors) + (E1, E2)))
             quad = check_quad_ineq(q)
             lemma = check_lemma_matrix(vectors)
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
+        assert q.scale.bit_length() > 150
 
 
 class TestPlueckerCsv:

@@ -32,6 +32,7 @@ from zonomix.numeric import (
     sum_abs_det3_triples,
     vec3,
 )
+from zonomix.rng import SplitMix64, random_zonotope
 from zonomix.zonotope import Zonotope3
 from oracles import brute_mixed_volume, brute_volume, leibniz_det3
 
@@ -360,6 +361,36 @@ def test_check_kernels_on_one_generator_b_and_c():
     assert pairs_ab == sum_abs_det2_pairs(ys, zs) and pairs_ac == sum_abs_det2_pairs(xs, zs)
     assert triples == sum(abs(z) for z in zs)
     assert combos == brute_volume(ga)
+
+
+# A metamorphic referee at sizes the oracles cannot reach: an integer T with
+# det T = 1 leaves every |det| sum alone, while its 2^40 shears change every
+# plane image, float key and tie pattern the sweep sees.  An upper
+# unitriangular T keeps each generator's last nonzero coordinate, which is
+# the pivot coordinate the sweep divides by; its transpose moves it.
+SHEAR = ((1, 2 ** 40, 0), (0, 1, 2 ** 40 + 1), (0, 0, 1))
+UNIMODULAR = (SHEAR, tuple(zip(*SHEAR)))
+
+
+def _sampled_bodies(count, m, bound=16):
+    """The integer generators of `count` bodies of exactly m generators from
+    `rng.random_zonotope`, one per stream seed whose first draw (the count) is m."""
+    seeds = (s for s in itertools.count() if SplitMix64(s).randint(1, m) == m)
+    return [random_zonotope(SplitMix64(s), m, bound).scaled[0]
+            for s in itertools.islice(seeds, count)]
+
+
+def test_unimodular_image_keeps_the_check_sums_at_200_generators():
+    bodies = _sampled_bodies(4, 200)
+    assert [len(g) for g in bodies] == [200] * 4
+    kernels = ((sum_abs_det3_bezout, 3), (sum_abs_det3_af_square, 4))
+    sums = [kernel(*bodies[:count]) for kernel, count in kernels]
+    assert all(all(four) for four in sums)
+    for t in UNIMODULAR:
+        assert det3(*t) == 1
+        images = [[tuple(sum(a * c for a, c in zip(row, g)) for row in t) for g in gens]
+                  for gens in bodies]
+        assert [kernel(*images[:count]) for kernel, count in kernels] == sums, t
 
 
 @pytest.mark.parametrize("check, count", [("check_bezout", 3), ("check_af_square", 4)])

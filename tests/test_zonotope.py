@@ -163,6 +163,15 @@ class TestScaledCache:
         assert body.generators is body.generators and calls == [6]
         assert render_zonotope(body) == "zonotope3\n1 -1/2 0\n2/3 4 -5/6\n"
 
+    @pytest.mark.parametrize("gen", [(1, 2, 3), (0.5, 1.0, 2.0)])
+    def test_plain_tuple_generator_names_the_real_cause(self, gen):
+        # A failure inside `scaled` must not come out as a bare "AttributeError: scaled".
+        body = Zonotope3((gen,))
+        for read in (lambda: body.scaled, lambda: volume(body)):
+            with pytest.raises(TypeError, match="'tuple' object has no attribute 'x'"):
+                read()
+        assert volume(Zonotope3.from_generators([gen])) == 0
+
     @pytest.mark.parametrize("scale", [0, -1])
     def test_from_scaled_refuses_a_scale_below_one(self, scale):
         with pytest.raises(ValueError, match="scale"):
