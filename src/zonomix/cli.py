@@ -19,7 +19,6 @@ from typing import Optional
 
 from .grassmann import (
     MAX_COLUMNS,
-    ZERO,
     abs_map,
     check_gp3,
     check_quad_ineq,
@@ -125,8 +124,7 @@ def cmd_volume(args) -> int:
 def _relation_verdict(point) -> tuple[str, bool]:
     """The exchange-relation line for a minor vector, and whether every residual is 0."""
     residuals = check_gp3(point)
-    # Every zero check_gp3 returns is ZERO, which list.count matches by identity.
-    bad = len(residuals) - residuals.count(ZERO)
+    bad = len(residuals) - residuals.count(0)
     return (f"exchange relations checked = {len(residuals)}, nonzero residuals = {bad}",
             bad == 0)
 
@@ -248,16 +246,15 @@ def cmd_grassmann_sample(args) -> int:
     rng = SplitMix64(args.seed)
     columns = tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n))
     point = pluecker(columns)
+    relations, ok = _relation_verdict(point)
     if args.output == "csv":
         _emit(render_pluecker_csv(point), args)
-        return 0
-    relations, ok = _relation_verdict(point)
-    text = (f"# random 3x{args.n} matrix, seed {args.seed}\n"
-            + render_matrix(columns)
-            + f"# minor coordinates ({len(point.coords)}):\n"
-            + render_pluecker_csv(point)
-            + f"# {relations}\n")
-    _emit(text, args)
+    else:
+        _emit(f"# random 3x{args.n} matrix, seed {args.seed}\n"
+              + render_matrix(columns)
+              + f"# minor coordinates ({len(point.coords)}):\n"
+              + render_pluecker_csv(point)
+              + f"# {relations}\n", args)
     return 0 if ok else 1
 
 

@@ -8,7 +8,8 @@ appending the two unit columns e1, e2 to a generator matrix turns the
 zonotope inequality into a quadratic inequality in these coordinates.
 
 A minor vector is integers with one scale, as `Zonotope3.scaled` is, and
-every check reads those integers.
+every check reads those integers; an exchange residual is an integer over
+the scale squared.
 """
 
 from __future__ import annotations
@@ -26,13 +27,12 @@ Subset3 = tuple[int, int, int]
 
 # Largest column count `pluecker` accepts.  check_gp3 settles a realizable
 # vector, which every `pluecker` output is, with C(n,3) integer determinants
-# in O(n^3): 0.3 ms at n = 12 and 1.1-1.3 ms at n = 16 (Python 3.11.7, 2-core
-# Intel Xeon), but still returns its C(n,2) * C(n-2,4) zeros as one list,
-# 120,120 at n = 16 and 813,960 at n = 21.  Only a vector that fails that
-# test is walked relation by relation, O(n^6): 8 ms at n = 12, 87 ms at 16.
+# in O(n^3), but still returns its C(n,2) * C(n-2,4) integer zeros as one
+# list, 120,120 at n = 16 and 813,960 at n = 21: 0.3 ms at n = 12 and 0.5 ms
+# at n = 16 with the list.  Only a vector that fails that test is walked
+# relation by relation, O(n^6): 6 ms at n = 12, 46 ms at 16 (best of 7,
+# Python 3.11.7, 2-core Intel Xeon).
 MAX_COLUMNS = 16
-
-ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -73,7 +73,7 @@ def abs_map(p: PlueckerVector) -> PlueckerVector:
     return PlueckerVector(p.n, {k: abs(v) for k, v in p.coords.items()}, p.scale)
 
 
-def check_gp3(p: PlueckerVector) -> list[Fraction]:
+def check_gp3(p: PlueckerVector) -> list[int]:
     """Residuals of the quadratic exchange relations, one per (2-subset, 4-subset) pair.
 
     Write q[i,j,k] for distinct indices in any order: the coordinate of the
@@ -83,15 +83,16 @@ def check_gp3(p: PlueckerVector) -> list[Fraction]:
         q[S+t1] q[t2,t3,t4] - q[S+t2] q[t1,t3,t4]
             + q[S+t3] q[t1,t2,t4] - q[S+t4] q[t1,t2,t3]
 
-    vanishes on every minor vector of an actual matrix.  Returns the residual
-    values, C(n,2) * C(n-2,4) of them, ordered by S and then by T, both
-    lexicographically.  Nonempty only for n >= 6.
+    vanishes on every minor vector of an actual matrix.  Returns the residuals
+    on the integer coordinates, C(n,2) * C(n-2,4) of them, ordered by S and
+    then by T, both lexicographically; a residual r stands for r / scale^2.
+    Nonempty only for n >= 6.
 
     A vector that passes the affine-chart test (`_chart_realizable`, O(n^3))
-    is realizable, so it gets that many zeros without a relation being
-    visited.  Test: with q_abc the lexicographically first nonzero coordinate
-    and C_j = (q[j,b,c], q[a,j,c], q[a,b,j]), every det(C_i, C_j, C_k) must
-    equal q_abc^2 q_ijk.  Proof: for any matrix M of q, Cramer's rule gives
+    is realizable, so it gets that many integer zeros without a relation
+    being visited.  Test: with q_abc the lexicographically first nonzero
+    coordinate and C_j = (q[j,b,c], q[a,j,c], q[a,b,j]), every
+    det(C_i, C_j, C_k) must equal q_abc^2 q_ijk.  Proof: for any matrix M of q, Cramer's rule gives
     M_abc^-1 M the columns C_j / q_abc; conversely C, one row divided by
     q_abc^2, is one.
 
@@ -99,14 +100,14 @@ def check_gp3(p: PlueckerVector) -> list[Fraction]:
     integer coordinates.  A vector that fails the test is not realizable,
     but its residuals may still all vanish (at n = 6, when every coordinate
     with one index is 0, so is every residual).  It is walked relation by
-    relation, O(n^6), and an integer residual r stands for r / scale^2.
+    relation, O(n^6).
     """
     n = p.n
     if n < 6:
         return []
     if _chart_realizable(n, p.coords):
-        return [ZERO] * (comb(n, 2) * comb(n - 2, 4))
-    return _relation_residuals(n, p.coords, p.scale ** 2)
+        return [0] * (comb(n, 2) * comb(n - 2, 4))
+    return _relation_residuals(n, p.coords)
 
 
 def _signed(q: dict[Subset3, int], i: int, j: int, k: int) -> int:
@@ -138,26 +139,19 @@ def _chart_realizable(n: int, q: dict[Subset3, int]) -> bool:
     return all(det3(cols[i], cols[j], cols[k]) == square * v for (i, j, k), v in q.items())
 
 
-def _relation_residuals(n: int, ints: dict[Subset3, int], denominator: int) -> list[Fraction]:
-    """Every exchange-relation residual of the cleared vector `ints`, as
-    `check_gp3` orders them, each divided by `denominator`."""
-    # S is an ascending pair and T ascending, so S + t is the sorted triple,
-    # its cyclic shift (j, k, i) or the odd (i, k, j): only those are stored.
-    q = {}
-    for (i, j, k), c in ints.items():
-        q[i, j, k] = q[j, k, i] = c
-        q[i, k, j] = -c
+def _relation_residuals(n: int, q: dict[Subset3, int]) -> list[int]:
+    """Every exchange-relation residual of the integer vector q (ascending
+    triples as keys), as `check_gp3` orders them."""
     indices = range(1, n + 1)
     # The signed cofactor of each S + t_k, one tuple per 4-subset T.
     cofactors = {(t1, t2, t3, t4): (q[t2, t3, t4], -q[t1, t3, t4], q[t1, t2, t4], -q[t1, t2, t3])
                  for t1, t2, t3, t4 in combinations(indices, 4)}
     residuals = []
     for a, b in combinations(indices, 2):
-        row = [0] + [q[a, b, t] if t != a and t != b else 0 for t in indices]
+        row = [0] + [_signed(q, a, b, t) for t in indices]
         for t in combinations([i for i in indices if i != a and i != b], 4):
             c1, c2, c3, c4 = cofactors[t]
-            r = row[t[0]] * c1 + row[t[1]] * c2 + row[t[2]] * c3 + row[t[3]] * c4
-            residuals.append(Fraction(r, denominator) if r else ZERO)
+            residuals.append(row[t[0]] * c1 + row[t[1]] * c2 + row[t[2]] * c3 + row[t[3]] * c4)
     return residuals
 
 

@@ -94,10 +94,6 @@ E2 = vec3(0, 1, 0)
 E3 = vec3(0, 0, 1)
 
 
-def vadd(a: Vec3, b: Vec3) -> Vec3:
-    return Vec3(a.x + b.x, a.y + b.y, a.z + b.z)
-
-
 def cross(a, b) -> Vec3:
     """Cross product of two 3-tuples; like det3, exact for Vec3 and integer triples."""
     return Vec3(a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])

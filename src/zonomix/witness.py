@@ -15,11 +15,13 @@ support function of [0,u] at a unit normal n is max(0, <u, n>), and a facet
 triangle's cross-product normal has twice its area as length, so each
 triangle adds max(0, <u, normal>) / 6 and no irrational quantity ever
 appears.  A flat P has no facets: then V(P, P, [0,u]) is the volume of the
-pyramid conv(P, p + u) for any point p of P.  Each polytope is hulled once,
-on cleared integers, and every volume is read from that hull.
+pyramid conv(P, p + u) for any point p of P.  A polytope is its integer
+points over one scale, is hulled at most once, and every volume is read
+from those integers and that hull; no volume makes a rational vertex.
 
 `polytope_of_zonotope` gives a zonotope's vertices, not its 2^m subset sums:
-m^2 - m + 2 of them for m generators in general position.
+m^2 - m + 2 of them for m generators in general position, as integers at
+the body's own scale.
 """
 
 from __future__ import annotations
@@ -28,67 +30,63 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
-from typing import Iterable, NamedTuple, Optional
+from typing import Iterable, Optional
 
 from .numeric import (
     E1,
     E2,
-    E3,
     Vec3,
-    ZERO3,
     _angular_order,
     cross,
     det3,
     int_scaled,
     unscaled,
-    vadd,
     vec3,
 )
 from .verify import IneqReport, ineq_report
 from .zonotope import Zonotope3
 
 
-class _Hull(NamedTuple):
-    """The distinct points of a polytope cleared to integers, their scale L, and their hull."""
-
-    points: list[_IntPoint]
-    scale: int
-    facets: Optional[dict[_Face, _Plane]]
-
-
 @dataclass(frozen=True)
 class PolytopeV:
-    """A convex polytope given by (a superset of) its vertices; hull implied.
+    """A convex polytope given by (a superset of) its vertices, as integer points over one scale.
 
-    Duplicate and interior points are tolerated on input.  The hull is built
-    once, on first use, and kept with the polytope: the distinct input points
-    cleared to integers (L times the input), the scale L, and the facet
-    triangles of `_hull_facets` (None when the points are affinely
-    dependent).  Like `Zonotope3.scaled`, it lives in the instance dict,
-    outside the dataclass fields, so equality, hashing and repr see the
-    vertices only.
+    Point i is points[i] / scale, as in `Zonotope3.scaled`; the scale may be
+    any common multiple of the denominators.  Duplicate and interior points
+    are tolerated.  `from_vertices` takes
+    rational vertices and clears them once; `polytope_of_zonotope` passes a
+    body's integers as they are.  `facets` is the hull of the distinct
+    points, built on first use and kept: the facet triangles of
+    `_hull_facets`, None when the points are affinely dependent.  Like
+    `Zonotope3.scaled`, it lives in the instance dict, outside the dataclass
+    fields, so equality, hashing and repr see the points and scale only.
     """
 
-    vertices: tuple[Vec3, ...]
+    points: tuple[_IntPoint, ...]
+    scale: int
 
     def __post_init__(self):
-        if not self.vertices:
+        if not self.points:
             raise ValueError("polytope needs at least one vertex")
 
     @classmethod
     def from_vertices(cls, verts: Iterable) -> "PolytopeV":
-        return cls(tuple(v if isinstance(v, Vec3) else vec3(*v) for v in verts))
+        ints, scale = int_scaled([v if isinstance(v, Vec3) else vec3(*v) for v in verts])
+        return cls(tuple(ints), scale)
+
+    @property
+    def vertices(self) -> tuple[Vec3, ...]:
+        """The points as rational `Vec3`s, made on each read; no volume reads them."""
+        return unscaled(self.points, self.scale)
 
     @cached_property
-    def hull(self) -> _Hull:
-        ints, scale = int_scaled(self.vertices)
-        points = list(dict.fromkeys(ints))
-        return _Hull(points, scale, _hull_facets(points))
+    def facets(self) -> Optional[dict[_Face, _Plane]]:
+        return _hull_facets(list(dict.fromkeys(self.points)))
 
 
 def square_pyramid() -> PolytopeV:
     """conv(0, e1, e2, e1+e2, e3): unit square base with apex above a corner."""
-    return PolytopeV((ZERO3, E1, E2, vadd(E1, E2), E3))
+    return PolytopeV(((0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1)), 1)
 
 
 def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
@@ -102,8 +100,9 @@ def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
     both signs, and the vertices w of that plane zonotope (`_zonogon`).
     When no two generators are independent, the single direction of the
     first one (or none at all) gives the segment's two endpoints, or the
-    origin.  Works on the integer view; O(m^3) for the bases, plus the
-    in-plane sorts.
+    origin.  Works on the integer view and returns its points at the
+    body's scale, however that scale was chosen; O(m^3) for the bases,
+    plus the in-plane sorts.
     """
     ints, scale = zono.scaled
     gens = [g for g in ints if g != (0, 0, 0)]
@@ -133,7 +132,7 @@ def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
         for x, y, z in _zonogon(flat, n):
             points[px + x, py + y, pz + z] = None
             points[qx + x, qy + y, qz + z] = None
-    return PolytopeV(unscaled(points, scale))
+    return PolytopeV(tuple(points), scale)
 
 
 def _zonogon(gens: list[_IntPoint], n: _IntPoint) -> list[_IntPoint]:
@@ -261,26 +260,24 @@ def _six_volume(facets: Optional[dict[_Face, _Plane]]) -> int:
 
 def volume_polytope(poly: PolytopeV) -> Fraction:
     """Exact volume of the convex hull of the vertices; 0 if lower-dimensional."""
-    _, scale, facets = poly.hull
-    return Fraction(_six_volume(facets), 6 * scale ** 3)
+    return Fraction(_six_volume(poly.facets), 6 * poly.scale ** 3)
 
 
 def mv_seg_seg(poly: PolytopeV, u: Vec3, v: Vec3) -> Fraction:
-    """V(P, [0,u], [0,v]) = (max - min of <u x v, p> over P) / 6, read from P's kept hull.
+    """V(P, [0,u], [0,v]) = (max - min of <u x v, p> over P) / 6, read from P's integer points.
 
     With P's integer points at scale L and u, v cleared together at scale
     L_uv, their heights along (L_uv u) x (L_uv v) span L L_uv^2 times that
     width; 0 for parallel segments.  Exact for arbitrary rational u, v.
     """
-    points, scale, _ = poly.hull
     (uint, vint), uvscale = int_scaled((u, v))
     nx, ny, nz = cross(uint, vint)
-    heights = [nx * x + ny * y + nz * z for x, y, z in points]
-    return Fraction(max(heights) - min(heights), 6 * scale * uvscale * uvscale)
+    heights = [nx * x + ny * y + nz * z for x, y, z in poly.points]
+    return Fraction(max(heights) - min(heights), 6 * poly.scale * uvscale * uvscale)
 
 
 def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:
-    """V(P, P, [0,u]), read from the facet triangles of P's kept hull.
+    """V(P, P, [0,u]), read from P's facet triangles.
 
     With P cleared to integers at scale L and u at scale L_u, a triangle of
     integer normal n adds max(0, <L_u u, n>) / (6 L^2 L_u).  A flat P has
@@ -289,12 +286,12 @@ def mv_body_body_seg(poly: PolytopeV, u: Vec3) -> Fraction:
     P and the one apex p + L_u u hull to L^3 (L_u / L) times that volume,
     which shares the facet sum's denominator.
     """
-    points, scale, facets = poly.hull
+    points, scale, facets = poly.points, poly.scale, poly.facets
     (uint,), uscale = int_scaled((u,))
     ux, uy, uz = uint
     if facets is None:
         x, y, z = points[0]
-        six = _six_volume(_hull_facets(list(dict.fromkeys(points + [(x + ux, y + uy, z + uz)]))))
+        six = _six_volume(_hull_facets(list(dict.fromkeys(points + ((x + ux, y + uy, z + uz),)))))
     else:
         six = sum(max(0, nx * ux + ny * uy + nz * uz) for nx, ny, nz, _ in facets.values())
     return Fraction(six, 6 * scale * scale * uscale)

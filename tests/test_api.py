@@ -100,8 +100,8 @@ def _loaded_names(tree) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
-def _uncalled_public_names(package: Path, callers: list[Path]) -> list[str]:
-    """module.name for each public top-level def or class of `package` read nowhere else.
+def _uncalled_names(package: Path, callers: list[Path]) -> list[str]:
+    """module.name for each top-level def or class of `package` read nowhere else.
 
     A name counts as called when some statement of `package` or `callers`
     other than its own definition reads it.
@@ -112,14 +112,30 @@ def _uncalled_public_names(package: Path, callers: list[Path]) -> list[str]:
     reads += [(None, _loaded_names(ast.parse(path.read_text(), str(path)))) for path in callers]
     return [f"{stem}.{stmt.name}" for stem, stmt in statements
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not stmt.name.startswith("_")
             and not any(stmt.name in names for other, names in reads if other is not stmt)]
+
+
+def _package_and_callers() -> tuple[Path, list[Path]]:
+    return Path(zonomix.__file__).resolve().parent, sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def test_every_public_name_has_a_caller():
     # The list is exact both ways: a name that gains a caller leaves it.
-    package = Path(zonomix.__file__).resolve().parent
-    callers = sorted((ROOT / "perfbench").glob("*.py"))
-    uncalled = {name for name in _uncalled_public_names(package, callers)
-                if name.partition(".")[2] not in zonomix.__all__}
+    uncalled = {name for name in _uncalled_names(*_package_and_callers())
+                if not name.partition(".")[2].startswith("_")
+                and name.partition(".")[2] not in zonomix.__all__}
     assert uncalled == UNCALLED
+
+
+def test_every_private_name_has_a_reader():
+    # A private helper that a fold leaves behind has no reader at all.
+    assert [name for name in _uncalled_names(*_package_and_callers())
+            if name.partition(".")[2].startswith("_")] == []
+
+
+def test_private_name_check_sees_a_dead_helper(tmp_path):
+    (tmp_path / "mod.py").write_text("def _kept():\n    pass\n\n\n"
+                                     "def _dead():\n    return _dead()\n\n\n"
+                                     "class _Unread:\n    pass\n\n\n"
+                                     "def public():\n    return _kept()\n")
+    assert _uncalled_names(tmp_path, []) == ["mod._dead", "mod._Unread", "mod.public"]

@@ -250,6 +250,29 @@ class TestGrassmannSample:
     def test_bad_n(self, capsys):
         assert main(["grassmann-sample", "--n", "2"]) == 2
 
+    @pytest.mark.parametrize("output", ["text", "csv"])
+    def test_failing_verdict_exits_1_in_either_format(self, output, capsys, monkeypatch):
+        argv = ["grassmann-sample", "--n", "6", "--seed", "5", "--output", output]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+
+        def perturbed(columns):
+            point = grassmann.pluecker(columns)
+            coords = dict(point.coords)
+            coords[1, 2, 3] += 1
+            return grassmann.PlueckerVector(point.n, coords, point.scale)
+
+        monkeypatch.setattr(cli, "pluecker", perturbed)
+        assert main(argv) == 1
+        out = capsys.readouterr().out
+        # Only the coordinate (1, 2, 3) changes, and in text the verdict line.
+        changed = [(old, new) for old, new in zip(expected.splitlines(), out.splitlines())
+                   if old != new]
+        assert len(out.splitlines()) == len(expected.splitlines())
+        assert [old.split(",")[:3] for old, _ in changed[:1]] == [["1", "2", "3"]]
+        assert [new for _, new in changed[1:]] == (
+            ["# exchange relations checked = 15, nonzero residuals = 6"] if output == "text" else [])
+
 
 class TestResourceGuards:
     """A value just past each limit exits 2 naming the limit, before any work on it."""

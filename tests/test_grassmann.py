@@ -49,6 +49,11 @@ def _minors(p):
     return {t: F(v, p.scale) for t, v in p.coords.items()}
 
 
+def _residuals(p):
+    """The exchange residuals of a minor vector as rationals: each integer over scale^2."""
+    return [F(r, p.scale ** 2) for r in check_gp3(p)]
+
+
 class TestPluecker:
     def test_basis(self):
         p = pluecker((E1, E2, E3))
@@ -129,6 +134,14 @@ class TestPlueckerAgainstTheOracle:
         monkeypatch.setattr(grassmann, "Fraction", refuse)
         p = pluecker(mat)
         assert check_gp3(p) == [0] * (comb(12, 2) * comb(10, 4))
+        # A vector that fails the chart test is walked, on integers too.
+        rng = SplitMix64(47)
+        for n in range(6, 10):
+            q = pluecker(_random_matrix(rng, n))
+            coords = dict(q.coords)
+            coords[1, 2, 3] += 1
+            residuals = check_gp3(PlueckerVector(n, coords, q.scale))
+            assert any(residuals) and all(type(r) is int for r in residuals)
         assert abs_map(p).scale == p.scale > 1
         assert check_quad_ineq(abs_map(pluecker(mat[:-2] + (E1, E2)))).holds
         assert main(["check", "grassmann", str(path)]) == 0
@@ -217,7 +230,7 @@ class TestExchangeRelations:
         rng = SplitMix64(49)
         for n in (6, 7, 8, 9):
             for name, coords, realizable in self._vectors(rng, n):
-                residuals = check_gp3(_vector(n, coords))
+                residuals = _residuals(_vector(n, coords))
                 assert residuals == exchange_residuals(n, coords), (n, name)
                 assert any(r != 0 for r in residuals) != realizable, (n, name)
                 assert (set(coords.values()) == {0}) == (name == "rank 2")
@@ -229,7 +242,7 @@ class TestExchangeRelations:
         for coords, nonzero in ((realizable, False), (perturbed, True)):
             vector = _vector(n, coords)
             assert vector.scale.bit_length() > 150
-            residuals = check_gp3(vector)
+            residuals = _residuals(vector)
             assert residuals == exchange_residuals(n, coords)
             assert any(r != 0 for r in residuals) == nonzero
 

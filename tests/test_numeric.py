@@ -393,6 +393,61 @@ def test_unimodular_image_keeps_the_check_sums_at_200_generators():
         assert [kernel(*images[:count]) for kernel, count in kernels] == sums, t
 
 
+# More relations at those sizes.  Each catches a different fault: a pivot
+# spot-check sees a swapped class total, which cancels in a self-comparison;
+# additivity and scaling see a lost division by the pivot coordinate; the
+# unimodular images see a broken angular order.
+
+def _image(t, gens):
+    """The generators g mapped to T g, T given by its rows."""
+    return [tuple(sum(a * c for a, c in zip(row, g)) for row in t) for g in gens]
+
+
+def test_sweep_pivots_match_the_loop_at_200_generators():
+    ga, gb, gc, gd = _sampled_bodies(4, 200)
+    pivoted = ([(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)]
+               + [(d, (ga, gb, gc)) for d in gd])
+    spots = random.Random(200).sample(pivoted, 8)
+    # The sweep divides by the pivot's last nonzero coordinate; let it not be a unit.
+    assert any(abs(next(c for c in p[::-1] if c)) > 1 for p, _ in spots)
+    for spot in spots:
+        assert numeric._class_sweep([spot]) == numeric._class_loop([spot])
+
+
+def test_single_sums_add_over_a_split_of_a():
+    (whole,) = _sampled_bodies(1, 400)
+    gb, gc = _sampled_bodies(2, 200)
+    a1, a2 = whole[:150], whole[150:]
+    assert sum_abs_det3_triples(whole, gb, gc) == \
+        sum_abs_det3_triples(a1, gb, gc) + sum_abs_det3_triples(a2, gb, gc)
+    assert sum_abs_det3_combos(whole) == (sum_abs_det3_combos(a1) + sum_abs_det3_combos(a2)
+                                          + sum_abs_det3_pairs(a1, a2) + sum_abs_det3_pairs(a2, a1))
+
+
+def test_integer_map_scales_every_check_sum_by_its_determinant():
+    t = ((3, 1, 0), (0, 2, 1), (1, 0, -2))
+    d = det3(*t)
+    assert abs(d) > 1
+    bodies = _sampled_bodies(4, 200)
+    images = [_image(t, gens) for gens in bodies]
+    for kernel, count in ((sum_abs_det3_bezout, 3), (sum_abs_det3_af_square, 4)):
+        sums = kernel(*bodies[:count])
+        assert kernel(*images[:count]) == tuple(abs(d) * s for s in sums)
+
+
+def test_unimodular_image_keeps_the_single_sums_at_200_generators():
+    ga, gb, gc = _sampled_bodies(3, 200)
+
+    def sums(ga, gb, gc):
+        return (sum_abs_det3_triples(ga, gb, gc), sum_abs_det3_pairs(ga, gb),
+                sum_abs_det3_combos(gc))
+
+    expected = sums(ga, gb, gc)
+    assert all(expected)
+    for t in UNIMODULAR:
+        assert sums(*(_image(t, gens) for gens in (ga, gb, gc))) == expected, t
+
+
 @pytest.mark.parametrize("check, count", [("check_bezout", 3), ("check_af_square", 4)])
 def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_calls):
     g = _random_generators(random.Random(2), SWEEP_MIN)

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from zonomix import witness
-from zonomix.numeric import E1, E2, E3, ZERO3, cross, det3, vadd, vec3
+from zonomix.numeric import E1, E2, E3, ZERO3, cross, det3, int_scaled, vec3
 from zonomix.reduction import SStats, extremal_config
 from zonomix.rng import SplitMix64, random_vec3, random_zonotope
 from zonomix.witness import (
@@ -23,7 +23,7 @@ from oracles import brute_mixed_volume, random_rational, scale_vec, subset_sums
 
 F = Fraction
 
-TETRA = PolytopeV((ZERO3, E1, E2, E3))
+TETRA = PolytopeV.from_vertices((ZERO3, E1, E2, E3))
 CUBE_VERTS = PolytopeV.from_vertices(
     [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)])
 
@@ -51,7 +51,8 @@ class TestVolumePolytope:
             [(0, 0, 0), (1, 1, 1), (2, 2, 2), (3, 3, 3)])) == 0
 
     def test_duplicates_and_interior_points_tolerated(self):
-        padded = PolytopeV(TETRA.vertices + TETRA.vertices + (vec3("1/8", "1/8", "1/8"),))
+        padded = PolytopeV.from_vertices(
+            TETRA.vertices + TETRA.vertices + (vec3("1/8", "1/8", "1/8"),))
         assert volume_polytope(padded) == F(1, 6)
 
     def test_rational_coordinates(self):
@@ -83,7 +84,9 @@ class TestVolumePolytope:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            PolytopeV(())
+            PolytopeV((), 1)
+        with pytest.raises(ValueError):
+            PolytopeV.from_vertices(())
 
 
 class TestMvSegSeg:
@@ -122,9 +125,9 @@ class TestMvBodyBodySeg:
         assert volume_polytope(pyramid) == F(1, 3)
         # The sweep reads P's hull first, and Vol(P) reuses it.
         assert hulled == [5]
-        # The kept hull is not a field: equality, hash and repr are unchanged.
+        # The kept facets are not a field: equality, hash and repr are unchanged.
         fresh = square_pyramid()
-        assert "hull" in vars(pyramid) and "hull" not in vars(fresh)
+        assert "facets" in vars(pyramid) and "facets" not in vars(fresh)
         assert pyramid == fresh and hash(pyramid) == hash(fresh) and repr(pyramid) == repr(fresh)
 
     def test_sweep_hulls_only_vertices(self, monkeypatch):
@@ -132,7 +135,7 @@ class TestMvBodyBodySeg:
         # on P's hull; once P is hulled, the sweep builds no hull of its own.
         zono = Zonotope3.from_generators([(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 2, 3)])
         poly = polytope_of_zonotope(zono)
-        assert len(poly.vertices) == len({i for face in poly.hull.facets for i in face}) == 14
+        assert len(poly.points) == len({i for face in poly.facets for i in face}) == 14
         hulled = []
         monkeypatch.setattr(witness, "_hull_facets",
                             lambda pts: hulled.append(len(pts)) or _hull_facets(pts))
@@ -144,8 +147,13 @@ class TestMvBodyBodySeg:
 
 def _swept_reference(poly, u):
     """V(P, P, [0,u]) from a fresh hull of every point and its translate by u."""
-    swept = PolytopeV(poly.vertices + tuple(vadd(p, u) for p in poly.vertices))
-    return (volume_polytope(swept) - volume_polytope(PolytopeV(poly.vertices))) / 3
+    points = poly.vertices
+    swept = PolytopeV.from_vertices(points + tuple(_add(p, u) for p in points))
+    return (volume_polytope(swept) - volume_polytope(PolytopeV.from_vertices(points))) / 3
+
+
+def _add(a, b):
+    return tuple(x + y for x, y in zip(a, b))
 
 
 class TestMvBodyBodySegEdgeCases:
@@ -159,7 +167,7 @@ class TestMvBodyBodySegEdgeCases:
     ])
     def test_flat_bodies(self, points):
         poly = PolytopeV.from_vertices(points)
-        assert poly.hull.facets is None
+        assert poly.facets is None
         for u in self.SEGMENTS:
             assert mv_body_body_seg(poly, u) == _swept_reference(poly, u)
 
@@ -187,7 +195,7 @@ class TestMvBodyBodySegEdgeCases:
         rng = SplitMix64(55)
         for base in (TETRA, CUBE_VERTS, square_pyramid()):
             inner = [vec3(*(sum(c) / (2 * len(base.vertices)) for c in zip(*base.vertices)))]
-            padded = PolytopeV(base.vertices * 3 + tuple(inner))
+            padded = PolytopeV.from_vertices(base.vertices * 3 + tuple(inner))
             for _ in range(5):
                 u = random_vec3(rng, 9)
                 assert mv_body_body_seg(padded, u) == mv_body_body_seg(base, u) \
@@ -198,7 +206,7 @@ class TestMvBodyBodySegEdgeCases:
         poly = PolytopeV.from_vertices(
             [(0, 0, 0), ("1/2", 0, 0), (0, "3/4", 0), (0, 0, "5/8"), ("1/2", "3/4", "5/8")])
         u = vec3("1/3", "-2/5", "4/7")
-        assert poly.hull.scale == 8
+        assert poly.scale == 8
         assert mv_body_body_seg(poly, u) == _swept_reference(poly, u)
 
     @pytest.mark.parametrize("m", range(1, 7))
@@ -254,11 +262,45 @@ class TestCrossModuleAgreement:
         for _ in range(3):
             zono = Zonotope3(tuple(random_vec3(rng, 16) for _ in range(8)))
             poly = polytope_of_zonotope(zono)
-            assert len(poly.vertices) == 58
-            assert len({i for face in poly.hull.facets for i in face}) == 58
+            assert len(poly.points) == 58
+            assert len({i for face in poly.facets for i in face}) == 58
             assert volume_polytope(poly) == volume(zono)
             u = random_vec3(rng, 16)
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
+
+    def test_zonotope_route_stays_on_the_body_integers(self, monkeypatch):
+        made, cleared = [], []
+        monkeypatch.setattr(witness, "unscaled", lambda *args: made.append(args))
+        monkeypatch.setattr(witness, "int_scaled",
+                            lambda vectors: cleared.append(len(vectors)) or int_scaled(vectors))
+        rng = SplitMix64(56)
+        for _ in range(6):
+            zono = random_zonotope(rng, 8, 16)
+            poly = polytope_of_zonotope(zono)
+            assert poly.scale == zono.scaled[1]
+            u, v = random_vec3(rng, 16), random_vec3(rng, 16)
+            assert volume_polytope(poly) == volume(zono)
+            assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
+            assert mv_seg_seg(poly, u, v) == mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
+        # Nothing made rational vertices; only the segments were cleared.
+        assert made == [] and set(cleared) == {1, 2}
+
+    def test_body_scale_above_its_lcm(self):
+        # random_zonotope clears at the lcm of the drawn denominators, before
+        # any reduction, so 2/4 keeps a 4 where the lcm of reduced ones has 2.
+        rng = SplitMix64(59)
+        bodies = (random_zonotope(rng, 8, 6) for _ in range(200))
+        zono = next(z for z in bodies
+                    if len(z.scaled[0]) >= 4 and z.scaled[1] > int_scaled(z.generators)[1])
+        poly = polytope_of_zonotope(zono)
+        assert poly.scale == zono.scaled[1]
+        gens = zono.generators
+        u, v = random_vec3(rng, 6), random_vec3(rng, 6)
+        assert volume_polytope(poly) == volume(zono) == brute_mixed_volume(gens, gens, gens)
+        assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,))) \
+            == brute_mixed_volume(gens, gens, [u])
+        assert mv_seg_seg(poly, u, v) == mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,))) \
+            == brute_mixed_volume(gens, [u], [v])
 
 
 def _rank(vectors):
@@ -281,7 +323,7 @@ def _subset_sum_vertices(gens):
     for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
         if _rank(list(gens) + apexes + [e]) > _rank(list(gens) + apexes):
             apexes.append(e)
-    hull = PolytopeV.from_vertices(subset_sums(gens) + apexes).hull
+    hull = PolytopeV.from_vertices(subset_sums(gens) + apexes)
     planes = set(hull.facets.values())
     vertices = set()
     for x, y, z in hull.points:
@@ -342,8 +384,8 @@ class TestZonotopeVertices:
         # 40 directions in z = 0: a 2^40 subset-sum route would never return.
         zono = Zonotope3.from_generators([(1, k, 0) for k in range(-20, 20)])
         poly = polytope_of_zonotope(zono)
-        assert len(poly.vertices) == 80
-        assert poly.hull.facets is None
+        assert len(poly.points) == 80
+        assert poly.facets is None
         assert mv_body_body_seg(poly, E3) == mixed_volume_repeated(zono, Zonotope3((E3,)))
 
 
@@ -367,7 +409,7 @@ class TestPolytopeReferee:
         rng = SplitMix64(81)
         base = [random_vec3(rng, 7) for _ in range(6)]
         parallel = base + [scale_vec(F(-3, 2), g) for g in base]
-        coplanar = base + [vadd(a, b) for a, b in combinations(base[:4], 2)]
+        coplanar = base + [_add(a, b) for a, b in combinations(base[:4], 2)]
         zeros = base + [ZERO3] * 3 + [scale_vec(F(2), g) for g in base[:3]]
         for gens in (parallel, coplanar, zeros):
             assert len(gens) >= 12
