@@ -11,8 +11,11 @@ writer, `render_rows`.
 
 from __future__ import annotations
 
+import os
 import re
+import signal
 import sys
+import threading
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -88,10 +91,8 @@ def vec3(x, y, z) -> Vec3:
     return Vec3(Fraction(x), Fraction(y), Fraction(z))
 
 
-ZERO3 = vec3(0, 0, 0)
 E1 = vec3(1, 0, 0)
 E2 = vec3(0, 1, 0)
-E3 = vec3(0, 0, 1)
 
 
 def cross(a, b) -> Vec3:
@@ -144,12 +145,24 @@ def det3(a, b, c):
 # instead of 7 m^2.  On the loop each cross product is taken once and dotted
 # with every class it pairs with.  fuzz at its default m_max = 6 never
 # leaves the loop.
+#
+# A large sweep splits its pivots across processes, with the same integer
+# totals: see SPLIT_MIN and `_forked_sweep`.
 
 # Smallest size at which a sum sweeps instead of looping: the length of ga
 # for pairs and combos, the middle length of the three lists for triples
 # (both kernels pivot over the shortest list), and the longest list for the
 # four sums of a check.
 SWEEP_MIN = 9
+
+# Fewest plane images each process of a split sweep projects (see
+# `_sweep_processes`).  A fork, a child's exit and its reaping took about
+# 2 ms in a 19 MB process; a bezout sweep split over two processes there
+# broke even at about 6000 images (m = 48) and took 0.65-0.9 of the serial
+# time at 10,000 (m = 64) and 0.55-0.6 at 23,000 (m = 96; 2-vCPU Intel Xeon,
+# Python 3.11).  More than two processes, and larger calling processes, whose
+# forks cost more, were not measured.
+SPLIT_MIN = 5000
 
 
 def int_scaled(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int]:
@@ -260,13 +273,43 @@ def _three_classes2(items):
             2 * bc - (bx * cy - by * cx))
 
 
+class _Tails:
+    """The (pivot, classes) pairs (g[i], (g[i + 1:], b, c)) over the indices i of g.
+
+    Each pair is built when read, so a kernel holds one slice g[i + 1:] at a
+    time, where a list of the pairs would hold all m^2 / 2 references of the
+    slices at once.  `images` is the class lengths summed over the pivots.
+    """
+
+    def __init__(self, g, b=(), c=()):
+        self.g, self.b, self.c = g, b, c
+        m = len(g)
+        self.images = m * (m - 1) // 2 + m * (len(b) + len(c))
+
+    def __len__(self):
+        return len(self.g)
+
+    def __getitem__(self, i):
+        return self.g[i], (self.g[i + 1:], self.b, self.c)
+
+
 def _class_sweep(pivoted):
     """Sums of |det(p, u, v)| over the (p, (A, B, C)) pairs, by the classes of u and v.
 
     Returns the four totals over pairs u, v from A x A (i < j), A x B, A x C
-    and B x C.  Each pivot projects and sorts its three classes once; an
-    empty class costs nothing.
+    and B x C; `pivoted` is a list of the pairs or a `_Tails`.  Each pivot
+    projects and sorts its three classes once; an empty class costs nothing.
+    A large sweep splits its pivots across processes (`_sweep_processes`);
+    the totals are the same integers.
     """
+    images = (pivoted.images if isinstance(pivoted, _Tails)
+              else sum(len(c) for _, classes in pivoted for c in classes))
+    k = _sweep_processes(images)
+    return _sweep_pivots(pivoted) if k == 1 else _forked_sweep(pivoted, k)
+
+
+def _sweep_pivots(pivoted):
+    """`_class_sweep`'s four totals in this process, one pivot after another."""
     aa = ab = ac = bc = 0
     for p, classes in pivoted:
         images, f = _pivot_images(p, classes)
@@ -277,6 +320,101 @@ def _class_sweep(pivoted):
             ac += s_ac // f
             bc += s_bc // f
     return aa, ab, ac, bc
+
+
+def _sweep_processes(images):
+    """How many processes sweep pivots that project `images` plane images in all.
+
+    Each process takes at least SPLIT_MIN images, and there is at most one
+    per usable CPU.  A process without `os.fork`, or with a second thread
+    alive (which may hold a lock that a child would never see released),
+    sweeps alone.
+    """
+    if images < 2 * SPLIT_MIN or not hasattr(os, "fork") or _threads() != 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, images // SPLIT_MIN)
+
+
+def _threads():
+    """The threads alive in this process.
+
+    Linux lists every one in /proc/self/task, those started in C included;
+    elsewhere only the threads of the `threading` module are counted.
+    """
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return threading.active_count()
+
+
+def _forked_sweep(pivoted, k):
+    """`_sweep_pivots` over k interleaved shares of the pivots, shares 1 to k-1 in children.
+
+    Share j holds the pivots j, j + k, j + 2k, ...; interleaving balances
+    the shares when the classes shrink along the pivots (the A after each
+    pivot).  A child writes its four totals to a pipe in hex (which, unlike
+    decimal, has no digit limit) and leaves by `os._exit`, so it never
+    flushes this process's buffers or returns into the caller.  This process
+    sweeps share 0, and any share whose fork failed, while the children run,
+    and sweeps again any share whose child exits nonzero or writes something
+    other than four integers.  Signals wait while the children are forked,
+    so none can land between a fork and its record, and no child outlives
+    the call.
+    """
+    def sweep(j):
+        return _sweep_pivots(pivoted[i] for i in range(j, len(pivoted), k))
+
+    parent = os.getpid()
+    children = []  # (share, pid, read end of its pipe) of each child not yet reaped
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    try:
+        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        for j in range(1, k):
+            read, write = os.pipe()
+            pipe = open(read, "rb")
+            try:
+                pid = os.fork()
+            except OSError:
+                pipe.close()
+                os.close(write)
+                break
+            if not pid:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                with open(write, "wb") as out:
+                    out.write(" ".join(map("{:x}".format, sweep(j))).encode())
+                os._exit(0)
+            children.append((j, pid, pipe))
+            os.close(write)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        totals = [sweep(j) for j in (0, *range(len(children) + 1, k))]
+        while children:
+            j, pid, pipe = children[-1]
+            payload = pipe.read().split()
+            pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            children.pop()
+            try:
+                share = tuple(int(field, 16) for field in payload)
+            except ValueError:
+                share = ()
+            totals.append(share if not status and len(share) == 4 else sweep(j))
+        return tuple(map(sum, zip(*totals)))
+    finally:
+        if os.getpid() != parent:
+            os._exit(1)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for _, pid, pipe in children:
+            pipe.close()
+            try:
+                if not os.waitpid(pid, os.WNOHANG)[0]:  # still running
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
+            except ChildProcessError:  # reaped already: its pid may be another's now
+                pass
 
 
 def _class_loop(pivoted):
@@ -312,7 +450,7 @@ def sum_abs_det3_triples(ga, gb, gc):
     # Both paths pivot over the shortest list; the size rule reads the middle one.
     ga, gb, gc = sorted((ga, gb, gc), key=len)
     kernel = _class_loop if len(gb) < SWEEP_MIN else _class_sweep
-    return kernel((a, ((), gb, gc)) for a in ga)[3]
+    return kernel([(a, ((), gb, gc)) for a in ga])[3]
 
 
 def sum_abs_det3_pairs(ga, gb):
@@ -321,13 +459,14 @@ def sum_abs_det3_pairs(ga, gb):
     # pivots over gb, which sorts ga once per b.
     if len(ga) < SWEEP_MIN:
         return _class_loop((a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga))[3]
-    return _class_sweep((b, (ga, (), ())) for b in gb)[0]
+    return _class_sweep([(b, (ga, (), ())) for b in gb])[0]
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
-    kernel = _class_loop if len(g) < SWEEP_MIN else _class_sweep
-    return kernel((a, (g[i + 1:], (), ())) for i, a in enumerate(g))[0]
+    if len(g) < SWEEP_MIN:
+        return _class_loop((a, (g[i + 1:], (), ())) for i, a in enumerate(g))[0]
+    return _class_sweep(_Tails(g))[0]
 
 
 def sum_abs_det3_bezout(ga, gb, gc):
@@ -337,8 +476,9 @@ def sum_abs_det3_bezout(ga, gb, gc):
     four at once: the A x A pairs after each pivot make combos(A), the A x B
     and A x C pairs the two pair sums, and the B x C pairs the triples.
     """
-    kernel = _class_loop if max(len(ga), len(gb), len(gc)) < SWEEP_MIN else _class_sweep
-    return kernel((a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga))
+    if max(len(ga), len(gb), len(gc)) < SWEEP_MIN:
+        return _class_loop((a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga))
+    return _class_sweep(_Tails(ga, gb, gc))
 
 
 def sum_abs_det3_af_square(ga, gb, gc, gd):
@@ -347,7 +487,7 @@ def sum_abs_det3_af_square(ga, gb, gc, gd):
     Pivoting over D with the classes (A, B, C) gives all four at once.
     """
     kernel = _class_loop if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN else _class_sweep
-    return kernel((d, (ga, gb, gc)) for d in gd)
+    return kernel([(d, (ga, gb, gc)) for d in gd])
 
 
 def sum_abs_det2_pairs(us, vs):
@@ -369,9 +509,11 @@ def sum_abs_det2_pairs(us, vs):
 #   matrix:   "matrix 3 n", then 3 rows of n entries (none when n = 0).
 
 # Most generators one body file may hold, 3 coordinates each.  A check costs
-# O(m^2 log m) through one sweep for its four sums: at m = 800 and 2000,
-# check bezout took 3.0-3.4 s and 20 s, and check af-square 3.6-3.7 s and
-# 24-25 s (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+# O(m^2 log m) through one sweep for its four sums, split across the CPUs:
+# with 2 processes on a 2-vCPU Intel Xeon (Python 3.11, coordinates p/q with
+# |p|, q <= 16), check bezout took 1.0-1.4 s at m = 800 and 8.7-10.5 s at
+# m = 2000, and check af-square 1.2 s and 8.3-10.2 s; in one process, timed
+# alongside, 1.7-2.6 s and 15-17 s, and 2.2-2.9 s and 17-21 s.
 MAX_GENERATORS = 2000
 
 # Most bits one body file may clear to: its generator count times the bit
@@ -380,9 +522,9 @@ MAX_GENERATORS = 2000
 # with digits as well as with generators: check bezout took 17 s on 50
 # generators of 4000-digit integers.  Under this limit the generator cap is
 # the slowest input: on 2000 generators of 31-bit integers (64,000 bits) check
-# bezout took 22-23 s and check af-square 26-27 s, about as long as on the
-# cap's p/q with |p|, q <= 16 (50,000 bits), timed alongside (Python 3.11,
-# Intel Xeon).
+# bezout took 22-23 s and check af-square 26-27 s in one process, about as
+# long as on the cap's p/q with |p|, q <= 16 (50,000 bits), timed alongside
+# (Python 3.11, Intel Xeon); split over 2 CPUs, 12.8 s and 13.7 s.
 MAX_CLEARED_BITS = 2 ** 16
 
 # A line of a text file: a run between the line boundaries of str.splitlines.

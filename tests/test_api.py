@@ -100,8 +100,22 @@ def _loaded_names(tree) -> set[str]:
             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)}
 
 
+def _defined_names(stmt) -> list[str]:
+    """Names a top-level statement defines: a def or class, or the names an assignment binds.
+
+    Dunder names such as ``__all__`` are read by the import system, not by code.
+    """
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if not isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        return []
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+    return [node.id for target in targets for node in ast.walk(target)
+            if isinstance(node, ast.Name) and not node.id.startswith("__")]
+
+
 def _uncalled_names(package: Path, callers: list[Path]) -> list[str]:
-    """module.name for each top-level def or class of `package` read nowhere else.
+    """module.name for each top-level def, class or constant of `package` read nowhere else.
 
     A name counts as called when some statement of `package` or `callers`
     other than its own definition reads it.
@@ -110,9 +124,8 @@ def _uncalled_names(package: Path, callers: list[Path]) -> list[str]:
                   for stmt in ast.parse(path.read_text(), str(path)).body]
     reads = [(stmt, _loaded_names(stmt)) for _, stmt in statements]
     reads += [(None, _loaded_names(ast.parse(path.read_text(), str(path)))) for path in callers]
-    return [f"{stem}.{stmt.name}" for stem, stmt in statements
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-            and not any(stmt.name in names for other, names in reads if other is not stmt)]
+    return [f"{stem}.{name}" for stem, stmt in statements for name in _defined_names(stmt)
+            if not any(name in names for other, names in reads if other is not stmt)]
 
 
 def _package_and_callers() -> tuple[Path, list[Path]]:
@@ -134,8 +147,12 @@ def test_every_private_name_has_a_reader():
 
 
 def test_private_name_check_sees_a_dead_helper(tmp_path):
-    (tmp_path / "mod.py").write_text("def _kept():\n    pass\n\n\n"
+    (tmp_path / "mod.py").write_text("__all__ = ['public']\n"
+                                     "_LIMIT = 3\n"
+                                     "_DEAD, _UNREAD = 1, 2\n\n\n"
+                                     "def _kept():\n    return _LIMIT\n\n\n"
                                      "def _dead():\n    return _dead()\n\n\n"
                                      "class _Unread:\n    pass\n\n\n"
                                      "def public():\n    return _kept()\n")
-    assert _uncalled_names(tmp_path, []) == ["mod._dead", "mod._Unread", "mod.public"]
+    assert _uncalled_names(tmp_path, []) == ["mod._DEAD", "mod._UNREAD", "mod._dead",
+                                             "mod._Unread", "mod.public"]

@@ -1,3 +1,5 @@
+import os
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -8,9 +10,13 @@ import pytest
 from zonomix import cli, grassmann, numeric, verify, zonotope
 from zonomix.cli import main
 from zonomix.grassmann import MAX_COLUMNS
-from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, E3, render_matrix, vec3
+from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, render_matrix, vec3
 from zonomix.verify import MAX_COEFF_BOUND, MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
+from test_numeric import serial, split_forks
+
+
+E3 = vec3(0, 0, 1)
 
 
 @pytest.fixture
@@ -118,6 +124,47 @@ class TestCheck:
         assert main(["check", target, *(files[n] for n in names)]) == 1
         texts = [Path(files[n]).read_text() for n in names]
         assert capsys.readouterr().err == "violated by input:\n" + "".join(texts)
+
+
+class TestSplitSweep:
+    """check bezout on bodies of about 100 generators sweeps in three processes.
+
+    A child that flushed this process's buffers, or returned into `main`,
+    would print the report twice; the fd-level capture sees both.
+    """
+
+    @pytest.fixture
+    def bodies(self, tmp_path):
+        rnd = random.Random(23)
+        paths = []
+        for label, m in (("a", 100), ("b", 99), ("c", 101)):
+            gens = [[Fraction(rnd.randint(-16, 16), rnd.randint(1, 16)) for _ in range(3)]
+                    for _ in range(m)]
+            path = tmp_path / f"{label}.zt"
+            path.write_text(render_zonotope(Zonotope3.from_generators(gens)))
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("output", ["text", "csv"])
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+    def test_report_is_printed_once_as_the_serial_run_prints_it(
+            self, bodies, output, to_file, tmp_path, capfd, monkeypatch):
+        def run(path):
+            argv = ["check", "bezout", *bodies, "--output", output]
+            code = main(argv + ["--out", str(path)] if to_file else argv)
+            captured = capfd.readouterr()
+            report = path.read_text() if to_file else captured.out
+            return code, captured.out, captured.err, report
+
+        expected = serial(run, tmp_path / "serial.out")
+        forks = split_forks(monkeypatch)
+        code, out, err, report = run(tmp_path / "split.out")
+        assert len(forks) == 2
+        assert (code, out, err, report) == expected
+        assert report.count(report.splitlines()[0]) == 1
+        assert out == ("" if to_file else report)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestFuzzCommand:

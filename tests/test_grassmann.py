@@ -15,11 +15,12 @@ from zonomix.grassmann import (
     render_pluecker_csv,
 )
 from zonomix.cli import main
-from zonomix.numeric import E1, E2, E3, render_matrix, vec3
+from zonomix.numeric import E1, E2, render_matrix, vec3
 from zonomix.rng import SplitMix64, random_vec3, random_vectors
 from zonomix.verify import check_lemma_matrix
 from oracles import exchange_residuals, leibniz_det3
 
+E3 = vec3(0, 0, 1)
 F = Fraction
 
 # The 63 primes between 10^4 and 10,600 (trial division up to sqrt(10,600) < 103): one per

@@ -1,6 +1,9 @@
 import itertools
+import os
 import random
+import signal
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 from math import comb, lcm
@@ -15,7 +18,6 @@ from zonomix.numeric import (
     SWEEP_MIN,
     E1,
     E2,
-    E3,
     Vec3,
     det3,
     int_scaled,
@@ -36,6 +38,7 @@ from zonomix.rng import SplitMix64, random_zonotope
 from zonomix.zonotope import Zonotope3
 from oracles import brute_mixed_volume, brute_volume, leibniz_det3
 
+E3 = vec3(0, 0, 1)
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
 vectors = st.builds(Vec3, rationals, rationals, rationals)
 
@@ -459,6 +462,271 @@ def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_cal
     # One list at SWEEP_MIN: one sweep gives all four sums.
     assert getattr(verify, check)(*[small] * (count - 1), big).holds
     assert kernel_calls == ["sweep"]
+
+
+# A sweep over at least 2 * SPLIT_MIN plane images splits its pivots across
+# processes.  The pivots' totals are integers that add exactly, so the split
+# must give the serial sums whatever happens to a share: a fork that fails,
+# a child that dies or writes a malformed payload.  No child may outlive the
+# call that forked it.
+
+def split_forks(monkeypatch, cpus=3):
+    """Let every sweep use `cpus` CPUs; returns the list that records each fork."""
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
+    return forks
+
+
+def serial(kernel, *args):
+    """kernel(*args) with every sweep in this process."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(numeric, "SPLIT_MIN", 10 ** 9)
+        return kernel(*args)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """`split_forks` for one test, which must leave no child process behind."""
+    forks = split_forks(monkeypatch)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(scope="module")
+def bodies_200():
+    return _sampled_bodies(4, 200)
+
+
+def _images(pivoted):
+    return sum(len(c) for _, classes in pivoted for c in classes)
+
+
+def test_split_sums_equal_the_serial_sums(bodies_200, forks):
+    ga, gb, gc, gd = bodies_200
+    for kernel, args in ((sum_abs_det3_bezout, (ga, gb, gc)),
+                         (sum_abs_det3_af_square, (ga, gb, gc, gd)),
+                         (sum_abs_det3_triples, (ga, gb, gc)),
+                         (sum_abs_det3_pairs, (ga, gb)),
+                         (sum_abs_det3_combos, (ga,))):
+        expected = serial(kernel, *args)
+        forks.clear()
+        assert kernel(*args) == expected, kernel.__name__
+        assert len(forks) == 2, kernel.__name__  # three CPUs: two children
+    assert all(type(s) is int for s in sum_abs_det3_bezout(ga, gb, gc))
+
+
+@pytest.mark.parametrize("failing", [0, 1])
+def test_a_failed_fork_leaves_its_shares_to_this_process(bodies_200, forks, monkeypatch,
+                                                         failing):
+    pivoted = numeric._Tails(*bodies_200[:3])
+    expected = numeric._sweep_pivots(pivoted)
+    fork = os.fork
+
+    def fork_or_fail():  # the fork numbered `failing`, from 0, fails
+        if len(forks) == failing:
+            raise OSError("no more processes")
+        return fork()
+
+    monkeypatch.setattr(os, "fork", fork_or_fail)
+    assert numeric._class_sweep(pivoted) == expected
+    assert len(forks) == failing
+
+
+@pytest.mark.parametrize("fault", ["raises", "killed", "three-totals", "killed-after-writing"])
+def test_a_failed_child_share_is_swept_again_here(bodies_200, forks, monkeypatch, tmp_path,
+                                                  fault):
+    pivoted = numeric._Tails(*bodies_200[:3])
+    expected = numeric._sweep_pivots(pivoted)
+    parent, sweep, here = os.getpid(), numeric._sweep_pivots, []
+
+    def faulty(shares):
+        shares = list(shares)
+        if os.getpid() == parent:
+            here.append(shares)
+            return sweep(shares)
+        if fault == "raises":
+            raise RuntimeError("child fault")
+        if fault == "killed":
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sweep(shares)[:3] if fault == "three-totals" else sweep(shares)
+
+    monkeypatch.setattr(numeric, "_sweep_pivots", faulty)
+    if fault == "killed-after-writing":
+        # A whole payload, then a signal in place of the clean exit.
+        monkeypatch.setattr(os, "_exit", lambda code: os.kill(os.getpid(), signal.SIGKILL))
+    escaped = tmp_path / "escaped"
+    try:
+        assert numeric._class_sweep(pivoted) == expected
+    finally:
+        if os.getpid() != parent:  # a failed child came back into its caller
+            escaped.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+    assert not escaped.exists()
+    # Share 0 here, then the two child shares again, each exactly once.
+    assert len(forks) == 2
+    shares = [[pivoted[i] for i in range(j, len(pivoted), 3)] for j in range(3)]
+    assert sorted(map(len, here)) == sorted(map(len, shares))
+    assert here[0] == shares[0]
+
+
+def test_an_error_here_kills_and_reaps_every_child(bodies_200, forks, monkeypatch):
+    pivoted = numeric._Tails(*bodies_200[:3])
+    parent, sweep = os.getpid(), numeric._sweep_pivots
+
+    def fails_here(shares):
+        if os.getpid() == parent:
+            raise RuntimeError("parent fault")
+        return sweep(shares)
+
+    monkeypatch.setattr(numeric, "_sweep_pivots", fails_here)
+    with pytest.raises(RuntimeError, match="parent fault"):
+        numeric._class_sweep(pivoted)
+    assert len(forks) == 2  # the fixture then finds no child left
+
+
+class Interrupt(Exception):
+    """Raised by a patched call or a signal handler, as KeyboardInterrupt would be."""
+
+
+def test_an_interrupt_after_a_reap_leaves_the_reaped_child_alone(bodies_200, forks,
+                                                                 monkeypatch):
+    # The interrupt lands after os.waitpid has reaped a child and before the
+    # child leaves the record; its pid may already be another process's.
+    waitpid, kill, reaped, killed = os.waitpid, os.kill, [], []
+
+    def reap_then_interrupt(pid, options):
+        status = waitpid(pid, options)
+        if not options and not reaped:
+            reaped.append(pid)
+            raise Interrupt
+        return status
+
+    monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
+    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+    with pytest.raises(Interrupt):
+        numeric._class_sweep(numeric._Tails(*bodies_200[:3]))
+    assert len(forks) == 2 and len(reaped) == 1
+    assert reaped[0] not in killed
+
+
+def test_an_interrupt_at_a_fork_waits_until_the_child_is_on_record(bodies_200, forks,
+                                                                   monkeypatch):
+    def interrupt(signum, frame):
+        raise Interrupt
+
+    fork, parent = os.fork, os.getpid()
+
+    def fork_then_signal():
+        pid = fork()
+        if pid:
+            os.kill(parent, signal.SIGUSR1)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork_then_signal)
+    handler = signal.signal(signal.SIGUSR1, interrupt)
+    try:
+        with pytest.raises(Interrupt):
+            numeric._class_sweep(numeric._Tails(*bodies_200[:3]))
+    finally:
+        signal.signal(signal.SIGUSR1, handler)
+    assert len(forks) == 2  # the fixture then finds neither child left
+
+
+def test_no_fork_while_a_second_thread_is_alive(bodies_200, forks):
+    ga, gb, gc, _ = bodies_200
+    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
+    done = threading.Event()
+    waiter = threading.Thread(target=done.wait)
+    waiter.start()
+    try:
+        assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    finally:
+        done.set()
+        waiter.join(timeout=10)
+    assert not waiter.is_alive()
+    assert forks == []
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    assert len(forks) == 2
+
+
+@pytest.mark.parametrize("listed", [True, False])
+def test_threads_are_counted_where_the_os_lists_them(bodies_200, forks, monkeypatch, listed):
+    # Linux lists a thread started in C, which `threading` never sees;
+    # elsewhere the count falls back to `threading`.
+    listdir = os.listdir
+
+    def tasks(path):
+        if path != "/proc/self/task":
+            return listdir(path)
+        if listed:
+            return ["1", "2"]
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(os, "listdir", tasks)
+    ga, gb, gc, _ = bodies_200
+    assert sum_abs_det3_bezout(ga, gb, gc) == serial(sum_abs_det3_bezout, ga, gb, gc)
+    assert len(forks) == (0 if listed else 2)
+
+
+def test_one_process_per_cpu_and_per_split_min_images(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
+    assert numeric._sweep_processes(10 ** 6) == 16
+    assert numeric._sweep_processes(3 * numeric.SPLIT_MIN + 1) == 3
+    assert numeric._sweep_processes(2 * numeric.SPLIT_MIN - 1) == 1
+
+
+def test_tails_are_the_pairs_of_a_pivot_over_its_own_list():
+    rnd = random.Random(16)
+    for sizes in itertools.product((0, 1, 5), repeat=3):
+        ga, gb, gc = (_random_generators(rnd, m) for m in sizes)
+        tails = numeric._Tails(ga, gb, gc)
+        pairs = list(tails)
+        assert pairs == [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)]
+        assert len(tails) == len(ga)
+        assert tails.images == _images(pairs)
+
+
+def test_a_tail_sweep_holds_one_slice_at_a_time():
+    (g,) = _sampled_bodies(1, 300)
+    slices = sum(sys.getsizeof(g[i + 1:]) for i in range(len(g)))
+    tracemalloc.start()
+    try:
+        serial(sum_abs_det3_combos, g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # A list of all the (pivot, classes) pairs peaked at 435 KB, above the
+    # 371 KB of the slices; one pair at a time, 105 KB.
+    assert peak < slices / 2
+
+
+def _pivots_projecting(gens, images):
+    """Pivots from `gens` whose classes hold `images` generators in all."""
+    whole, rest = divmod(images, len(gens))
+    return ([(gens[i % len(gens)], (gens, (), ())) for i in range(whole)]
+            + [(gens[0], (gens[:rest], (), ()))])
+
+
+def test_a_split_starts_at_twice_split_min_images(forks):
+    rnd = random.Random(15)
+    gens = [tuple(rnd.randint(-9, 9) for _ in range(3)) for _ in range(99)]
+    threshold = 2 * numeric.SPLIT_MIN
+    below, at = _pivots_projecting(gens, threshold - 1), _pivots_projecting(gens, threshold)
+    assert (_images(below), _images(at)) == (threshold - 1, threshold)
+    assert numeric._class_sweep(below) == numeric._sweep_pivots(below)
+    assert forks == []
+    assert numeric._class_sweep(at) == numeric._sweep_pivots(at)
+    assert len(forks) == 1  # 2 * SPLIT_MIN images: two processes
+
+
+def test_one_cpu_sweeps_alone(bodies_200, monkeypatch):
+    forks = split_forks(monkeypatch, cpus=1)
+    ga, gb, gc, _ = bodies_200
+    assert sum_abs_det3_bezout(ga, gb, gc) == serial(sum_abs_det3_bezout, ga, gb, gc)
+    assert forks == []
 
 
 class TestRationalLiterals:

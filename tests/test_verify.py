@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from zonomix import verify, zonotope
-from zonomix.numeric import SWEEP_MIN, E1, E2, E3, Vec3, vec3
+from zonomix.numeric import SWEEP_MIN, E1, E2, Vec3, vec3
 from zonomix.rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from zonomix.verify import (
     TARGETS,
@@ -29,6 +29,7 @@ from zonomix.zonotope import (
 from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume
 from test_numeric import EDGE_CASES
 
+E3 = vec3(0, 0, 1)
 CUBE = Zonotope3((E1, E2, E3))
 SEG1 = Zonotope3((E1,))
 SEG2 = Zonotope3((E2,))

@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 
 from zonomix import witness
-from zonomix.numeric import E1, E2, E3, ZERO3, cross, det3, int_scaled, vec3
+from zonomix.numeric import E1, E2, cross, det3, int_scaled, vec3
 from zonomix.reduction import SStats, extremal_config
 from zonomix.rng import SplitMix64, random_vec3, random_zonotope
 from zonomix.witness import (
@@ -21,6 +21,8 @@ from zonomix.witness import (
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
 from oracles import brute_mixed_volume, random_rational, scale_vec, subset_sums
 
+E3 = vec3(0, 0, 1)
+ZERO3 = vec3(0, 0, 0)
 F = Fraction
 
 TETRA = PolytopeV.from_vertices((ZERO3, E1, E2, E3))

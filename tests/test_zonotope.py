@@ -4,7 +4,7 @@ from itertools import permutations
 import pytest
 
 from zonomix import zonotope
-from zonomix.numeric import E1, E2, E3, det3, vec3
+from zonomix.numeric import E1, E2, det3, vec3
 from zonomix.rng import SplitMix64, random_vec3, random_zonotope
 from zonomix.zonotope import (
     Zonotope3,
@@ -23,6 +23,7 @@ from oracles import (
     scale_vec,
 )
 
+E3 = vec3(0, 0, 1)
 CUBE = Zonotope3((E1, E2, E3))
 SEG1 = Zonotope3((E1,))
 SEG2 = Zonotope3((E2,))
