@@ -11,6 +11,9 @@ writer, `render_rows`.
 
 from __future__ import annotations
 
+import atexit
+import gc
+import marshal
 import os
 import re
 import signal
@@ -147,7 +150,9 @@ def det3(a, b, c):
 # leaves the loop.
 #
 # A large sweep splits its pivots across processes, with the same integer
-# totals: see SPLIT_MIN and `_forked_sweep`.
+# totals.  The first sweep that splits forks helper processes, and they
+# serve every later one; no helper outlives the process.  See SPLIT_MIN
+# and `_split_sweep`.
 
 # Smallest size at which a sum sweeps instead of looping: the length of ga
 # for pairs and combos, the middle length of the three lists for triples
@@ -156,13 +161,15 @@ def det3(a, b, c):
 SWEEP_MIN = 9
 
 # Fewest plane images each process of a split sweep projects (see
-# `_sweep_processes`).  A fork, a child's exit and its reaping took about
-# 2 ms in a 19 MB process; a bezout sweep split over two processes there
-# broke even at about 6000 images (m = 48) and took 0.65-0.9 of the serial
-# time at 10,000 (m = 64) and 0.55-0.6 at 23,000 (m = 96; 2-vCPU Intel Xeon,
-# Python 3.11).  More than two processes, and larger calling processes, whose
-# forks cost more, were not measured.
-SPLIT_MIN = 5000
+# `_sweep_processes`).  A round trip to a live helper took 25-40 us with
+# bodies of 24 to 96 generators, and a sweep takes about 1 us per image, so
+# a split over two processes breaks even near 100-200 images each.  A bezout
+# sweep split over two processes took a median 0.65-0.7 of the serial time
+# at m = 8 to 20 (156 to 990 images) and 0.52-0.6 at m = 24 to 96 (1428 to
+# 23,000; 2-vCPU Intel Xeon, Python 3.11, in process, interleaved).  The
+# threshold keeps a margin for a busy second CPU.  The first split sweep of
+# a process also pays for forking its helpers.
+SPLIT_MIN = 500
 
 
 def int_scaled(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int]:
@@ -273,39 +280,42 @@ def _three_classes2(items):
             2 * bc - (bx * cy - by * cx))
 
 
-class _Tails:
-    """The (pivot, classes) pairs (g[i], (g[i + 1:], b, c)) over the indices i of g.
+class _Pivots:
+    """The (pivot, classes) pairs (g[i], (A, b, c)) of a sweep, over the indices i of g.
 
-    Each pair is built when read, so a kernel holds one slice g[i + 1:] at a
-    time, where a list of the pairs would hold all m^2 / 2 references of the
-    slices at once.  `images` is the class lengths summed over the pivots.
+    B and C are the lists b and c for every pivot, and A is the list a, or
+    the g after the pivot, g[i + 1:], when a is None.  Each pair is built
+    when read, so a kernel holds one slice g[i + 1:] at a time, where a list
+    of the pairs would hold all m^2 / 2 references of the slices at once;
+    and a split sweep sends its helpers the four lists, never the pairs.
+    `images` is the class lengths summed over the pivots.
     """
 
-    def __init__(self, g, b=(), c=()):
-        self.g, self.b, self.c = g, b, c
-        m = len(g)
-        self.images = m * (m - 1) // 2 + m * (len(b) + len(c))
+    def __init__(self, g, a=None, b=(), c=()):
+        self.lists = g, a, b, c
+        m, shared = len(g), len(b) + len(c)
+        self.images = m * (m - 1) // 2 + m * shared if a is None else m * (len(a) + shared)
 
-    def __len__(self):
-        return len(self.g)
+    def share(self, j, k):
+        """The pairs of the pivots j, j + k, j + 2k, ..."""
+        g, a, b, c = self.lists
+        for i in range(j, len(g), k):
+            yield g[i], (g[i + 1:] if a is None else a, b, c)
 
-    def __getitem__(self, i):
-        return self.g[i], (self.g[i + 1:], self.b, self.c)
+    def __iter__(self):
+        return self.share(0, 1)
 
 
-def _class_sweep(pivoted):
-    """Sums of |det(p, u, v)| over the (p, (A, B, C)) pairs, by the classes of u and v.
+def _class_sweep(pivots):
+    """Sums of |det(p, u, v)| over the (p, (A, B, C)) pairs of a `_Pivots`, by the classes of u and v.
 
     Returns the four totals over pairs u, v from A x A (i < j), A x B, A x C
-    and B x C; `pivoted` is a list of the pairs or a `_Tails`.  Each pivot
-    projects and sorts its three classes once; an empty class costs nothing.
-    A large sweep splits its pivots across processes (`_sweep_processes`);
-    the totals are the same integers.
+    and B x C.  Each pivot projects and sorts its three classes once; an
+    empty class costs nothing.  A large sweep splits its pivots across
+    processes (`_sweep_processes`); the totals are the same integers.
     """
-    images = (pivoted.images if isinstance(pivoted, _Tails)
-              else sum(len(c) for _, classes in pivoted for c in classes))
-    k = _sweep_processes(images)
-    return _sweep_pivots(pivoted) if k == 1 else _forked_sweep(pivoted, k)
+    k = _sweep_processes(pivots.images)
+    return _sweep_pivots(pivots) if k == 1 else _split_sweep(pivots, k)
 
 
 def _sweep_pivots(pivoted):
@@ -326,11 +336,14 @@ def _sweep_processes(images):
     """How many processes sweep pivots that project `images` plane images in all.
 
     Each process takes at least SPLIT_MIN images, and there is at most one
-    per usable CPU.  A process without `os.fork`, or with a second thread
-    alive (which may hold a lock that a child would never see released),
-    sweeps alone.
+    per usable CPU.  A process without `os.fork` sweeps alone, and so does
+    one with a second thread alive: a fork could copy a lock that the other
+    thread holds, and two threads would mix their requests to the helpers.
+    So does a fork child of the process that imported this module, and a
+    sweep started while a split sweep is under way, as from a signal handler.
     """
-    if images < 2 * SPLIT_MIN or not hasattr(os, "fork") or _threads() != 1:
+    if (images < 2 * SPLIT_MIN or _pool.busy or os.getpid() != _pool.pid
+            or not hasattr(os, "fork") or _threads() != 1):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -351,70 +364,183 @@ def _threads():
         return threading.active_count()
 
 
-def _forked_sweep(pivoted, k):
-    """`_sweep_pivots` over k interleaved shares of the pivots, shares 1 to k-1 in children.
+def _split_sweep(pivots, k):
+    """`_sweep_pivots` over k interleaved shares of the pivots, shares 1 to k-1 in helpers.
 
     Share j holds the pivots j, j + k, j + 2k, ...; interleaving balances
     the shares when the classes shrink along the pivots (the A after each
-    pivot).  A child writes its four totals to a pipe in hex (which, unlike
-    decimal, has no digit limit) and leaves by `os._exit`, so it never
-    flushes this process's buffers or returns into the caller.  This process
-    sweeps share 0, and any share whose fork failed, while the children run,
-    and sweeps again any share whose child exits nonzero or writes something
-    other than four integers.  Signals wait while the children are forked,
-    so none can land between a fork and its record, and no child outlives
-    the call.
+    pivot).  Helper j gets the request (j, k, the four lists of `pivots`)
+    and replies with its share's four totals.  This process sweeps share 0
+    while the helpers work, then every share whose helper could not be
+    forked, and every share whose helper died or replied with anything but
+    four integers, after reaping that helper.  Any exception while a
+    request is out stops the whole pool, so that no reply is left to be
+    read as the answer to a later request.
     """
-    def sweep(j):
-        return _sweep_pivots(pivoted[i] for i in range(j, len(pivoted), k))
-
-    parent = os.getpid()
-    children = []  # (share, pid, read end of its pipe) of each child not yet reaped
-    mask = signal.pthread_sigmask(signal.SIG_BLOCK, ())
+    _pool.busy = True
     try:
-        signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        for j in range(1, k):
-            read, write = os.pipe()
-            pipe = open(read, "rb")
+        helpers = _pool.fork(k - 1)
+        sent = []  # (share, helper) of each request out
+        for j, helper in enumerate(helpers, 1):
             try:
-                pid = os.fork()
-            except OSError:
-                pipe.close()
-                os.close(write)
-                break
-            if not pid:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                with open(write, "wb") as out:
-                    out.write(" ".join(map("{:x}".format, sweep(j))).encode())
-                os._exit(0)
-            children.append((j, pid, pipe))
-            os.close(write)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        totals = [sweep(j) for j in (0, *range(len(children) + 1, k))]
-        while children:
-            j, pid, pipe = children[-1]
-            payload = pipe.read().split()
-            pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            children.pop()
-            try:
-                share = tuple(int(field, 16) for field in payload)
-            except ValueError:
-                share = ()
-            totals.append(share if not status and len(share) == 4 else sweep(j))
+                _send(helper[1], (j, k, pivots.lists))
+                sent.append((j, helper))
+            except OSError:  # the helper is gone: its read end is closed
+                _pool.reap(helper)
+        served = {j for j, _ in sent}
+        totals = [_sweep_pivots(pivots.share(j, k)) for j in range(k) if j not in served]
+        for j, helper in sent:
+            share = _reply(helper[2])
+            if share is None:
+                _pool.reap(helper)
+                share = _sweep_pivots(pivots.share(j, k))
+            totals.append(share)
         return tuple(map(sum, zip(*totals)))
+    except BaseException:
+        _pool.stop()
+        raise
     finally:
-        if os.getpid() != parent:
-            os._exit(1)
-        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        for _, pid, pipe in children:
-            pipe.close()
+        _pool.busy = False
+
+
+def _reply(fd):
+    """The four integer totals a helper wrote to fd, or None if it wrote anything else."""
+    try:
+        share = _receive(fd)
+    except (OSError, EOFError, ValueError, TypeError):
+        return None
+    if type(share) is tuple and len(share) == 4 and all(type(t) is int for t in share):
+        return share
+    return None
+
+
+def _send(fd, obj):
+    """Write obj to fd as one message: the length of its `marshal` bytes in 8 bytes, then them."""
+    data = marshal.dumps(obj)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _receive(fd):
+    """The object of the next `_send` message on fd; EOFError if the writer closes first."""
+    return marshal.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
+
+
+def _read(fd, n):
+    """The next n bytes on fd, read in pieces of at most 64 KiB."""
+    chunks = []
+    while n:
+        chunk = os.read(fd, min(n, 1 << 16))
+        if not chunk:
+            raise EOFError("pipe closed")
+        chunks.append(chunk)
+        n -= len(chunk)
+    return b"".join(chunks)
+
+
+def _serve(requests, replies):
+    """A helper's life: sweep each requested share and reply with its totals, until end of file.
+
+    The end comes when every write end of the request pipe is closed: when
+    this helper's parent stops the pool or exits, however it exits.
+    """
+    gc.freeze()  # a collection here then never writes to the parent's pages
+    while True:
+        try:
+            j, k, lists = _receive(requests)
+        except EOFError:
+            return
+        _send(replies, _sweep_pivots(_Pivots(*lists).share(j, k)))
+
+
+class _Pool:
+    """The helper processes of the split sweeps, forked by the first one to need them.
+
+    Each helper is (pid, write end of its request pipe, read end of its
+    reply pipe) and waits on its request pipe for the next share.  Forks
+    hold every signal, so none can land between a fork and its record; a
+    helper is taken off the record before it is reaped, so it is never
+    reaped or signalled twice.  `stop` runs at exit, and no helper outlives
+    the process: each also leaves when the pipe closes under it.  The exit
+    and fork hooks are registered by the first fork, so a pool that never
+    forks leaves its module free to be collected.
+    """
+
+    def __init__(self):
+        self.helpers = []
+        self.pid = os.getpid()  # the process the helpers serve
+        self.busy = False  # True while a split sweep runs
+        self.hooked = False
+
+    def fork(self, n):
+        """The first n helpers, forking those missing; fewer if a fork fails."""
+        if len(self.helpers) < n:
+            if not self.hooked:
+                atexit.register(self.stop)
+                os.register_at_fork(after_in_child=self.forget)
+                self.hooked = True
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
             try:
-                if not os.waitpid(pid, os.WNOHANG)[0]:  # still running
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
-            except ChildProcessError:  # reaped already: its pid may be another's now
-                pass
+                while len(self.helpers) < n:
+                    fds = []
+                    try:
+                        fds += os.pipe()
+                        fds += os.pipe()
+                        pid = os.fork()
+                    except OSError:
+                        for fd in fds:
+                            os.close(fd)
+                        break
+                    requests, request_end, reply_end, replies = fds
+                    if not pid:
+                        try:
+                            os.close(request_end)
+                            os.close(reply_end)
+                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                            # Ctrl-C reaches the whole process group; this
+                            # process decides, and the helper ends with its pipe.
+                            signal.signal(signal.SIGINT, signal.SIG_IGN)
+                            _serve(requests, replies)
+                        finally:
+                            os._exit(0)
+                    os.close(requests)
+                    os.close(replies)
+                    self.helpers.append((pid, request_end, reply_end))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        return self.helpers[:n]
+
+    def reap(self, helper):
+        """Take a helper off the record, close its pipes and reap it, killed if it still runs."""
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            self.helpers.remove(helper)
+            pid, request_end, reply_end = helper
+            os.close(request_end)
+            os.close(reply_end)
+            if not os.waitpid(pid, os.WNOHANG)[0]:  # still running
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+        except ChildProcessError:  # reaped elsewhere: its pid may be another's now
+            pass
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+
+    def stop(self):
+        """Reap every helper: at exit, and after an error while a request is out."""
+        while self.helpers:
+            self.reap(self.helpers[-1])
+
+    def forget(self):
+        """In a fork child: close the inherited pipe ends, which are the parent's."""
+        for _, request_end, reply_end in self.helpers:
+            os.close(request_end)
+            os.close(reply_end)
+        self.helpers = []
+
+
+_pool = _Pool()
 
 
 def _class_loop(pivoted):
@@ -450,7 +576,7 @@ def sum_abs_det3_triples(ga, gb, gc):
     # Both paths pivot over the shortest list; the size rule reads the middle one.
     ga, gb, gc = sorted((ga, gb, gc), key=len)
     kernel = _class_loop if len(gb) < SWEEP_MIN else _class_sweep
-    return kernel([(a, ((), gb, gc)) for a in ga])[3]
+    return kernel(_Pivots(ga, (), gb, gc))[3]
 
 
 def sum_abs_det3_pairs(ga, gb):
@@ -459,14 +585,13 @@ def sum_abs_det3_pairs(ga, gb):
     # pivots over gb, which sorts ga once per b.
     if len(ga) < SWEEP_MIN:
         return _class_loop((a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga))[3]
-    return _class_sweep([(b, (ga, (), ())) for b in gb])[0]
+    return _class_sweep(_Pivots(gb, ga))[0]
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
-    if len(g) < SWEEP_MIN:
-        return _class_loop((a, (g[i + 1:], (), ())) for i, a in enumerate(g))[0]
-    return _class_sweep(_Tails(g))[0]
+    kernel = _class_loop if len(g) < SWEEP_MIN else _class_sweep
+    return kernel(_Pivots(g))[0]
 
 
 def sum_abs_det3_bezout(ga, gb, gc):
@@ -476,9 +601,8 @@ def sum_abs_det3_bezout(ga, gb, gc):
     four at once: the A x A pairs after each pivot make combos(A), the A x B
     and A x C pairs the two pair sums, and the B x C pairs the triples.
     """
-    if max(len(ga), len(gb), len(gc)) < SWEEP_MIN:
-        return _class_loop((a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga))
-    return _class_sweep(_Tails(ga, gb, gc))
+    kernel = _class_loop if max(len(ga), len(gb), len(gc)) < SWEEP_MIN else _class_sweep
+    return kernel(_Pivots(ga, None, gb, gc))
 
 
 def sum_abs_det3_af_square(ga, gb, gc, gd):
@@ -487,7 +611,7 @@ def sum_abs_det3_af_square(ga, gb, gc, gd):
     Pivoting over D with the classes (A, B, C) gives all four at once.
     """
     kernel = _class_loop if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN else _class_sweep
-    return kernel([(d, (ga, gb, gc)) for d in gd])
+    return kernel(_Pivots(gd, ga, gb, gc))
 
 
 def sum_abs_det2_pairs(us, vs):

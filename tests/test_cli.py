@@ -1,4 +1,3 @@
-import os
 import random
 import sys
 import tracemalloc
@@ -13,7 +12,7 @@ from zonomix.grassmann import MAX_COLUMNS
 from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, render_matrix, vec3
 from zonomix.verify import MAX_COEFF_BOUND, MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
-from test_numeric import serial, split_forks
+from test_numeric import assert_no_child_left, serial, split_forks
 
 
 E3 = vec3(0, 0, 1)
@@ -129,8 +128,9 @@ class TestCheck:
 class TestSplitSweep:
     """check bezout on bodies of about 100 generators sweeps in three processes.
 
-    A child that flushed this process's buffers, or returned into `main`,
-    would print the report twice; the fd-level capture sees both.
+    A helper that flushed this process's buffers, or returned into `main`,
+    would print the report twice; the fd-level capture sees both.  The
+    second run reuses the helpers of the first.
     """
 
     @pytest.fixture
@@ -163,8 +163,9 @@ class TestSplitSweep:
         assert (code, out, err, report) == expected
         assert report.count(report.splitlines()[0]) == 1
         assert out == ("" if to_file else report)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        assert run(tmp_path / "again.out") == expected
+        assert len(forks) == 2
+        assert_no_child_left()
 
 
 class TestFuzzCommand:

@@ -1,10 +1,15 @@
+import gc
+import importlib.util
 import itertools
 import os
 import random
 import signal
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
+import weakref
 from fractions import Fraction
 from math import comb, lcm
 
@@ -219,27 +224,37 @@ MIXED_SIZES = (1, 2, SWEEP_MIN - 1, SWEEP_MIN, 40)
 
 
 def _pivot_lists(ga, gb, gc):
-    """(pivot, classes) lists over the three generator lists, as the kernels get them and more.
+    """Pivot sequences over the three generator lists, as the kernels get them and more.
 
     The dispatchers' and check kernels' own shapes, a zero pivot, pivots from
-    every list, and every class left empty in turn.
+    every list, and every class left empty in turn.  The pair sum's loop
+    shape, with the tail of ga as class B, is no `_Pivots`: it is a list of
+    (pivot, classes) pairs.
     """
     pivots = [(0, 0, 0)] + ga + gb + gc
     return [
-        [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)],
+        numeric._Pivots(ga, None, gb, gc),
         [(a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga)],
-        [(d, (ga, gb, gc)) for d in gc[::-1] + ga],
-        [(p, (ga, gb, gc)) for p in pivots],
-        [(p, ((), gb, gc)) for p in pivots],
-        [(p, (gc, (), gb)) for p in pivots],
-        [(p, (gb, ga, ())) for p in pivots],
+        numeric._Pivots(gc[::-1] + ga, ga, gb, gc),
+        numeric._Pivots(pivots, ga, gb, gc),
+        numeric._Pivots(pivots, (), gb, gc),
+        numeric._Pivots(pivots, gc, (), gb),
+        numeric._Pivots(pivots, gb, ga, ()),
     ]
 
 
+def _sweep_each(pairs):
+    """`_class_sweep` of (pivot, classes) pairs: each pivot swept alone, the totals added."""
+    return tuple(map(sum, zip(*(numeric._class_sweep(numeric._Pivots([p], *classes))
+                                for p, classes in pairs), (0, 0, 0, 0))))
+
+
 def _assert_loop_matches_sweep(ga, gb, gc):
-    for pivoted in _pivot_lists(ga, gb, gc):
-        loop = numeric._class_loop(pivoted)
-        assert loop == numeric._class_sweep(pivoted)
+    for pivots in _pivot_lists(ga, gb, gc):
+        loop = numeric._class_loop(pivots)
+        assert loop == _sweep_each(pivots)
+        if isinstance(pivots, numeric._Pivots):
+            assert loop == numeric._class_sweep(pivots)
         assert all(type(s) is int for s in loop)
 
 
@@ -414,7 +429,7 @@ def test_sweep_pivots_match_the_loop_at_200_generators():
     # The sweep divides by the pivot's last nonzero coordinate; let it not be a unit.
     assert any(abs(next(c for c in p[::-1] if c)) > 1 for p, _ in spots)
     for spot in spots:
-        assert numeric._class_sweep([spot]) == numeric._class_loop([spot])
+        assert _sweep_each([spot]) == numeric._class_loop([spot])
 
 
 def test_single_sums_add_over_a_split_of_a():
@@ -465,13 +480,16 @@ def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_cal
 
 
 # A sweep over at least 2 * SPLIT_MIN plane images splits its pivots across
-# processes.  The pivots' totals are integers that add exactly, so the split
-# must give the serial sums whatever happens to a share: a fork that fails,
-# a child that dies or writes a malformed payload.  No child may outlive the
-# call that forked it.
+# processes: this one and helpers, forked by the first split sweep and
+# reused by the later ones.  The pivots' totals are integers that add
+# exactly, so the split must give the serial sums whatever happens to a
+# share: a fork that fails, a helper that dies or replies with anything but
+# four integers, before a call or during it.  No helper may outlive the
+# pool, and no helper may return into the caller that forked it.
 
 def split_forks(monkeypatch, cpus=3):
-    """Let every sweep use `cpus` CPUs; returns the list that records each fork."""
+    """Let every sweep use `cpus` CPUs, from an empty pool; returns the list that records each fork."""
+    numeric._pool.stop()
     forks = []
     fork = os.fork
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
@@ -486,13 +504,34 @@ def serial(kernel, *args):
         return kernel(*args)
 
 
-@pytest.fixture
-def forks(monkeypatch):
-    """`split_forks` for one test, which must leave no child process behind."""
-    forks = split_forks(monkeypatch)
-    yield forks
+def assert_no_child_left():
+    """Stop the pool as the exit hook does; then no child process may be left, not even unreaped."""
+    numeric._pool.stop()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """`split_forks` for one test, which must leave every helper it forks on record."""
+    forks = split_forks(monkeypatch)
+    yield forks
+    assert_no_child_left()
+
+
+@pytest.fixture
+def swept_here(monkeypatch):
+    """The shares this process sweeps, in order; helpers forked later record theirs in their own copy."""
+    parent, sweep, here = os.getpid(), numeric._sweep_pivots, []
+
+    def recorded(pairs):
+        pairs = list(pairs)
+        if os.getpid() == parent:
+            here.append(pairs)
+        return sweep(pairs)
+
+    monkeypatch.setattr(numeric, "_sweep_pivots", recorded)
+    return here
 
 
 @pytest.fixture(scope="module")
@@ -504,25 +543,27 @@ def _images(pivoted):
     return sum(len(c) for _, classes in pivoted for c in classes)
 
 
-def test_split_sums_equal_the_serial_sums(bodies_200, forks):
+def test_split_sums_equal_the_serial_sums(bodies_200, forks, swept_here):
     ga, gb, gc, gd = bodies_200
-    for kernel, args in ((sum_abs_det3_bezout, (ga, gb, gc)),
-                         (sum_abs_det3_af_square, (ga, gb, gc, gd)),
-                         (sum_abs_det3_triples, (ga, gb, gc)),
-                         (sum_abs_det3_pairs, (ga, gb)),
-                         (sum_abs_det3_combos, (ga,))):
-        expected = serial(kernel, *args)
-        forks.clear()
-        assert kernel(*args) == expected, kernel.__name__
-        assert len(forks) == 2, kernel.__name__  # three CPUs: two children
+    cases = ((sum_abs_det3_bezout, (ga, gb, gc)),
+             (sum_abs_det3_af_square, (ga, gb, gc, gd)),
+             (sum_abs_det3_triples, (ga, gb, gc)),
+             (sum_abs_det3_pairs, (ga, gb)),
+             (sum_abs_det3_combos, (ga,)))
+    expected = [serial(kernel, *args) for kernel, args in cases]
+    for (kernel, args), sums in zip(cases, expected):
+        swept_here.clear()
+        assert kernel(*args) == sums, kernel.__name__
+        assert len(swept_here) == 1, kernel.__name__  # share 0; shares 1 and 2 in the helpers
+    assert len(forks) == 2  # three CPUs: two helpers, forked by the first call only
     assert all(type(s) is int for s in sum_abs_det3_bezout(ga, gb, gc))
 
 
 @pytest.mark.parametrize("failing", [0, 1])
 def test_a_failed_fork_leaves_its_shares_to_this_process(bodies_200, forks, monkeypatch,
                                                          failing):
-    pivoted = numeric._Tails(*bodies_200[:3])
-    expected = numeric._sweep_pivots(pivoted)
+    pivots = numeric._Pivots(bodies_200[0], None, *bodies_200[1:3])
+    expected = numeric._sweep_pivots(pivots)
     fork = os.fork
 
     def fork_or_fail():  # the fork numbered `failing`, from 0, fails
@@ -531,60 +572,77 @@ def test_a_failed_fork_leaves_its_shares_to_this_process(bodies_200, forks, monk
         return fork()
 
     monkeypatch.setattr(os, "fork", fork_or_fail)
-    assert numeric._class_sweep(pivoted) == expected
-    assert len(forks) == failing
+    assert numeric._class_sweep(pivots) == expected
+    assert len(forks) == failing == len(numeric._pool.helpers)
+    # The next call forks the helpers still missing.
+    monkeypatch.setattr(os, "fork", fork)
+    assert numeric._class_sweep(pivots) == expected
+    assert len(forks) == 2 == len(numeric._pool.helpers)
 
 
 @pytest.mark.parametrize("fault", ["raises", "killed", "three-totals", "killed-after-writing"])
 def test_a_failed_child_share_is_swept_again_here(bodies_200, forks, monkeypatch, tmp_path,
                                                   fault):
-    pivoted = numeric._Tails(*bodies_200[:3])
-    expected = numeric._sweep_pivots(pivoted)
-    parent, sweep, here = os.getpid(), numeric._sweep_pivots, []
+    pivots = numeric._Pivots(bodies_200[0], None, *bodies_200[1:3])
+    expected = numeric._sweep_pivots(pivots)
+    parent, sweep, send, here = os.getpid(), numeric._sweep_pivots, numeric._send, []
 
-    def faulty(shares):
-        shares = list(shares)
+    def faulty(pairs):
+        pairs = list(pairs)
         if os.getpid() == parent:
-            here.append(shares)
-            return sweep(shares)
+            here.append(pairs)
+            return sweep(pairs)
         if fault == "raises":
-            raise RuntimeError("child fault")
+            raise RuntimeError("helper fault")
         if fault == "killed":
             os.kill(os.getpid(), signal.SIGKILL)
-        return sweep(shares)[:3] if fault == "three-totals" else sweep(shares)
+        return sweep(pairs)[:3] if fault == "three-totals" else sweep(pairs)
+
+    def send_then_die(fd, obj):  # a whole reply, then a signal
+        send(fd, obj)
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
 
     monkeypatch.setattr(numeric, "_sweep_pivots", faulty)
     if fault == "killed-after-writing":
-        # A whole payload, then a signal in place of the clean exit.
-        monkeypatch.setattr(os, "_exit", lambda code: os.kill(os.getpid(), signal.SIGKILL))
+        monkeypatch.setattr(numeric, "_send", send_then_die)
     escaped = tmp_path / "escaped"
     try:
-        assert numeric._class_sweep(pivoted) == expected
+        assert numeric._class_sweep(pivots) == expected
+        if fault == "killed-after-writing":
+            # The replies stand; the next call finds both helpers gone.
+            assert len(here) == 1
+            here.clear()
+            assert numeric._class_sweep(pivots) == expected
     finally:
-        if os.getpid() != parent:  # a failed child came back into its caller
+        if os.getpid() != parent:  # a failed helper came back into its caller
             escaped.touch()
             os.kill(os.getpid(), signal.SIGKILL)
     assert not escaped.exists()
-    # Share 0 here, then the two child shares again, each exactly once.
-    assert len(forks) == 2
-    shares = [[pivoted[i] for i in range(j, len(pivoted), 3)] for j in range(3)]
+    # Share 0 here, then the two helper shares again, each exactly once;
+    # both helpers are reaped and off the record.
+    assert len(forks) == 2 and numeric._pool.helpers == []
+    shares = [list(pivots.share(j, 3)) for j in range(3)]
     assert sorted(map(len, here)) == sorted(map(len, shares))
     assert here[0] == shares[0]
 
 
 def test_an_error_here_kills_and_reaps_every_child(bodies_200, forks, monkeypatch):
-    pivoted = numeric._Tails(*bodies_200[:3])
+    pivots = numeric._Pivots(bodies_200[0], None, *bodies_200[1:3])
     parent, sweep = os.getpid(), numeric._sweep_pivots
 
-    def fails_here(shares):
+    def fails_here(pairs):
         if os.getpid() == parent:
             raise RuntimeError("parent fault")
-        return sweep(shares)
+        return sweep(pairs)
 
     monkeypatch.setattr(numeric, "_sweep_pivots", fails_here)
     with pytest.raises(RuntimeError, match="parent fault"):
-        numeric._class_sweep(pivoted)
-    assert len(forks) == 2  # the fixture then finds no child left
+        numeric._class_sweep(pivots)
+    # The requests were out: the error stopped the pool itself.
+    assert len(forks) == 2 and numeric._pool.helpers == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 class Interrupt(Exception):
@@ -593,23 +651,36 @@ class Interrupt(Exception):
 
 def test_an_interrupt_after_a_reap_leaves_the_reaped_child_alone(bodies_200, forks,
                                                                  monkeypatch):
-    # The interrupt lands after os.waitpid has reaped a child and before the
-    # child leaves the record; its pid may already be another process's.
+    # Both helpers die during the call.  The interrupt lands after os.waitpid
+    # has reaped the first; its pid may already be another process's.
+    parent, sweep = os.getpid(), numeric._sweep_pivots
     waitpid, kill, reaped, killed = os.waitpid, os.kill, [], []
+
+    def dies_in_helpers(pairs):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return sweep(pairs)
 
     def reap_then_interrupt(pid, options):
         status = waitpid(pid, options)
-        if not options and not reaped:
+        if status[0] and not reaped:
             reaped.append(pid)
             raise Interrupt
         return status
 
+    def kill_after_the_reap(pid, sig):
+        if reaped:
+            killed.append(pid)
+        kill(pid, sig)
+
+    monkeypatch.setattr(numeric, "_sweep_pivots", dies_in_helpers)
     monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
-    monkeypatch.setattr(os, "kill", lambda pid, sig: killed.append(pid) or kill(pid, sig))
+    monkeypatch.setattr(os, "kill", kill_after_the_reap)
     with pytest.raises(Interrupt):
-        numeric._class_sweep(numeric._Tails(*bodies_200[:3]))
+        numeric._class_sweep(numeric._Pivots(bodies_200[0], None, *bodies_200[1:3]))
     assert len(forks) == 2 and len(reaped) == 1
     assert reaped[0] not in killed
+    assert numeric._pool.helpers == []
 
 
 def test_an_interrupt_at_a_fork_waits_until_the_child_is_on_record(bodies_200, forks,
@@ -629,10 +700,140 @@ def test_an_interrupt_at_a_fork_waits_until_the_child_is_on_record(bodies_200, f
     handler = signal.signal(signal.SIGUSR1, interrupt)
     try:
         with pytest.raises(Interrupt):
-            numeric._class_sweep(numeric._Tails(*bodies_200[:3]))
+            numeric._class_sweep(numeric._Pivots(bodies_200[0], None, *bodies_200[1:3]))
     finally:
         signal.signal(signal.SIGUSR1, handler)
-    assert len(forks) == 2  # the fixture then finds neither child left
+    # Both helpers were on record when the interrupt landed, and it stopped the pool.
+    assert len(forks) == 2 and numeric._pool.helpers == []
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_killed_between_two_calls_is_reaped(bodies_200, forks, swept_here):
+    ga, gb, gc, _ = bodies_200
+    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    (pid, *_), other = numeric._pool.helpers
+    os.kill(pid, signal.SIGKILL)
+    swept_here.clear()
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    assert len(swept_here) == 2  # share 0, then the dead helper's share
+    assert numeric._pool.helpers == [other]
+    with pytest.raises(ChildProcessError):  # reaped
+        os.waitpid(pid, os.WNOHANG)
+    # The next call forks a helper in its place.
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    assert len(forks) == 3 and len(numeric._pool.helpers) == 2
+
+
+def test_a_helper_reaped_elsewhere_is_never_signalled(bodies_200, forks, monkeypatch):
+    ga, gb, gc, _ = bodies_200
+    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    pid = numeric._pool.helpers[0][0]
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)  # reaped by other code: the pid may be another process's now
+    kill, killed = os.kill, []
+    monkeypatch.setattr(os, "kill", lambda target, sig: killed.append(target) or kill(target, sig))
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    numeric._pool.stop()
+    assert pid not in killed
+
+
+def _closed(fd):
+    try:
+        os.fstat(fd)
+    except OSError:
+        return True
+    return False
+
+
+def test_an_unrelated_fork_child_sweeps_alone(bodies_200, forks, swept_here):
+    ga, gb, gc, _ = bodies_200
+    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    helpers = list(numeric._pool.helpers)
+    assert len(forks) == len(helpers) == 2
+    pid = os.fork()
+    if not pid:  # the child: its parent's pipe ends closed, no helper of its own
+        ok = False
+        try:
+            ok = (all(_closed(fd) for _, *ends in helpers for fd in ends)
+                  and numeric._pool.helpers == []
+                  and sum_abs_det3_bezout(ga, gb, gc) == expected
+                  and len(forks) == 3 and numeric._pool.helpers == [])
+        finally:
+            os._exit(0 if ok else 1)
+    assert os.waitpid(pid, 0)[1] == 0
+    # The parent's helpers still serve: one share here, no fork.
+    swept_here.clear()
+    assert sum_abs_det3_bezout(ga, gb, gc) == expected
+    assert len(swept_here) == 1
+    assert numeric._pool.helpers == helpers and len(forks) == 3
+
+
+# Runs a split sweep in a fresh process on two patched-in CPUs, prints its
+# helpers' pids, then exits or waits to be killed.
+LIFETIME_SCRIPT = """
+import os, random, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from zonomix import numeric
+rnd = random.Random(24)
+ga, gb, gc = ([tuple(rnd.randint(-99, 99) for _ in range(3)) for _ in range(40)] for _ in "abc")
+assert numeric.sum_abs_det3_bezout(ga, gb, gc) == numeric._sweep_pivots(numeric._Pivots(ga, None, gb, gc))
+print(*(pid for pid, _, _ in numeric._pool.helpers), flush=True)
+if sys.argv[1] == "wait":
+    sys.stdin.read()
+"""
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _running(pid):
+    """Alive and not a zombie: an orphan's reaping is up to its new parent, not to zonomix."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return _alive(pid) and stat.read().rpartition(")")[2].split()[0] != "Z"
+    except OSError:
+        return _alive(pid)
+
+
+@pytest.mark.parametrize("end", ["exit", "killed"])
+def test_no_helper_outlives_its_process(end):
+    src = os.path.dirname(os.path.dirname(numeric.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    with subprocess.Popen([sys.executable, "-c", LIFETIME_SCRIPT, "wait" if end == "killed" else end],
+                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env) as proc:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        assert len(pids) == 1  # two CPUs: one helper
+        if end == "killed":
+            proc.kill()
+        assert proc.wait(timeout=60) == (-signal.SIGKILL if end == "killed" else 0)
+    if end == "exit":  # reaped before the process ended
+        assert not any(map(_alive, pids))
+    else:  # each helper leaves when its request pipe closes
+        deadline = time.monotonic() + 5
+        while any(map(_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(map(_running, pids))
+
+
+def test_a_pool_that_never_forked_keeps_its_module_collectable():
+    # Long-lived callers such as perfbench import zonomix afresh; an exit or
+    # fork hook registered at import would keep every copy alive.
+    spec = importlib.util.find_spec("zonomix.numeric")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    pool = weakref.ref(module._pool)
+    del module
+    gc.collect()
+    assert pool() is None
 
 
 def test_no_fork_while_a_second_thread_is_alive(bodies_200, forks):
@@ -680,13 +881,17 @@ def test_one_process_per_cpu_and_per_split_min_images(monkeypatch):
 
 def test_tails_are_the_pairs_of_a_pivot_over_its_own_list():
     rnd = random.Random(16)
-    for sizes in itertools.product((0, 1, 5), repeat=3):
-        ga, gb, gc = (_random_generators(rnd, m) for m in sizes)
-        tails = numeric._Tails(ga, gb, gc)
-        pairs = list(tails)
-        assert pairs == [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)]
-        assert len(tails) == len(ga)
-        assert tails.images == _images(pairs)
+    for sizes in itertools.product((0, 1, 5), repeat=4):
+        ga, gb, gc, gd = (_random_generators(rnd, m) for m in sizes)
+        for pivots, pairs in ((numeric._Pivots(ga, None, gb, gc),
+                               [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)]),
+                              (numeric._Pivots(gd, ga, gb, gc),
+                               [(d, (ga, gb, gc)) for d in gd])):
+            assert list(pivots) == pairs
+            assert pivots.images == _images(pairs)
+            for k in (1, 2, 3):
+                assert [list(pivots.share(j, k)) for j in range(k)] == \
+                    [pairs[j::k] for j in range(k)]
 
 
 def test_a_tail_sweep_holds_one_slice_at_a_time():
@@ -704,10 +909,11 @@ def test_a_tail_sweep_holds_one_slice_at_a_time():
 
 
 def _pivots_projecting(gens, images):
-    """Pivots from `gens` whose classes hold `images` generators in all."""
-    whole, rest = divmod(images, len(gens))
-    return ([(gens[i % len(gens)], (gens, (), ())) for i in range(whole)]
-            + [(gens[0], (gens[:rest], (), ()))])
+    """Pivots from `gens`, each with the gens after it and one shared class, that project
+    `images` plane images in all."""
+    n = next(n for n in range(2, len(gens)) if (images - n * (n - 1) // 2) % n == 0)
+    shared = (images - n * (n - 1) // 2) // n
+    return numeric._Pivots(gens[:n], None, [gens[i % len(gens)] for i in range(shared)])
 
 
 def test_a_split_starts_at_twice_split_min_images(forks):
@@ -715,7 +921,7 @@ def test_a_split_starts_at_twice_split_min_images(forks):
     gens = [tuple(rnd.randint(-9, 9) for _ in range(3)) for _ in range(99)]
     threshold = 2 * numeric.SPLIT_MIN
     below, at = _pivots_projecting(gens, threshold - 1), _pivots_projecting(gens, threshold)
-    assert (_images(below), _images(at)) == (threshold - 1, threshold)
+    assert (below.images, at.images) == (_images(below), _images(at)) == (threshold - 1, threshold)
     assert numeric._class_sweep(below) == numeric._sweep_pivots(below)
     assert forks == []
     assert numeric._class_sweep(at) == numeric._sweep_pivots(at)
@@ -726,7 +932,7 @@ def test_one_cpu_sweeps_alone(bodies_200, monkeypatch):
     forks = split_forks(monkeypatch, cpus=1)
     ga, gb, gc, _ = bodies_200
     assert sum_abs_det3_bezout(ga, gb, gc) == serial(sum_abs_det3_bezout, ga, gb, gc)
-    assert forks == []
+    assert forks == [] and numeric._pool.helpers == []
 
 
 class TestRationalLiterals:
