@@ -1,12 +1,13 @@
 """Exact rational scalars, 3-vectors, 3x3 determinants, |det| sums, text I/O.
 
-Values at the edges (parsed literals, `Vec3` coordinates, reported volumes)
-are ``fractions.Fraction``s, which keep canonical form (positive
+Values at the edges (`parse_rational`, `Vec3` coordinates, reported
+volumes) are ``fractions.Fraction``s, which keep canonical form (positive
 denominator, gcd 1), so equality tests are exact and unambiguous.  Inside,
-the |det| kernels work on plain integers: `int_scaled` clears a body's
-denominators once, and results are divided back as one `Fraction`.  The two
-text formats (zonotope, matrix) share one reader, `parse_rows`, and one
-writer, `render_rows`.
+the |det| kernels work on plain integers, and results are divided back as
+one `Fraction`.  The two text formats (zonotope, matrix) share one reader,
+`parse_rows`, which reads each literal straight to a reduced integer pair and
+returns the common scale with the rows, and one writer, `render_rows`.
+`int_scaled` clears a body built from rational generators, once.
 """
 
 from __future__ import annotations
@@ -24,32 +25,43 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import compress, islice
-from math import lcm
+from math import gcd, lcm
 from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
-_RATIONAL_RE = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+# A rational literal: signed integer (group 1), then optionally "/" integer (group 2).
+_RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse a rational literal: optional sign, integer, optional '/' integer."""
+def _rational_pair(text: str) -> tuple[int, int]:
+    """A rational literal as its reduced (numerator, denominator > 0) pair.
+
+    The one literal rule and its three refusals, in order of precedence;
+    `parse_rows` reads the literals that pass all three inline.
+    """
     s = text.strip()
-    if not _RATIONAL_RE.fullmatch(s):
+    match = _RATIONAL_RE.fullmatch(s)
+    if match is None:
         raise ValueError(f"invalid rational literal: {text!r}")
+    num, den = match.groups()
     # int() refuses more digits than the interpreter's limit, with advice
     # meant for programmers; name the limit in the literal's terms instead.
     limit = sys.get_int_max_str_digits()
     if limit and len(s) > limit:
-        digits = max(len(part) for part in s.lstrip("+-").split("/"))
+        digits = max(len(num.lstrip("+-")), len(den or ""))
         if digits > limit:
             raise ValueError(f"integer in rational literal has {digits} digits, "
                              f"more than the limit ({limit} digits)")
-    if "/" in s:
-        num, _, den = s.partition("/")
-        if int(den) == 0:
-            raise ValueError(f"zero denominator in rational literal: {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(s))
+    n, d = int(num), int(den or 1)
+    if not d:
+        raise ValueError(f"zero denominator in rational literal: {text!r}")
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def parse_rational(text: str) -> Fraction:
+    """Parse a rational literal: optional sign, integer, optional '/' integer."""
+    return Fraction(*_rational_pair(text))
 
 
 def int_str(n: int) -> str:
@@ -124,9 +136,10 @@ def det3(a, b, c):
 # of q) is p * (L // q), with no Fraction product to build and normalise.
 # A zonotope is cleared at most once: `Zonotope3.scaled` caches the result
 # per body, so every volume of a check reads the same integer generators.
-# A sampled zonotope is never cleared: `rng.random_zonotope` scales the
-# drawn numerators the same way and builds the body from its integer view,
-# and `unscaled` makes its rational generators only when they are read.
+# A sampled or parsed zonotope is never cleared: `rng.random_zonotope` scales
+# the drawn numerators the same way, `parse_rows` returns reduced pairs with
+# their lcm scale, and each builds the body from its integer view; `unscaled`
+# makes its rational generators only when they are read.
 #
 # Every 3D sum is a total of one kernel contract: given (p, (A, B, C))
 # pairs, return the sums of |det(p, u, v)| over the pairs u, v from A x A
@@ -657,10 +670,12 @@ MAX_CLEARED_BITS = 2 ** 16
 _LINE_RE = re.compile(r"[^\n\r\v\f\x1c-\x1e\x85\u2028\u2029]+")
 
 
-def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
-    """The header line and the parsed rows of a `kind` file ("zonotope", ...).
+def parse_rows(text: str, kind: str) -> tuple[str, list[list[tuple[int, int]]], int]:
+    """The header line, the rows of a `kind` file ("zonotope", ...), and their scale.
 
-    Reading stops with an error as soon as the rows hold more than
+    Each literal becomes its reduced (numerator, denominator) pair, and the
+    scale is the lcm of the denominators: the L of `int_scaled`.  Reading
+    stops with an error as soon as the rows hold more than
     3 * MAX_GENERATORS literals, before any literal is parsed, and as soon
     as the literals read so far pass MAX_CLEARED_BITS, before any kernel.
     """
@@ -679,18 +694,34 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[Fraction]]]:
         rows.append(row)
     generators = max(1, -(-literals // 3))
     budget = MAX_CLEARED_BITS // generators
+    # `_rational_pair` read inline: a literal no longer than the digit limit
+    # (0 is no limit) that matches has no refusal left but a zero denominator.
+    limit = sys.get_int_max_str_digits() or len(text)
+    fullmatch = _RATIONAL_RE.fullmatch
     scale, top = 1, 0
     for row in rows:
         for i, literal in enumerate(row):
-            q = row[i] = parse_rational(literal)
-            d, n = q.denominator, abs(q.numerator)
-            if scale % d or n > top:
-                scale, top = lcm(scale, d), max(top, n)
+            match = fullmatch(literal)
+            if match is None or len(literal) > limit:
+                n, d = _rational_pair(literal)
+            else:
+                num, den = match.groups()
+                if den is None:
+                    n, d = int(num), 1
+                else:
+                    n, d = int(num), int(den)
+                    if not d:
+                        _rational_pair(literal)  # raises its zero-denominator refusal
+                    g = gcd(n, d)
+                    n, d = n // g, d // g
+            row[i] = n, d
+            if scale % d or abs(n) > top:
+                scale, top = lcm(scale, d), max(top, abs(n))
                 if scale.bit_length() + top.bit_length() > budget:
                     raise ValueError(f"{kind}: {generators} generators cleared to integers "
                                      f"need more than {budget} bits each; at most "
                                      f"{MAX_CLEARED_BITS} bits per file (generators times bits)")
-    return header, rows
+    return header, rows, scale
 
 
 def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:
@@ -703,7 +734,7 @@ def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:
 
 def parse_matrix(text: str) -> tuple[Vec3, ...]:
     """A 3 x n matrix file as its n columns, in order."""
-    header, rows = parse_rows(text, "matrix")
+    header, rows, _ = parse_rows(text, "matrix")
     fields = header.split()
     if len(fields) != 3 or fields[0] != "matrix" or fields[1] != "3":
         raise ValueError(f"expected header 'matrix 3 n', got {header!r}")
@@ -722,7 +753,7 @@ def parse_matrix(text: str) -> tuple[Vec3, ...]:
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix: expected {n} entries per row, got {len(row)}")
-    return tuple(Vec3(*col) for col in zip(*rows))
+    return tuple(Vec3(*(Fraction(n, d) for n, d in col)) for col in zip(*rows))
 
 
 def render_matrix(columns: Sequence[Vec3]) -> str:

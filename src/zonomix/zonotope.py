@@ -11,6 +11,8 @@ determinant per triple for small bodies (`numeric._class_loop`) and from an
 O(m^2 log m) angular sweep from `numeric.SWEEP_MIN` generators on
 (`numeric._class_sweep`).  The volumes here read one total each and the
 checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`).
+They all read a body's integer view, which a parsed or sampled body is built
+from and a body built from rational generators derives once.
 """
 
 from __future__ import annotations
@@ -44,9 +46,10 @@ class Zonotope3:
     A body has two views of its generators: `generators`, rational `Vec3`s,
     and `scaled`, integer triples with a scale L >= 1 such that each
     generator is its triple divided by L.  The constructor takes the first,
-    `from_scaled` the second; the other view is derived on first read and
-    kept with the body.  L may be any common multiple of the coordinate
-    denominators, not only their lcm: every volume divides it back out.
+    `from_scaled` the second, as `parse_zonotope` and `rng.random_zonotope`
+    do; the other view is derived on first read and kept with the body.
+    L may be any common multiple of the coordinate denominators, not only
+    their lcm: every volume divides it back out.
     Equality, hashing and repr see the rational generators only, however the
     body was built.
     """
@@ -136,13 +139,14 @@ def volume_float(a: Zonotope3) -> float:
 # numeric.parse_rows).
 
 def parse_zonotope(text: str) -> Zonotope3:
-    header, rows = parse_rows(text, "zonotope")
+    header, rows, scale = parse_rows(text, "zonotope")
     if header != "zonotope3":
         raise ValueError(f"expected header 'zonotope3', got {header!r}")
     for row in rows:
         if len(row) != 3:
             raise ValueError(f"zonotope: expected 3 coordinates per generator, got {len(row)}")
-    return Zonotope3(tuple(Vec3(*row) for row in rows))
+    return Zonotope3.from_scaled([(x * (scale // dx), y * (scale // dy), z * (scale // dz))
+                                  for (x, dx), (y, dy), (z, dz) in rows], scale)
 
 
 def render_zonotope(zono: Zonotope3) -> str:

@@ -12,6 +12,7 @@ import tracemalloc
 import weakref
 from fractions import Fraction
 from math import comb, lcm
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, strategies as st
@@ -40,7 +41,7 @@ from zonomix.numeric import (
     vec3,
 )
 from zonomix.rng import SplitMix64, random_zonotope
-from zonomix.zonotope import Zonotope3
+from zonomix.zonotope import Zonotope3, parse_zonotope
 from oracles import brute_mixed_volume, brute_volume, leibniz_det3
 
 E3 = vec3(0, 0, 1)
@@ -989,9 +990,11 @@ class TestRowReader:
         lines = [line.strip() for line in text.splitlines()]
         lines = [line for line in lines if line and not line.startswith("#")]
         assert len(lines) == 4
-        header, rows = numeric.parse_rows(text, "zonotope")
+        header, rows, scale = numeric.parse_rows(text, "zonotope")
         assert header == lines[0]
-        assert rows == [[parse_rational(e) for e in line.split()] for line in lines[1:]]
+        parsed = [[parse_rational(e) for e in line.split()] for line in lines[1:]]
+        assert rows == [[(q.numerator, q.denominator) for q in row] for row in parsed]
+        assert scale == 5
 
     def test_oversized_text_is_refused_without_splitting_it(self):
         text = "zonotope3\n" + "1 0 0\n" * 200_000
@@ -1004,6 +1007,118 @@ class TestRowReader:
             tracemalloc.stop()
         # Splitting the whole text into lines first peaked at 12.7 MB.
         assert peak < 2_000_000
+
+
+def _reader_texts(rows, seps, comment):
+    """The zonotope file and the matrix file of `rows` (3 literals each).
+
+    Lines end with seps[i % len(seps)], and `comment` lines are spread among
+    them.  A matrix column is a generator, so both texts hold one body.
+    """
+    def text(lines):
+        lines = [comment, *lines[:1], "", *lines[1:2], comment, *lines[2:], comment]
+        return "".join(line + seps[i % len(seps)] for i, line in enumerate(lines))
+
+    columns = [" ".join(row[k] for row in rows) for k in range(3)] if rows else []
+    return (text(["zonotope3", *(" \t".join(row) for row in rows)]),
+            text([f"matrix 3 {len(rows)}", *columns]))
+
+
+def _random_literal(rnd):
+    """p/q with |p|, q <= 16, often unreduced, signed or zero-padded."""
+    p, q, k = rnd.randint(-16, 16), rnd.randint(1, 16), rnd.choice((1, 1, 2, 3, 6))
+    sign = "-" if p < 0 else rnd.choice(("", "", "+", "-" if p == 0 else ""))
+    num = "0" * rnd.randint(0, 2) + str(abs(p) * k)
+    return sign + num if q == 1 and k == 1 else f"{sign}{num}/{'0' * rnd.randint(0, 1)}{q * k}"
+
+
+class TestIntegerReader:
+    """The reader's integer view against `int_scaled` of the per-literal parse.
+
+    Each literal's `parse_rational` value is also checked against the parser
+    of `Fraction`, which shares no code with it.
+    """
+
+    LIMIT = sys.get_int_max_str_digits()
+    UNREDUCED = [["4/6", "-0/3", "+7"], ["007/010", "-12/8", "0"], ["+0/1", "-5/15", "-0"],
+                 # Longer than the digit limit, though neither integer is.
+                 [f"{'0' * (LIMIT // 2)}4/{'0' * (LIMIT // 2)}6", "1", f"-{'2' * (LIMIT // 2)}"]]
+
+    @staticmethod
+    def _check(rows, seps=("\n",), comment="# c"):
+        expected = tuple(Vec3(*map(parse_rational, row)) for row in rows)
+        assert all(q == Fraction(literal) for row, v in zip(rows, expected)
+                   for literal, q in zip(row, v))
+        ints, scale = int_scaled(expected)
+        zonotope_text, matrix_text = _reader_texts(rows, seps, comment)
+        body = parse_zonotope(zonotope_text)
+        assert body.scaled == (tuple(ints), scale)
+        assert body == Zonotope3(expected)
+        columns = parse_matrix(matrix_text)
+        assert columns == expected
+        assert all(type(x) is Fraction for column in columns for x in column)
+
+    def test_unreduced_and_signed_literals(self):
+        self._check(self.UNREDUCED)
+        for row in self.UNREDUCED:  # alone, an unreduced denominator would change the scale
+            self._check([row])
+        assert parse_zonotope("zonotope3\n4/6 -0/3 +7\n").scaled == (((2, 0, 21),), 3)
+
+    @pytest.mark.parametrize("sep", LINE_BREAKS, ids=ascii)
+    def test_every_line_boundary_and_comments(self, sep):
+        self._check(self.UNREDUCED, (sep,))
+        self._check(self.UNREDUCED, (sep, "\n", "\r\n"), comment="#4/6 x")
+
+    def test_no_generators(self):
+        self._check([])
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 24, 96, MAX_GENERATORS])
+    def test_random_files(self, m):
+        rnd = random.Random(f"reader:{m}")
+        rows = [[_random_literal(rnd) for _ in range(3)] for _ in range(m)]
+        self._check(rows, rnd.sample(LINE_BREAKS, 4))
+
+    # Refusals in their order of precedence: the count cap before any literal
+    # is read; then literal by literal, each literal's own refusal (invalid,
+    # too many digits, zero denominator, in that order) or the bit budget;
+    # then the header and the row lengths.
+    _OVER = f"1/{2 ** 40 + 1}"  # 41 bits of scale: past the budget of 2000 generators
+    _CAP = (f"zonotope: at most {MAX_GENERATORS} generators "
+            f"({3 * MAX_GENERATORS} coordinates) per file")
+    _BITS = (f"zonotope: {MAX_GENERATORS} generators cleared to integers need more than "
+             f"{MAX_CLEARED_BITS // MAX_GENERATORS} bits each; at most {MAX_CLEARED_BITS} "
+             f"bits per file (generators times bits)")
+    _DIGITS = (f"integer in rational literal has {LIMIT + 1} digits, "
+               f"more than the limit ({LIMIT} digits)")
+    _FILL = "1 0 0\n" * (MAX_GENERATORS - 2)
+    REFUSALS = {
+        "x 0 0\n" + "1 0 0\n" * MAX_GENERATORS: _CAP,
+        f"{_OVER} 0 0\nx 0 0\n" + _FILL: _BITS,
+        f"x 0 0\n{_OVER} 0 0\n" + _FILL: "invalid rational literal: 'x'",
+        f"{_OVER} 0 0\n{'1' * (LIMIT + 1)} 0 0\n" + _FILL: _BITS,
+        "1 2\n1 x 3\n": "invalid rational literal: 'x'",
+        "1 2\n1 2 3\n": "zonotope: expected 3 coordinates per generator, got 2",
+        "1 2 3/0\n": "zero denominator in rational literal: '3/0'",
+        "0/000 x 1\n": "zero denominator in rational literal: '0/000'",
+        "x 0/0 1\n": "invalid rational literal: 'x'",
+        f"{'1' * (LIMIT + 1)} 0 0\n": _DIGITS,
+        f"-{'0' * LIMIT}1 0 0\n": _DIGITS,
+        f"1 0 {'1' * (LIMIT + 1)}/0\n": _DIGITS,
+        f"1/0 0 {'1' * (LIMIT + 1)}\n": "zero denominator in rational literal: '1/0'",
+        f"1x{'1' * LIMIT} 0 0\n": f"invalid rational literal: '1x{'1' * LIMIT}'",
+    }
+
+    @pytest.mark.parametrize("rows", REFUSALS, ids=lambda rows: ascii(rows[:24]))
+    def test_refusals_in_order_of_precedence(self, rows):
+        with pytest.raises(ValueError) as info:
+            parse_zonotope("zonotope3\n" + rows)
+        assert str(info.value) == self.REFUSALS[rows]
+
+    def test_header_refused_after_the_literals(self):
+        with pytest.raises(ValueError, match="invalid rational literal: 'x'"):
+            parse_zonotope("zonotope 3\n1 x 3\n")
+        with pytest.raises(ValueError, match="expected header 'zonotope3'"):
+            parse_zonotope("zonotope 3\n1 2 3\n")
 
 
 class TestMatrixFormat:
@@ -1050,8 +1165,9 @@ class TestClearedBits:
         # Every denominator 1..16 (scale lcm = 720720) and numerators of 16.
         rows = [(f"{(-1) ** i * 16}/{i % 16 + 1}", "16", f"1/{(i + 7) % 16 + 1}")
                 for i in range(MAX_GENERATORS)]
-        _, parsed = parse_rows(self._zonotope(rows), "zonotope")
-        assert int_scaled([Vec3(*row) for row in parsed])[1] == lcm(*range(1, 17))
+        _, parsed, scale = parse_rows(self._zonotope(rows), "zonotope")
+        assert scale == lcm(*range(1, 17))
+        assert int_scaled([Vec3(*(Fraction(*q) for q in row)) for row in parsed])[1] == scale
 
     def test_refuses_just_past_the_limit(self):
         generators = 8
@@ -1067,8 +1183,9 @@ class TestClearedBits:
         # would have millions of bits.
         seen, parsed = [], []
         monkeypatch.setattr(numeric, "lcm", lambda *a: seen.append(lcm(*a)) or seen[-1])
-        monkeypatch.setattr(numeric, "parse_rational",
-                            lambda text: parsed.append(text) or parse_rational(text))
+        pattern = numeric._RATIONAL_RE  # the reader matches each literal once, in order
+        monkeypatch.setattr(numeric, "_RATIONAL_RE", SimpleNamespace(
+            fullmatch=lambda text: parsed.append(text) or pattern.fullmatch(text)))
         den = 10 ** 999
         rows = [(f"1/{den + 3 * i}", f"1/{den + 3 * i + 1}", f"1/{den + 3 * i + 2}")
                 for i in range(MAX_GENERATORS)]

@@ -64,7 +64,7 @@ class TestBezout:
 
 
 class TestScalingPerCheck:
-    """A parsed or built body is cleared to integers once per check, a sampled one never."""
+    """A body built from generators is cleared once per check; a sampled or parsed one never."""
 
     @pytest.fixture
     def scaled_calls(self, monkeypatch):
@@ -85,12 +85,14 @@ class TestScalingPerCheck:
         report = check_bezout(*sampled)
         assert scaled_calls == []
         assert report.ratio is not None and report.ratio > 0
-        for bodies in self._rebuilt(sampled):
-            del scaled_calls[:]
-            assert check_bezout(*bodies) == report
-            assert scaled_calls == [z.generators for z in bodies]
-            check_bezout(*bodies)
-            assert len(scaled_calls) == 3
+        built, parsed = self._rebuilt(sampled)
+        assert check_bezout(*parsed) == report
+        check_bezout(*parsed)
+        assert scaled_calls == []
+        assert check_bezout(*built) == report
+        assert scaled_calls == [z.generators for z in built]
+        check_bezout(*built)
+        assert len(scaled_calls) == 3
         ga, gb, gc = (z.generators for z in sampled)
         assert (report.lhs, report.rhs) == (
             brute_volume(ga) * brute_mixed_volume(ga, gb, gc),
@@ -101,11 +103,12 @@ class TestScalingPerCheck:
         sampled = [random_zonotope(rng, 5, 16) for _ in range(4)]
         report = check_af_square(*sampled)
         assert scaled_calls == []
-        for bodies in self._rebuilt(sampled):
-            del scaled_calls[:]
-            assert check_af_square(*bodies) == report
-            assert len(scaled_calls) == 4
-            assert {id(g) for g in scaled_calls} == {id(z.generators) for z in bodies}
+        built, parsed = self._rebuilt(sampled)
+        assert check_af_square(*parsed) == report
+        assert scaled_calls == []
+        assert check_af_square(*built) == report
+        assert len(scaled_calls) == 4
+        assert {id(g) for g in scaled_calls} == {id(z.generators) for z in built}
 
 
 def _fraction_report(lhs, factor1, factor2, constant):
