@@ -3,10 +3,10 @@
 Every expected string below is pinned byte for byte, so any change to a
 value, a label, the decimal annotation or the CSV layout shows up here.
 `fuzz` and `report` are pinned through the sampler (the first coordinates
-drawn by `random_vec3`), through their text at fixed seeds, and through two
-digests: bezout CSV and af-square text.  The bezout digest was updated on
-purpose when trial seeds changed from seed XOR trial to `rng.trial_seed`,
-which mixes (seed, trial); the sampler draws did not move.
+drawn by `random_vec3`), through their text at fixed seeds, and through
+digests: bezout and lemma CSV, and af-square text.  The bezout digest was
+updated on purpose when trial seeds changed from seed XOR trial to
+`rng.trial_seed`, which mixes (seed, trial); the sampler draws did not move.
 """
 
 import hashlib
@@ -283,6 +283,25 @@ def test_bezout_fuzz_csv_is_pinned(capsys):
     assert out.count("\n") == 51
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "0479bae2cc978c5df64bf801575e63847a6b4dea158b2fa3d76f4bf9c37cc559"
+
+
+# The second case draws up to 40 columns, so most of its matrices take the
+# sweep (numeric.SWEEP_MIN) rather than the loop.
+LEMMA_FUZZ_CSV = {
+    "--trials 50 --seed 9":
+        (51, "c802fecf59535bdae02b687dfe4466ce10c186ad2c00867f70eb4480e5d6adb4"),
+    "--m-max 40 --trials 20 --seed 9":
+        (21, "a9ee505620c2df7f71a3ffe667a74218d02f4ee6e4d6820a99ad3cd9e9b008db"),
+}
+
+
+@pytest.mark.parametrize("flags", LEMMA_FUZZ_CSV)
+def test_lemma_fuzz_csv_is_pinned(flags, capsys):
+    assert main(["fuzz", "--target", "lemma", "--output", "csv", *flags.split()]) == 0
+    out = capsys.readouterr().out
+    lines, digest = LEMMA_FUZZ_CSV[flags]
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_af_square_fuzz_text_is_pinned(capsys):
