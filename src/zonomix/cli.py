@@ -271,7 +271,7 @@ def cmd_report(args) -> int:
     seg1 = Zonotope3.from_generators([(1, 0, 0)])
     seg2 = Zonotope3.from_generators([(0, 1, 0)])
     checks.append(("unit cube vs its edge segments", check_bezout(cube, seg1, seg2)))
-    checks.append(("generator-matrix form on the cube", check_lemma_matrix(cube.generators)))
+    checks.append(("generator-matrix form on the cube", check_lemma_matrix(cube)))
 
     minors = pluecker(equality[0].generators + seg1.generators + seg2.generators)
     _, gp_ok = _relation_verdict(minors)

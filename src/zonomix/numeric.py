@@ -136,10 +136,11 @@ def det3(a, b, c):
 # of q) is p * (L // q), with no Fraction product to build and normalise.
 # A zonotope is cleared at most once: `Zonotope3.scaled` caches the result
 # per body, so every volume of a check reads the same integer generators.
-# A sampled or parsed zonotope is never cleared: `rng.random_zonotope` scales
-# the drawn numerators the same way, `parse_rows` returns reduced pairs with
-# their lcm scale, and each builds the body from its integer view; `unscaled`
-# makes its rational generators only when they are read.
+# A sampled or parsed zonotope is never cleared, nor is a matrix, which is the
+# body of its columns: `rng.random_zonotope` scales the drawn numerators the
+# same way, `parse_rows` returns reduced pairs with their lcm scale, and each
+# builds the body from its integer view; `unscaled` makes its rational
+# generators only when they are read.
 #
 # Every 3D sum is a total of one kernel contract: given (p, (A, B, C))
 # pairs, return the sums of |det(p, u, v)| over the pairs u, v from A x A
@@ -732,9 +733,16 @@ def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_matrix(text: str) -> tuple[Vec3, ...]:
-    """A 3 x n matrix file as its n columns, in order."""
-    header, rows, _ = parse_rows(text, "matrix")
+def parse_matrix(text: str) -> "Zonotope3":
+    """A 3 x n matrix file as the body of its n columns, in order.
+
+    The body is built from its integer view, the reader's reduced pairs at
+    their lcm scale, as `parse_zonotope` builds one; no `Fraction` is made
+    until its columns are read.
+    """
+    from .zonotope import _from_pairs  # zonotope imports this module
+
+    header, rows, scale = parse_rows(text, "matrix")
     fields = header.split()
     if len(fields) != 3 or fields[0] != "matrix" or fields[1] != "3":
         raise ValueError(f"expected header 'matrix 3 n', got {header!r}")
@@ -747,15 +755,14 @@ def parse_matrix(text: str) -> tuple[Vec3, ...]:
     if n == 0:
         if rows:
             raise ValueError("matrix with 0 columns must have no rows")
-        return ()
-    if len(rows) != 3:
+    elif len(rows) != 3:
         raise ValueError(f"expected 3 matrix rows, got {len(rows)}")
     for row in rows:
         if len(row) != n:
             raise ValueError(f"matrix: expected {n} entries per row, got {len(row)}")
-    return tuple(Vec3(*(Fraction(n, d) for n, d in col)) for col in zip(*rows))
+    return _from_pairs(zip(*rows), scale)
 
 
 def render_matrix(columns: Sequence[Vec3]) -> str:
-    """The matrix file of these columns: header, then the x, y and z rows."""
+    """The matrix file of these columns, a body or `Vec3`s: header, then the x, y and z rows."""
     return render_rows(f"matrix 3 {len(columns)}", zip(*columns))

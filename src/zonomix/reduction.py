@@ -105,7 +105,7 @@ def f_direct(x: Sequence[Fraction], y: Sequence[Fraction],
              z: Sequence[Fraction]) -> Fraction:
     """(sum over i<j<k of |det3 of columns (x_i,y_i,z_i)|) * (sum of |z_i|)."""
     _require_same_length(x, y, z)
-    return check_lemma_matrix([Vec3(xi, yi, zi) for xi, yi, zi in zip(x, y, z)]).lhs
+    return check_lemma_matrix(Zonotope3(tuple(map(Vec3, x, y, z)))).lhs
 
 
 def _e3_e1(s: SStats) -> Fraction:

@@ -21,8 +21,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
+# `int_scaled` has no caller here.  It is kept for perfbench, whose tracer
+# wraps every module's binding of it and whose tests read this one; it goes
+# when they stop.
 from .numeric import (
-    Vec3,
     int_scaled,
     render_matrix,
     sum_abs_det3_af_square,
@@ -157,17 +159,19 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
     return IneqReport(pairs_ad * triples_bcd, 18 * k, triples_abd * triples_acd, 36 * k, 2)
 
 
-def check_lemma_matrix(vectors: Sequence[Vec3]) -> IneqReport:
+def check_lemma_matrix(a: Zonotope3) -> IneqReport:
     """Generator-matrix form of the zonotope inequality; holds for every input.
 
-    Equivalent to check_bezout with B = [0,e1] and C = [0,e2]: the lhs here is
-    6*V(A,A,A)*V(A,B,C) and the rhs is 9*V(A,A,B)*V(A,A,C), so slack scales by 6
-    and the hold/violate verdicts coincide.  The four sums are those of that
-    check, from one `sum_abs_det3_bezout` call: |det(a_i, a_j, e1)| is
+    The 3 x n matrix is the body A of its columns (`parse_matrix`,
+    `rng.random_vectors`), read through its integer view.  Equivalent to
+    check_bezout with B = [0,e1] and C = [0,e2]: the lhs here is
+    6*V(A,A,A)*V(A,B,C) and the rhs is 9*V(A,A,B)*V(A,A,C), so slack scales
+    by 6 and the hold/violate verdicts coincide.  The four sums are those of
+    that check, from one `sum_abs_det3_bezout` call: |det(a_i, a_j, e1)| is
     |y_i z_j - z_i y_j|, |det(a_i, a_j, e2)| is |x_i z_j - z_i x_j| and
     |det(a_i, e1, e2)| is |z_i|.
     """
-    ints, scale = int_scaled(vectors)
+    ints, scale = a.scaled
     combos, pairs_yz, pairs_xz, zsum = sum_abs_det3_bezout(ints, ((1, 0, 0),), ((0, 1, 0),))
     scale4 = scale ** 4
     return IneqReport(combos * zsum, scale4, pairs_yz * pairs_xz, scale4)
@@ -228,9 +232,9 @@ def _bezout_trial(rng: SplitMix64, cfg: FuzzConfig):
 
 
 def _lemma_trial(rng: SplitMix64, cfg: FuzzConfig):
-    vectors = random_vectors(rng, cfg.m_max, cfg.coeff_bound)
-    report = check_lemma_matrix(vectors)
-    return report, len(vectors), lambda: render_matrix(vectors)
+    matrix = random_vectors(rng, cfg.m_max, cfg.coeff_bound)
+    report = check_lemma_matrix(matrix)
+    return report, len(matrix), lambda: render_matrix(matrix)
 
 
 def _af_square_trial(rng: SplitMix64, cfg: FuzzConfig):

@@ -13,6 +13,11 @@ O(m^2 log m) angular sweep from `numeric.SWEEP_MIN` generators on
 checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`).
 They all read a body's integer view, which a parsed or sampled body is built
 from and a body built from rational generators derives once.
+
+A 3 x n generator matrix is a body too: its columns are the generators, in
+order, duplicates and zero columns kept, so `parse_matrix`,
+`rng.random_vectors` and `verify.check_lemma_matrix` work on the integer view
+as the volumes do.
 """
 
 from __future__ import annotations
@@ -52,6 +57,10 @@ class Zonotope3:
     their lcm: every volume divides it back out.
     Equality, hashing and repr see the rational generators only, however the
     body was built.
+
+    A body iterates as its rational generators and its length is their
+    count, read from the integer view, so a generator matrix held as a body
+    reads as its sequence of columns.
     """
 
     generators: tuple[Vec3, ...]
@@ -76,6 +85,12 @@ class Zonotope3:
             raise AttributeError(name)
         gens = self.__dict__["generators"] = unscaled(*self.scaled)
         return gens
+
+    def __iter__(self):
+        return iter(self.generators)
+
+    def __len__(self):
+        return len(self.scaled[0])
 
     @cached_property
     def scaled(self) -> tuple[tuple[tuple[int, int, int], ...], int]:
@@ -138,6 +153,15 @@ def volume_float(a: Zonotope3) -> float:
 # Zonotope text format: header "zonotope3", then one generator per row (see
 # numeric.parse_rows).
 
+def _from_pairs(generators: Iterable, scale: int) -> Zonotope3:
+    """The body of generators given as three (numerator, denominator) pairs each.
+
+    `scale` is a common multiple of the denominators, as `parse_rows` returns.
+    """
+    return Zonotope3.from_scaled([(x * (scale // dx), y * (scale // dy), z * (scale // dz))
+                                  for (x, dx), (y, dy), (z, dz) in generators], scale)
+
+
 def parse_zonotope(text: str) -> Zonotope3:
     header, rows, scale = parse_rows(text, "zonotope")
     if header != "zonotope3":
@@ -145,8 +169,7 @@ def parse_zonotope(text: str) -> Zonotope3:
     for row in rows:
         if len(row) != 3:
             raise ValueError(f"zonotope: expected 3 coordinates per generator, got {len(row)}")
-    return Zonotope3.from_scaled([(x * (scale // dx), y * (scale // dy), z * (scale // dz))
-                                  for (x, dx), (y, dy), (z, dz) in rows], scale)
+    return _from_pairs(rows, scale)
 
 
 def render_zonotope(zono: Zonotope3) -> str:

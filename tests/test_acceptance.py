@@ -146,7 +146,7 @@ def test_criterion_04_matrix_form_bridge():
         for _ in range(1000):
             a = random_zonotope(rng, 6, 16)
             vectors = list(a.generators)
-            report = check_lemma_matrix(vectors)
+            report = check_lemma_matrix(Zonotope3.from_generators(vectors))
             assert report.lhs == 6 * volume(a) * mixed_volume(a, SEG1, SEG2)
             assert report.rhs == 9 * mixed_volume_repeated(a, SEG1) * \
                 mixed_volume_repeated(a, SEG2)
@@ -192,7 +192,7 @@ def test_criterion_06_degenerate_third_coordinates():
                 zero_seen += zi == 0
                 vectors.append(Vec3(random_rational(rng, 16),
                                     random_rational(rng, 16), zi))
-            report = check_lemma_matrix(vectors)
+            report = check_lemma_matrix(Zonotope3.from_generators(vectors))
             assert report.holds and report.slack >= 0
         assert zero_seen > 500  # the degenerate case is actually exercised
 
@@ -209,7 +209,7 @@ def test_criterion_07_minor_coordinate_form():
         for _ in range(500):
             gens = tuple(random_vec3(rng, 9) for _ in range(4))
             quad = check_quad_ineq(abs_map(pluecker(gens + (E1, E2))))
-            lemma = check_lemma_matrix(list(gens))
+            lemma = check_lemma_matrix(Zonotope3.from_generators(gens))
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
 
         equality_gens = tuple(

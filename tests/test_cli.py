@@ -351,11 +351,23 @@ class TestResourceGuards:
         assert capsys.readouterr().err == \
             f"error: --coeff-bound must be <= {MAX_COEFF_BOUND}, got {over}\n"
 
+    @classmethod
+    def _trap_fuzz_samplers(cls, monkeypatch):
+        # The samplers the fuzz trials call, by the names they call them in verify.
+        monkeypatch.setattr(verify, "random_zonotope", cls._never)
+        monkeypatch.setattr(verify, "random_vectors", cls._never)
+
+    # The control for the fuzz guards: a valid run does reach the trap.
+    @pytest.mark.parametrize("target", ["bezout", "lemma", "af-square"])
+    def test_fuzz_trial_reaches_the_trap(self, target, monkeypatch):
+        self._trap_fuzz_samplers(monkeypatch)
+        with pytest.raises(AssertionError, match="reached the allocation"):
+            main(["fuzz", "--target", target, "--trials", "1"])
+
     @pytest.mark.parametrize("target", ["bezout", "lemma", "af-square"])
     def test_fuzz_coeff_bound_cap(self, target, capsys, monkeypatch):
         over = MAX_COEFF_BOUND + 1
-        monkeypatch.setattr(verify, "random_zonotope", self._never)
-        monkeypatch.setattr(verify, "random_vectors", self._never)
+        self._trap_fuzz_samplers(monkeypatch)
         assert main(["fuzz", "--target", target, "--trials", "1",
                      "--coeff-bound", str(over)]) == 2
         assert capsys.readouterr().err == \
@@ -380,8 +392,7 @@ class TestResourceGuards:
 
     @pytest.mark.parametrize("target", ["bezout", "lemma", "af-square"])
     def test_fuzz_m_max(self, target, capsys, monkeypatch):
-        monkeypatch.setattr(verify, "random_zonotope", self._never)
-        monkeypatch.setattr(verify, "random_vectors", self._never)
+        self._trap_fuzz_samplers(monkeypatch)
         assert main(["fuzz", "--target", target, "--trials", "1",
                      "--m-max", str(MAX_M_MAX + 1)]) == 2
         assert capsys.readouterr().err == \

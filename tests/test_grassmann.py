@@ -18,6 +18,7 @@ from zonomix.cli import main
 from zonomix.numeric import E1, E2, render_matrix, vec3
 from zonomix.rng import SplitMix64, random_vec3, random_vectors
 from zonomix.verify import check_lemma_matrix
+from zonomix.zonotope import Zonotope3
 from oracles import exchange_residuals, leibniz_det3
 
 E3 = vec3(0, 0, 1)
@@ -337,7 +338,7 @@ class TestQuadIneq:
                 continue
             q = abs_map(pluecker(tuple(vectors) + (E1, E2)))
             quad = check_quad_ineq(q)
-            lemma = check_lemma_matrix(vectors)
+            lemma = check_lemma_matrix(Zonotope3.from_generators(vectors))
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
         assert q.scale.bit_length() > 150
 

@@ -5,7 +5,7 @@ import hashlib
 import pytest
 
 from zonomix.cli import main
-from zonomix.rng import SplitMix64, random_vectors, random_zonotope
+from zonomix.rng import SplitMix64, random_vec3, random_vectors, random_zonotope
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
 from oracles import brute_mixed_volume, brute_volume
 
@@ -40,10 +40,14 @@ def test_take_is_n_calls_of_next64(seed, n):
 def test_random_zonotope_is_the_body_of_random_vectors(bound, m_max, seeds):
     other = Zonotope3.from_generators(OTHER)
     for seed in range(seeds):
-        rng, ref = SplitMix64(seed), SplitMix64(seed)
+        rng, ref, rational = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
         body = random_zonotope(rng, m_max, bound)
         expected = Zonotope3(tuple(random_vectors(ref, m_max, bound)))
-        assert rng.next64() == ref.next64()  # the draw left both streams at one position
+        # The same draws, one `Fraction` per coordinate.
+        m = rational.randint(1, m_max)
+        assert tuple(random_vec3(rational, bound) for _ in range(m)) == expected.generators
+        # The draws left all three streams at one position.
+        assert rng.next64() == ref.next64() == rational.next64()
         gens = expected.generators
         assert body.generators == gens and body == expected
         ints, scale = body.scaled

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from zonomix import verify, zonotope
-from zonomix.numeric import SWEEP_MIN, E1, E2, Vec3, vec3
+from zonomix.numeric import SWEEP_MIN, E1, E2, Vec3, parse_matrix, vec3
 from zonomix.rng import SplitMix64, random_vectors, random_zonotope, trial_seed
 from zonomix.verify import (
     TARGETS,
@@ -228,7 +228,7 @@ class TestChecksMatchFractionFormulas:
         assert astuple(check_af_square(a, b, c, a)) == _af_square_by_volumes(a, b, c, a)
         assert astuple(check_af_square(b, c, a, b)) == _af_square_by_volumes(b, c, a, b)
         vectors = list(a.generators)
-        assert astuple(check_lemma_matrix(vectors)) == _lemma_by_sums(vectors)
+        assert astuple(check_lemma_matrix(a)) == _lemma_by_sums(vectors)
 
     @pytest.mark.parametrize("seed", [4, 2 ** 64 - 1])
     def test_fuzz_draws(self, seed):
@@ -286,7 +286,7 @@ class TestAfSquare:
 
 class TestLemma:
     def test_basis_vectors(self):
-        report = check_lemma_matrix([E1, E2, E3])
+        report = check_lemma_matrix(Zonotope3.from_generators([E1, E2, E3]))
         assert report.lhs == 1
         assert report.rhs == 1
 
@@ -294,13 +294,13 @@ class TestLemma:
         vectors = list(TIGHT.generators)
         # brute force: triple-minor sum 4, z-sum 4; each pair-minor sum 4
         assert brute_volume(vectors) * 4 == 16
-        report = check_lemma_matrix(vectors)
+        report = check_lemma_matrix(Zonotope3.from_generators(vectors))
         assert report.lhs == 16
         assert report.rhs == 16
 
     def test_small_and_flat(self):
         vectors = [vec3(1, 0, 0), vec3(0, 1, 0)]
-        report = check_lemma_matrix(vectors)
+        report = check_lemma_matrix(Zonotope3.from_generators(vectors))
         assert report.lhs == 0
         assert report.rhs == 0
         assert report.holds and report.ratio is None
@@ -332,8 +332,49 @@ class TestLemma:
 
     def test_degenerate_z_entries(self):
         vectors = [vec3(1, 2, 0), vec3(3, 1, 0), vec3(2, 2, 1), vec3(-1, 0, 0)]
-        report = check_lemma_matrix(vectors)
+        report = check_lemma_matrix(Zonotope3.from_generators(vectors))
         assert report.holds
+
+
+def _count_fractions(monkeypatch) -> list:
+    """A list that gains one entry per `Fraction` built from here on."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
+
+
+class TestLemmaBuildsNoFraction:
+    """A matrix is integers from reader or sampler to verdict."""
+
+    @pytest.mark.parametrize("text", [
+        "matrix 3 4\n1 1/2 0 2\n2 -1 1 0\n3 0 -2/3 1\n",
+        # 12 columns: the four sums come from the sweep.
+        "matrix 3 12\n" + "\n".join(" ".join(f"{(i * r + 3) % 7 - 3}/{1 + (i + r) % 5}"
+                                             for i in range(12)) for r in range(3)) + "\n",
+    ])
+    def test_check_of_a_parsed_matrix(self, text, monkeypatch):
+        built = _count_fractions(monkeypatch)
+        assert check_lemma_matrix(parse_matrix(text)).holds
+        assert built == []
+
+    def test_fuzz_builds_the_summary_and_the_worst_case_only(self, monkeypatch):
+        built = _count_fractions(monkeypatch)
+        counts = []
+        for trials in (10, 200):
+            del built[:]
+            summary = fuzz(FuzzConfig(target="lemma", trials=trials, seed=1),
+                           on_trial=lambda t, m, rep: (rep.holds, rep._pairs()))
+            counts.append(len(built))
+            # min slack, max ratio, and the three coordinates of each worst-case column
+            columns = int(summary.worst_case.split("\n", 1)[0].split()[2])
+            assert summary.max_ratio is not None
+            assert len(built) == 2 + 3 * columns
+        assert counts[0] == counts[1]
 
 
 class TestFuzz:
