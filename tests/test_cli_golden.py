@@ -304,6 +304,30 @@ def test_lemma_fuzz_csv_is_pinned(flags, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+# At these seeds the lcm of the drawn denominators is a larger scale than
+# the lcm of the reduced ones (1294 against 1293 bits at the 2^32 bound, 20
+# against 16 bits at n = 12), so the minors are pinned across that choice.
+GRASSMANN_SAMPLE = {
+    "--n 16 --seed 7 --coeff-bound 4294967296":
+        (567, "cf126a332b4c3fe026f0e8a79621dfed7a7be279a56c446af6258990e0a8d719"),
+    "--n 16 --seed 7 --coeff-bound 4294967296 --output csv":
+        (560, "61a90d7fb9985abf9513efbfae7884f9e60881d9308672a69aa75ced7687f8ad"),
+    "--n 12 --seed 3":
+        (227, "408a61f8f4d222e78c3ddc158c3fe3cb4a65be18445b7483b83c777d7803ae98"),
+    "--n 12 --seed 3 --output csv":
+        (220, "a8409a325fcfd36a69d59c4351034527e2316a8c8cd42f3eb52aa21d983b3e0f"),
+}
+
+
+@pytest.mark.parametrize("flags", GRASSMANN_SAMPLE)
+def test_grassmann_sample_is_pinned(flags, capsys):
+    assert main(["grassmann-sample", *flags.split()]) == 0
+    out = capsys.readouterr().out
+    lines, digest = GRASSMANN_SAMPLE[flags]
+    assert out.count("\n") == lines
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_af_square_fuzz_text_is_pinned(capsys):
     assert main(["fuzz", "--target", "af-square", "--trials", "20", "--seed", "3"]) == 0
     out = capsys.readouterr().out
