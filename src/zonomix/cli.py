@@ -34,7 +34,7 @@ from .numeric import (
     render_rational,
 )
 from .reduction import SStats, extremal_config
-from .rng import SplitMix64, random_vec3
+from .rng import SplitMix64, random_columns
 from .verify import (
     MAX_COEFF_BOUND,
     TARGETS,
@@ -244,7 +244,7 @@ def cmd_grassmann_sample(args) -> int:
         raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
     check_coeff_bound(args.coeff_bound)
     rng = SplitMix64(args.seed)
-    columns = tuple(random_vec3(rng, args.coeff_bound) for _ in range(args.n))
+    columns = random_columns(rng, args.n, args.coeff_bound)
     point = pluecker(columns)
     relations, ok = _relation_verdict(point)
     if args.output == "csv":
@@ -273,7 +273,7 @@ def cmd_report(args) -> int:
     checks.append(("unit cube vs its edge segments", check_bezout(cube, seg1, seg2)))
     checks.append(("generator-matrix form on the cube", check_lemma_matrix(cube)))
 
-    minors = pluecker(equality[0].generators + seg1.generators + seg2.generators)
+    minors = pluecker(Zonotope3(equality[0].generators + seg1.generators + seg2.generators))
     _, gp_ok = _relation_verdict(minors)
     checks.append(("quadratic minor inequality (6 columns)", check_quad_ineq(abs_map(minors))))
 

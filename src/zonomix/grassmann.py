@@ -7,9 +7,10 @@ Realizable vectors satisfy the quadratic exchange relations checked here;
 appending the two unit columns e1, e2 to a generator matrix turns the
 zonotope inequality into a quadratic inequality in these coordinates.
 
-A minor vector is integers with one scale, as `Zonotope3.scaled` is, and
-every check reads those integers; an exchange residual is an integer over
-the scale squared.
+A matrix is the body of its columns, a `Zonotope3`, as everywhere in the
+package.  Its minor vector is integers with one scale, the cube of the
+body's (`Zonotope3.scaled`), and every check reads those integers; an
+exchange residual is an integer over the scale squared.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Sequence
 
-from .numeric import Vec3, det3, int_scaled, render_rational
+from .numeric import det3, render_rational
 from .verify import IneqReport
+from .zonotope import Zonotope3
 
 Subset3 = tuple[int, int, int]
 
@@ -50,19 +51,19 @@ class PlueckerVector:
                              f"3-subsets of 1..{self.n}")
 
 
-def pluecker(columns: Sequence[Vec3]) -> PlueckerVector:
-    """Minor vector of the 3 x n matrix with these columns, 3 <= n <= MAX_COLUMNS.
+def pluecker(columns: Zonotope3) -> PlueckerVector:
+    """Minor vector of the 3 x n matrix whose columns generate this body, 3 <= n <= MAX_COLUMNS.
 
-    The minors are taken on cleared integers: `int_scaled` multiplies the
-    columns by L, the lcm of their denominators, so each integer
-    determinant is L^3 times the rational minor, and L^3 is the scale.
+    The minors are taken on the body's integer view: each column is its
+    integer triple over the scale L, so each integer determinant is L^3
+    times the rational minor, and L^3 is the scale.
     """
-    n = len(columns)
+    cols, scale = columns.scaled
+    n = len(cols)
     if n < 3:
         raise ValueError(f"need at least 3 columns, got {n}")
     if n > MAX_COLUMNS:
         raise ValueError(f"need at most {MAX_COLUMNS} columns, got {n}")
-    cols, scale = int_scaled(columns)
     coords = {(i + 1, j + 1, k + 1): det3(cols[i], cols[j], cols[k])
               for i, j, k in combinations(range(n), 3)}
     return PlueckerVector(n, coords, scale ** 3)

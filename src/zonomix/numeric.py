@@ -137,7 +137,7 @@ def det3(a, b, c):
 # A zonotope is cleared at most once: `Zonotope3.scaled` caches the result
 # per body, so every volume of a check reads the same integer generators.
 # A sampled or parsed zonotope is never cleared, nor is a matrix, which is the
-# body of its columns: `rng.random_zonotope` scales the drawn numerators the
+# body of its columns: `rng.random_columns` scales the drawn numerators the
 # same way, `parse_rows` returns reduced pairs with their lcm scale, and each
 # builds the body from its integer view; `unscaled` makes its rational
 # generators only when they are read.
@@ -763,6 +763,6 @@ def parse_matrix(text: str) -> "Zonotope3":
     return _from_pairs(zip(*rows), scale)
 
 
-def render_matrix(columns: Sequence[Vec3]) -> str:
-    """The matrix file of these columns, a body or `Vec3`s: header, then the x, y and z rows."""
+def render_matrix(columns: "Zonotope3") -> str:
+    """The matrix file of a body's columns, in order: header, then the x, y and z rows."""
     return render_rows(f"matrix 3 {len(columns)}", zip(*columns))

@@ -14,24 +14,23 @@ lane; both give the same stream.
 
 Every sampler reads coordinates through one draw routine, `_draw`: one
 `take` for a block of coordinates, two outputs per coordinate, numerator then
-denominator.  `random_zonotope` keeps the draws as integers: it clears them
-to a common scale (the lcm of the drawn denominators) with integer
-arithmetic only and builds the body from that integer view
-(`Zonotope3.from_scaled`), so no `Fraction` is made until the body's
-rational generators are read.  `random_vectors`, the lemma fuzz target's
-3 x m matrix, is that body: a matrix is the body of its columns.  Only
-`random_vec3` returns rationals.
+denominator.  `random_columns` draws n columns and keeps the draws as
+integers: it clears them to a common scale (the lcm of the drawn
+denominators) with integer arithmetic only and builds the body from that
+integer view (`Zonotope3.from_scaled`), so no `Fraction` is made until the
+body's rational generators are read.  A matrix is the body of its columns:
+`random_zonotope` and `random_vectors` (the lemma fuzz target's 3 x m
+matrix) are `random_columns` at a drawn count, and `grassmann-sample` calls
+it at a fixed one.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .numeric import Vec3
 from .zonotope import Zonotope3
 
 _MASK = (1 << 64) - 1
@@ -131,23 +130,23 @@ def _draw(rng: SplitMix64, count: int, bound: int) -> tuple[list[int], list[int]
     return [d % span - bound for d in draws[0::2]], [d % bound + 1 for d in draws[1::2]]
 
 
-def random_vec3(rng: SplitMix64, bound: int) -> Vec3:
-    return Vec3(*map(Fraction, *_draw(rng, 3, bound)))
-
-
 def random_vectors(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
     """A 3 x m matrix, as the body of its m columns: the draw of `random_zonotope`."""
     return random_zonotope(rng, m_max, bound)
 
 
 def random_zonotope(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
-    """A body of 1 to m_max generators, each coordinate a / b with |a|, b <= bound.
+    """A body of 1 to m_max generators, the count drawn first: `random_columns`."""
+    return random_columns(rng, rng.randint(1, m_max), bound)
 
-    Built from its integer view: the m drawn numerators, each multiplied up
+
+def random_columns(rng: SplitMix64, n: int, bound: int) -> Zonotope3:
+    """The body of n columns, each coordinate a / b with |a|, b <= bound.
+
+    Built from its integer view: the 3n drawn numerators, each multiplied up
     to the lcm of the drawn denominators.
     """
-    m = rng.randint(1, m_max)
-    nums, dens = _draw(rng, 3 * m, bound)
+    nums, dens = _draw(rng, 3 * n, bound)
     scale = lcm(*dens)
     ints = [num * (scale // den) for num, den in zip(nums, dens)]
     # A list, not the zip: `tuple` of an iterator with no length resizes its

@@ -16,8 +16,8 @@ from and a body built from rational generators derives once.
 
 A 3 x n generator matrix is a body too: its columns are the generators, in
 order, duplicates and zero columns kept, so `parse_matrix`,
-`rng.random_vectors` and `verify.check_lemma_matrix` work on the integer view
-as the volumes do.
+`rng.random_columns`, `verify.check_lemma_matrix` and `grassmann.pluecker`
+work on the integer view as the volumes do.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ class Zonotope3:
     A body has two views of its generators: `generators`, rational `Vec3`s,
     and `scaled`, integer triples with a scale L >= 1 such that each
     generator is its triple divided by L.  The constructor takes the first,
-    `from_scaled` the second, as `parse_zonotope` and `rng.random_zonotope`
+    `from_scaled` the second, as `parse_zonotope` and `rng.random_columns`
     do; the other view is derived on first read and kept with the body.
     L may be any common multiple of the coordinate denominators, not only
     their lcm: every volume divides it back out.

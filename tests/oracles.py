@@ -5,7 +5,8 @@ implementation: determinants by the signed permutation sum, mixed volumes by
 full triple enumeration over Fractions (no integer rescaling), elementary
 symmetric polynomials by direct expansion.  Tests freeze values computed by
 these oracles and assert the package agrees exactly.  The last three helpers
-build test inputs: a rational draw, a scaled vector and a linear image.
+build test inputs: a rational draw, a scaled vector and a linear image;
+`count_fractions` counts the `Fraction`s a test's code builds.
 """
 
 from fractions import Fraction
@@ -95,6 +96,18 @@ def exchange_residuals(n, coords):
                 total += (-1) ** (k + inversions) * coords[tuple(sorted(seq))] * coords[remainder]
             out.append(total)
     return out
+
+
+def count_fractions(monkeypatch) -> list:
+    """A list that gains one entry per `Fraction` built from here on."""
+    built = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(cls)
+        return new(cls, *args, **kwargs)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    return built
 
 
 def random_rational(rng, bound):

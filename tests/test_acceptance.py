@@ -25,7 +25,7 @@ from zonomix.reduction import (
     s_stats,
     slack_identity,
 )
-from zonomix.rng import SplitMix64, random_vec3, random_zonotope
+from zonomix.rng import SplitMix64, random_columns, random_zonotope
 from zonomix.verify import (
     FuzzConfig,
     check_af_square,
@@ -88,13 +88,13 @@ def test_criterion_01_mixed_volume_axioms():
             # diagonal equals the volume
             assert volume(a) == mixed_volume(a, a, a)
             # linear images scale by |det|
-            columns = (random_vec3(rng, 16), random_vec3(rng, 16), random_vec3(rng, 16))
+            columns = random_columns(rng, 3, 16).generators
             a2, b2, c2 = (Zonotope3.from_generators(linear_image(columns, g)
                                                     for g in body.generators)
                           for body in (a, b, c))
             assert mixed_volume(a2, b2, c2) == abs(det3(*columns)) * base
             # parallel segments kill the mixed volume
-            u = random_vec3(rng, 16)
+            (u,) = random_columns(rng, 1, 16)
             lam = random_rational(rng, 16)
             parallel = Zonotope3((vec3(lam * u.x, lam * u.y, lam * u.z),))
             assert mixed_volume(a, Zonotope3((u,)), parallel) == 0
@@ -201,20 +201,19 @@ def test_criterion_07_minor_coordinate_form():
     with criterion(7, "exchange residuals, quadratic form and equivalence (1,000 + 500)"):
         rng = SplitMix64(107)
         for _ in range(1000):
-            mat = tuple(random_vec3(rng, 9) for _ in range(6))
-            point = pluecker(mat)
+            point = pluecker(random_columns(rng, 6, 9))
             assert all(r == 0 for r in check_gp3(point))
             assert check_quad_ineq(abs_map(point)).holds
 
         for _ in range(500):
-            gens = tuple(random_vec3(rng, 9) for _ in range(4))
-            quad = check_quad_ineq(abs_map(pluecker(gens + (E1, E2))))
-            lemma = check_lemma_matrix(Zonotope3.from_generators(gens))
+            gens = random_columns(rng, 4, 9)
+            quad = check_quad_ineq(abs_map(pluecker(Zonotope3(gens.generators + (E1, E2)))))
+            lemma = check_lemma_matrix(gens)
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
 
         equality_gens = tuple(
             vec3(*t) for t in ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 1)))
-        report = check_quad_ineq(abs_map(pluecker(equality_gens + (E1, E2))))
+        report = check_quad_ineq(abs_map(pluecker(Zonotope3(equality_gens + (E1, E2)))))
         assert report.lhs == report.rhs == 16
 
 
@@ -237,8 +236,7 @@ def test_criterion_09_polytope_pipeline_cross_check():
             zono = random_zonotope(rng, 4, 8)
             poly = polytope_of_zonotope(zono)
             assert volume_polytope(poly) == volume(zono)
-            u = random_vec3(rng, 8)
-            v = random_vec3(rng, 8)
+            u, v = random_columns(rng, 2, 8)
             assert mv_seg_seg(poly, u, v) == \
                 mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))

@@ -330,8 +330,14 @@ class TestResourceGuards:
     def _never(*args):
         raise AssertionError("reached the allocation the guard should prevent")
 
+    # The control for the grassmann-sample guards: a valid run does reach the trap.
+    def test_grassmann_sample_reaches_the_trap(self, monkeypatch):
+        monkeypatch.setattr(cli, "random_columns", self._never)
+        with pytest.raises(AssertionError, match="reached the allocation"):
+            main(["grassmann-sample", "--n", "6"])
+
     def test_grassmann_sample_columns(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "random_vec3", self._never)
+        monkeypatch.setattr(cli, "random_columns", self._never)
         assert main(["grassmann-sample", "--n", str(MAX_COLUMNS + 1)]) == 2
         assert capsys.readouterr().err == \
             f"error: --n must be <= {MAX_COLUMNS}, got {MAX_COLUMNS + 1}\n"
@@ -339,14 +345,14 @@ class TestResourceGuards:
     # Unchecked, 0 and -5 failed inside the draw and -1 drew an all-ones matrix.
     @pytest.mark.parametrize("bound", [0, -1, -5])
     def test_grassmann_sample_coeff_bound(self, bound, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "random_vec3", self._never)
+        monkeypatch.setattr(cli, "random_columns", self._never)
         assert main(["grassmann-sample", "--coeff-bound", str(bound)]) == 2
         assert capsys.readouterr().err == f"error: --coeff-bound must be >= 1, got {bound}\n"
 
     # Unchecked, a bound of 2^64 or more drew only negative numerators.
     def test_grassmann_sample_coeff_bound_cap(self, capsys, monkeypatch):
         over = MAX_COEFF_BOUND + 1
-        monkeypatch.setattr(cli, "random_vec3", self._never)
+        monkeypatch.setattr(cli, "random_columns", self._never)
         assert main(["grassmann-sample", "--coeff-bound", str(over)]) == 2
         assert capsys.readouterr().err == \
             f"error: --coeff-bound must be <= {MAX_COEFF_BOUND}, got {over}\n"
@@ -383,8 +389,7 @@ class TestResourceGuards:
     def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
         wide = tmp_path / "wide.mat"
         wide.write_text(render_matrix((E1,) * (MAX_COLUMNS + 1)))
-        # pluecker clears the columns, then takes each minor by det3: neither may run.
-        monkeypatch.setattr(grassmann, "int_scaled", self._never)
+        # pluecker takes each minor by det3 on the parsed integers: it may not run.
         monkeypatch.setattr(grassmann, "det3", self._never)
         assert main(["check", "grassmann", str(wide)]) == 2
         assert capsys.readouterr().err == \

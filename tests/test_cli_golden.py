@@ -2,8 +2,8 @@
 
 Every expected string below is pinned byte for byte, so any change to a
 value, a label, the decimal annotation or the CSV layout shows up here.
-`fuzz` and `report` are pinned through the sampler (the first coordinates
-drawn by `random_vec3`), through their text at fixed seeds, and through
+`fuzz` and `report` are pinned through the sampler (the first columns
+`random_columns` draws), through their text at fixed seeds, and through
 digests: bezout and lemma CSV, and af-square text.  The bezout digest was
 updated on purpose when trial seeds changed from seed XOR trial to
 `rng.trial_seed`, which mixes (seed, trial); the sampler draws did not move.
@@ -15,8 +15,9 @@ import pytest
 
 from zonomix.cli import main
 from zonomix.numeric import render_matrix, vec3
-from zonomix.rng import SplitMix64, random_vec3
+from zonomix.rng import SplitMix64, random_columns
 from zonomix.zonotope import Zonotope3, render_zonotope
+from oracles import random_rational
 
 INPUTS = {
     "A": "# body A\nzonotope3\n1 2 3\n\n1/2 -1 0\n0 1 -2/3\n# last one\n2 0 1\n",
@@ -271,9 +272,11 @@ SAMPLER_STREAM = {
 
 @pytest.mark.parametrize("seed", SAMPLER_STREAM)
 def test_sampler_stream_is_pinned(seed):
-    rng = SplitMix64(seed)
-    drawn = " ".join(str(q) for _ in range(4) for q in random_vec3(rng, 16))
+    rng, rational = SplitMix64(seed), SplitMix64(seed)
+    drawn = " ".join(str(q) for column in random_columns(rng, 4, 16) for q in column)
     assert drawn == SAMPLER_STREAM[seed]
+    # One `Fraction` per coordinate, numerator then denominator, as `rng._draw` documents.
+    assert drawn == " ".join(str(random_rational(rational, 16)) for _ in range(12))
 
 
 def test_bezout_fuzz_csv_is_pinned(capsys):

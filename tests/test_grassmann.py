@@ -15,11 +15,11 @@ from zonomix.grassmann import (
     render_pluecker_csv,
 )
 from zonomix.cli import main
-from zonomix.numeric import E1, E2, render_matrix, vec3
-from zonomix.rng import SplitMix64, random_vec3, random_vectors
+from zonomix.numeric import E1, E2, parse_matrix, render_matrix, vec3
+from zonomix.rng import SplitMix64, random_columns, random_vectors
 from zonomix.verify import check_lemma_matrix
 from zonomix.zonotope import Zonotope3
-from oracles import exchange_residuals, leibniz_det3
+from oracles import count_fractions, exchange_residuals, leibniz_det3
 
 E3 = vec3(0, 0, 1)
 F = Fraction
@@ -29,15 +29,11 @@ F = Fraction
 _PRIMES_NEAR_10K = [p for p in range(10_001, 10_600) if all(p % d for d in range(2, 103))]
 
 
-def _random_matrix(rng, n, bound=9):
-    return tuple(random_vec3(rng, bound) for _ in range(n))
-
-
 def _coprime_matrix(rng, n):
-    """n columns whose 3n entries have pairwise coprime denominators, one prime each."""
+    """The body of n columns with 3n pairwise coprime denominators, one prime per entry."""
     primes = iter(_PRIMES_NEAR_10K)
-    return tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
-                 for _ in range(n))
+    return Zonotope3(tuple(vec3(*(F(rng.below(2 * 9973) - 9973, next(primes)) for _ in range(3)))
+                           for _ in range(n)))
 
 
 def _vector(n, coords):
@@ -58,7 +54,7 @@ def _residuals(p):
 
 class TestPluecker:
     def test_basis(self):
-        p = pluecker((E1, E2, E3))
+        p = pluecker(Zonotope3((E1, E2, E3)))
         assert p.coords == {(1, 2, 3): F(1)}
 
     def test_basis_plus_ones(self):
@@ -66,35 +62,34 @@ class TestPluecker:
         expected = {idx: leibniz_det3(*(mat[i - 1] for i in idx))
                     for idx in combinations(range(1, 5), 3)}
         assert expected == {(1, 2, 3): 1, (1, 2, 4): 1, (1, 3, 4): -1, (2, 3, 4): 1}
-        assert pluecker(mat).coords == expected
+        assert pluecker(Zonotope3(mat)).coords == expected
 
     def test_repeated_column_kills_coords(self):
-        mat = (E1, E2, E1, E3)
-        p = pluecker(mat)
+        p = pluecker(Zonotope3((E1, E2, E1, E3)))
         for idx, value in p.coords.items():
             if 1 in idx and 3 in idx:
                 assert value == 0
 
     def test_too_few_columns(self):
         with pytest.raises(ValueError):
-            pluecker((E1, E2))
+            pluecker(Zonotope3((E1, E2)))
 
     def test_coords_must_be_complete(self):
         with pytest.raises(ValueError, match="exactly the 4 3-subsets of 1..4"):
             PlueckerVector(n=4, coords={}, scale=1)
 
     def test_column_limit(self):
-        assert len(pluecker((E1,) * MAX_COLUMNS).coords) == comb(MAX_COLUMNS, 3)
+        assert len(pluecker(Zonotope3((E1,) * MAX_COLUMNS)).coords) == comb(MAX_COLUMNS, 3)
         with pytest.raises(ValueError, match=f"at most {MAX_COLUMNS} columns"):
-            pluecker((E1,) * (MAX_COLUMNS + 1))
+            pluecker(Zonotope3((E1,) * (MAX_COLUMNS + 1)))
 
     def test_column_permutation_equivariance_up_to_sign(self):
         rng = SplitMix64(41)
         for _ in range(20):
-            cols = tuple(random_vec3(rng, 9) for _ in range(5))
-            base = abs_map(pluecker(cols))
+            cols = random_columns(rng, 5, 9).generators
+            base = abs_map(pluecker(Zonotope3(cols)))
             perm = list(permutations(range(5)))[rng.below(120)]
-            permuted = abs_map(pluecker(tuple(cols[i] for i in perm)))
+            permuted = abs_map(pluecker(Zonotope3(tuple(cols[i] for i in perm))))
             relabel = {old + 1: new + 1 for new, old in enumerate(perm)}
             for idx, value in base.coords.items():
                 new_idx = tuple(sorted(relabel[i] for i in idx))
@@ -106,11 +101,11 @@ class TestPlueckerAgainstTheOracle:
     def _columns(n, degenerate):
         rng = SplitMix64(60 + n)
         # Denominators up to 16 from the sampler, and one column of three large primes.
-        cols = [random_vec3(rng, 16) for _ in range(n - 1)] + [vec3("1/101", "-7/103", "5/107")]
+        cols = list(random_columns(rng, n - 1, 16).generators) + [vec3("1/101", "-7/103", "5/107")]
         if degenerate:
             cols[1] = vec3(0, 0, 0)
             cols[-1] = cols[0]
-        return tuple(cols)
+        return Zonotope3(tuple(cols))
 
     @pytest.mark.parametrize("degenerate", [False, True])
     @pytest.mark.parametrize("n", [3, 6, 12, 16])
@@ -121,38 +116,43 @@ class TestPlueckerAgainstTheOracle:
         assert list(coords) == list(combinations(range(1, n + 1), 3))
         for idx, value in coords.items():
             assert type(value) is int
-            assert Fraction(value, p.scale) == leibniz_det3(*(mat[i - 1] for i in idx))
+            assert Fraction(value, p.scale) == leibniz_det3(*(mat.generators[i - 1] for i in idx))
         if degenerate:
             assert all(coords[idx] == 0 for idx in coords if 2 in idx or {1, n} <= set(idx))
 
     def test_no_fraction_between_matrix_and_verdict(self, monkeypatch, tmp_path, capsys):
         mat = self._columns(12, False)
+        text = render_matrix(mat)
         path = tmp_path / "twelve.mat"
-        path.write_text(render_matrix(mat))
+        path.write_text(text)
 
         def refuse(*args):
             raise AssertionError(f"grassmann made a Fraction of {args}")
 
         monkeypatch.setattr(grassmann, "Fraction", refuse)
-        p = pluecker(mat)
+        # Anywhere in the package: the reader, the minors and both verdicts.
+        built = count_fractions(monkeypatch)
+        p = pluecker(parse_matrix(text))
         assert check_gp3(p) == [0] * (comb(12, 2) * comb(10, 4))
+        assert check_quad_ineq(abs_map(p)).holds
+        assert built == []
         # A vector that fails the chart test is walked, on integers too.
         rng = SplitMix64(47)
         for n in range(6, 10):
-            q = pluecker(_random_matrix(rng, n))
+            q = pluecker(random_columns(rng, n, 9))
             coords = dict(q.coords)
             coords[1, 2, 3] += 1
             residuals = check_gp3(PlueckerVector(n, coords, q.scale))
             assert any(residuals) and all(type(r) is int for r in residuals)
         assert abs_map(p).scale == p.scale > 1
-        assert check_quad_ineq(abs_map(pluecker(mat[:-2] + (E1, E2)))).holds
+        assert check_quad_ineq(abs_map(pluecker(Zonotope3(mat.generators[:-2] + (E1, E2))))).holds
         assert main(["check", "grassmann", str(path)]) == 0
         assert "nonzero residuals = 0" in capsys.readouterr().out
 
 
 class TestAbsMap:
     def test_flips_negatives_only(self):
-        p = pluecker((E1, E2, E3, vec3(1, 1, 1)))
+        p = pluecker(Zonotope3((E1, E2, E3, vec3(1, 1, 1))))
         q = abs_map(p)
         assert q.coords[(1, 3, 4)] == 1
         assert all(v >= 0 for v in q.coords.values())
@@ -163,7 +163,7 @@ class TestAbsMap:
 
     def test_idempotent(self):
         rng = SplitMix64(42)
-        p = pluecker(_random_matrix(rng, 6))
+        p = pluecker(random_columns(rng, 6, 9))
         assert abs_map(abs_map(p)) == abs_map(p)
         assert abs_map(p).scale == p.scale > 1
 
@@ -172,19 +172,19 @@ class TestExchangeRelations:
     def test_zero_on_realizable(self):
         rng = SplitMix64(43)
         for n in (6, 7, 8):
-            residuals = check_gp3(pluecker(_random_matrix(rng, n)))
+            residuals = check_gp3(pluecker(random_columns(rng, n, 9)))
             assert residuals and all(r == 0 for r in residuals)
 
     def test_relation_count(self):
         rng = SplitMix64(44)
         for n in (6, 7, 8, 9):
-            residuals = check_gp3(pluecker(_random_matrix(rng, n)))
+            residuals = check_gp3(pluecker(random_columns(rng, n, 9)))
             # one relation per 2-subset and disjoint 4-subset: 15, 105, 420, 1260
             assert len(residuals) == comb(n, 2) * comb(n - 2, 4)
 
     def test_perturbation_breaks_realizability(self):
         rng = SplitMix64(45)
-        p = pluecker(_random_matrix(rng, 6))
+        p = pluecker(random_columns(rng, 6, 9))
         coords = _minors(p)
         coords[(1, 2, 3)] += 1
         perturbed = _vector(6, coords)
@@ -204,9 +204,9 @@ class TestExchangeRelations:
         """(name, coords, realizable) at n columns: minor vectors of a random matrix, of a
         rank-2 one (all zero), of ones whose first triples vanish, and perturbations."""
         def minors(cols):
-            return _minors(pluecker(tuple(cols)))
+            return _minors(pluecker(Zonotope3(tuple(cols))))
 
-        cols = [random_vec3(rng, 9) for _ in range(n)]
+        cols = list(random_columns(rng, n, 9).generators)
         realizable = minors(cols)
         dependent = minors(cols[:2] + [vec3(*(x - 2 * y for x, y in zip(cols[0], cols[1])))]
                            + cols[3:])
@@ -261,15 +261,15 @@ class TestExchangeRelations:
     def test_relations_miss_a_vector_the_chart_rejects(self, walked):
         # With column 1 zero, every product in a 6-index relation has a factor whose
         # triple contains 1, so every residual is 0; columns 2..6 are not realizable.
-        cols = (vec3(0, 0, 0),) + _random_matrix(SplitMix64(53), 5)
-        coords = _minors(pluecker(cols))
+        cols = (vec3(0, 0, 0),) + random_columns(SplitMix64(53), 5, 9).generators
+        coords = _minors(pluecker(Zonotope3(cols)))
         coords[4, 5, 6] += 1
         assert check_gp3(_vector(6, coords)) == exchange_residuals(6, coords) == [0] * 15
         assert walked
 
     def test_realizable_cli_paths_never_walk_the_relations(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "sixteen.mat"
-        path.write_text(render_matrix(_random_matrix(SplitMix64(52), MAX_COLUMNS, 16)))
+        path.write_text(render_matrix(random_columns(SplitMix64(52), MAX_COLUMNS, 16)))
         runs = (["grassmann-sample", "--n", "12", "--seed", "3"], ["check", "grassmann", str(path)])
         expected = []
         for argv in runs:
@@ -286,26 +286,26 @@ class TestExchangeRelations:
         assert "nonzero residuals = 0" in expected[0].out
 
     def test_zero_at_column_limit(self):
-        residuals = check_gp3(pluecker(_random_matrix(SplitMix64(50), MAX_COLUMNS, 16)))
+        residuals = check_gp3(pluecker(random_columns(SplitMix64(50), MAX_COLUMNS, 16)))
         assert len(residuals) == comb(MAX_COLUMNS, 2) * comb(MAX_COLUMNS - 2, 4) == 120_120
         assert all(r == 0 for r in residuals)
 
     def test_small_n_has_no_relations(self):
         rng = SplitMix64(46)
-        assert check_gp3(pluecker(_random_matrix(rng, 4))) == []
-        assert check_gp3(pluecker(_random_matrix(rng, 5))) == []
+        assert check_gp3(pluecker(random_columns(rng, 4, 9))) == []
+        assert check_gp3(pluecker(random_columns(rng, 5, 9))) == []
 
 
 class TestQuadIneq:
     def test_equality_configuration(self):
         gens = [vec3(0, 0, 1), vec3(0, 1, 1), vec3(1, 0, 1), vec3(1, 1, 1)]
-        q = abs_map(pluecker(tuple(gens) + (E1, E2)))
+        q = abs_map(pluecker(Zonotope3(tuple(gens) + (E1, E2))))
         report = check_quad_ineq(q)
         assert report.lhs == report.rhs == 16
         assert report.slack == 0 and report.holds
 
     def test_degenerate_columns(self):
-        q = abs_map(pluecker((E1, E2, E3, E1, E2)))
+        q = abs_map(pluecker(Zonotope3((E1, E2, E3, E1, E2))))
         report = check_quad_ineq(q)
         assert report.holds
         assert report.lhs == 1 and report.rhs == 1  # frozen by direct minor count
@@ -317,7 +317,7 @@ class TestQuadIneq:
         assert report.lhs == 0 and report.rhs == 0 and report.holds
 
     def test_needs_three_generators(self):
-        q = abs_map(pluecker((E1, E2, E1, E2)))
+        q = abs_map(pluecker(Zonotope3((E1, E2, E1, E2))))
         with pytest.raises(ValueError, match="need m >= 3, got 2"):
             check_quad_ineq(q)
 
@@ -336,16 +336,16 @@ class TestQuadIneq:
         for vectors in inputs:
             if len(vectors) < 3:
                 continue
-            q = abs_map(pluecker(tuple(vectors) + (E1, E2)))
+            q = abs_map(pluecker(Zonotope3(vectors.generators + (E1, E2))))
             quad = check_quad_ineq(q)
-            lemma = check_lemma_matrix(Zonotope3.from_generators(vectors))
+            lemma = check_lemma_matrix(vectors)
             assert (quad.lhs, quad.rhs, quad.holds) == (lemma.lhs, lemma.rhs, lemma.holds)
         assert q.scale.bit_length() > 150
 
 
 class TestPlueckerCsv:
     def test_rows_in_lex_order(self):
-        p = pluecker((E1, E2, E3, vec3(1, 1, 1)))
+        p = pluecker(Zonotope3((E1, E2, E3, vec3(1, 1, 1))))
         assert render_pluecker_csv(p) == ("1,2,3,1\n"
                                           "1,2,4,1\n"
                                           "1,3,4,-1\n"

@@ -5,9 +5,9 @@ import hashlib
 import pytest
 
 from zonomix.cli import main
-from zonomix.rng import SplitMix64, random_vec3, random_vectors, random_zonotope
+from zonomix.rng import SplitMix64, random_vectors, random_zonotope
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
-from oracles import brute_mixed_volume, brute_volume
+from oracles import brute_mixed_volume, brute_volume, random_rational
 
 OTHER = [(1, 0, 0), (0, 1, 0), (1, 1, 1)]
 
@@ -43,9 +43,10 @@ def test_random_zonotope_is_the_body_of_random_vectors(bound, m_max, seeds):
         rng, ref, rational = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
         body = random_zonotope(rng, m_max, bound)
         expected = Zonotope3(tuple(random_vectors(ref, m_max, bound)))
-        # The same draws, one `Fraction` per coordinate.
+        # The same draws, one `Fraction` per coordinate, numerator then denominator.
         m = rational.randint(1, m_max)
-        assert tuple(random_vec3(rational, bound) for _ in range(m)) == expected.generators
+        assert tuple(tuple(random_rational(rational, bound) for _ in range(3))
+                     for _ in range(m)) == expected.generators
         # The draws left all three streams at one position.
         assert rng.next64() == ref.next64() == rational.next64()
         gens = expected.generators

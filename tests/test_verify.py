@@ -26,7 +26,7 @@ from zonomix.zonotope import (
     render_zonotope,
     volume,
 )
-from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume
+from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume, count_fractions
 from test_numeric import EDGE_CASES
 
 E3 = vec3(0, 0, 1)
@@ -336,18 +336,6 @@ class TestLemma:
         assert report.holds
 
 
-def _count_fractions(monkeypatch) -> list:
-    """A list that gains one entry per `Fraction` built from here on."""
-    built = []
-    new = Fraction.__new__
-
-    def counting(cls, *args, **kwargs):
-        built.append(cls)
-        return new(cls, *args, **kwargs)
-    monkeypatch.setattr(Fraction, "__new__", counting)
-    return built
-
-
 class TestLemmaBuildsNoFraction:
     """A matrix is integers from reader or sampler to verdict."""
 
@@ -358,12 +346,12 @@ class TestLemmaBuildsNoFraction:
                                              for i in range(12)) for r in range(3)) + "\n",
     ])
     def test_check_of_a_parsed_matrix(self, text, monkeypatch):
-        built = _count_fractions(monkeypatch)
+        built = count_fractions(monkeypatch)
         assert check_lemma_matrix(parse_matrix(text)).holds
         assert built == []
 
     def test_fuzz_builds_the_summary_and_the_worst_case_only(self, monkeypatch):
-        built = _count_fractions(monkeypatch)
+        built = count_fractions(monkeypatch)
         counts = []
         for trials in (10, 200):
             del built[:]

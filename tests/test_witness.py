@@ -7,7 +7,7 @@ import pytest
 from zonomix import witness
 from zonomix.numeric import E1, E2, cross, det3, int_scaled, vec3
 from zonomix.reduction import SStats, extremal_config
-from zonomix.rng import SplitMix64, random_vec3, random_zonotope
+from zonomix.rng import SplitMix64, random_columns, random_zonotope
 from zonomix.witness import (
     PolytopeV,
     _hull_facets,
@@ -101,7 +101,7 @@ class TestMvSegSeg:
     def test_parallel_segments(self):
         rng = SplitMix64(51)
         for _ in range(20):
-            u = random_vec3(rng, 9)
+            (u,) = random_columns(rng, 1, 9)
             lam = random_rational(rng, 9)
             assert mv_seg_seg(TETRA, u, vec3(lam * u.x, lam * u.y, lam * u.z)) == 0
 
@@ -199,7 +199,7 @@ class TestMvBodyBodySegEdgeCases:
             inner = [vec3(*(sum(c) / (2 * len(base.vertices)) for c in zip(*base.vertices)))]
             padded = PolytopeV.from_vertices(base.vertices * 3 + tuple(inner))
             for _ in range(5):
-                u = random_vec3(rng, 9)
+                (u,) = random_columns(rng, 1, 9)
                 assert mv_body_body_seg(padded, u) == mv_body_body_seg(base, u) \
                     == _swept_reference(base, u)
 
@@ -215,9 +215,9 @@ class TestMvBodyBodySegEdgeCases:
     def test_zonotope_polytopes_match_the_oracle(self, m):
         rng = SplitMix64(57 + m)
         for _ in range(4):
-            gens = [random_vec3(rng, 7) for _ in range(m)]
-            poly = polytope_of_zonotope(Zonotope3(tuple(gens)))
-            u = random_vec3(rng, 11)
+            gens = random_columns(rng, m, 7).generators
+            poly = polytope_of_zonotope(Zonotope3(gens))
+            (u,) = random_columns(rng, 1, 11)
             expected = brute_mixed_volume(gens, gens, [u])
             assert mv_body_body_seg(poly, u) == _swept_reference(poly, u) == expected
             assert mv_body_body_seg(poly, ZERO3) == 0
@@ -252,8 +252,7 @@ class TestCrossModuleAgreement:
             zono = random_zonotope(rng, 4, 6)
             poly = polytope_of_zonotope(zono)
             assert volume_polytope(poly) == volume(zono)
-            u = random_vec3(rng, 6)
-            v = random_vec3(rng, 6)
+            u, v = random_columns(rng, 2, 6)
             assert mv_seg_seg(poly, u, v) == \
                 mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
@@ -262,12 +261,12 @@ class TestCrossModuleAgreement:
         # 8^2 - 8 + 2 = 58 vertices per body, as in the benchmark's witness pass.
         rng = SplitMix64(54)
         for _ in range(3):
-            zono = Zonotope3(tuple(random_vec3(rng, 16) for _ in range(8)))
+            zono = Zonotope3(random_columns(rng, 8, 16).generators)
             poly = polytope_of_zonotope(zono)
             assert len(poly.points) == 58
             assert len({i for face in poly.facets for i in face}) == 58
             assert volume_polytope(poly) == volume(zono)
-            u = random_vec3(rng, 16)
+            (u,) = random_columns(rng, 1, 16)
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
 
     def test_zonotope_route_stays_on_the_body_integers(self, monkeypatch):
@@ -280,7 +279,7 @@ class TestCrossModuleAgreement:
             zono = random_zonotope(rng, 8, 16)
             poly = polytope_of_zonotope(zono)
             assert poly.scale == zono.scaled[1]
-            u, v = random_vec3(rng, 16), random_vec3(rng, 16)
+            u, v = random_columns(rng, 2, 16)
             assert volume_polytope(poly) == volume(zono)
             assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
             assert mv_seg_seg(poly, u, v) == mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
@@ -297,7 +296,7 @@ class TestCrossModuleAgreement:
         poly = polytope_of_zonotope(zono)
         assert poly.scale == zono.scaled[1]
         gens = zono.generators
-        u, v = random_vec3(rng, 6), random_vec3(rng, 6)
+        u, v = random_columns(rng, 2, 6)
         assert volume_polytope(poly) == volume(zono) == brute_mixed_volume(gens, gens, gens)
         assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,))) \
             == brute_mixed_volume(gens, gens, [u])
@@ -397,7 +396,7 @@ class TestPolytopeReferee:
     @staticmethod
     def _agree(zono, rng):
         poly = polytope_of_zonotope(zono)
-        u, v = random_vec3(rng, 9), random_vec3(rng, 9)
+        u, v = random_columns(rng, 2, 9)
         assert volume_polytope(poly) == volume(zono)
         assert mv_body_body_seg(poly, u) == mixed_volume_repeated(zono, Zonotope3((u,)))
         assert mv_seg_seg(poly, u, v) == mixed_volume(zono, Zonotope3((u,)), Zonotope3((v,)))
@@ -409,7 +408,7 @@ class TestPolytopeReferee:
 
     def test_tied_bodies(self):
         rng = SplitMix64(81)
-        base = [random_vec3(rng, 7) for _ in range(6)]
+        base = list(random_columns(rng, 6, 7).generators)
         parallel = base + [scale_vec(F(-3, 2), g) for g in base]
         coplanar = base + [_add(a, b) for a, b in combinations(base[:4], 2)]
         zeros = base + [ZERO3] * 3 + [scale_vec(F(2), g) for g in base[:3]]

@@ -5,7 +5,7 @@ import pytest
 
 from zonomix import zonotope
 from zonomix.numeric import E1, E2, det3, vec3
-from zonomix.rng import SplitMix64, random_vec3, random_zonotope
+from zonomix.rng import SplitMix64, random_columns, random_zonotope
 from zonomix.zonotope import (
     Zonotope3,
     mixed_volume,
@@ -90,7 +90,7 @@ class TestMixedVolume:
         rng = SplitMix64(8)
         for _ in range(25):
             a = random_zonotope(rng, 5, 9)
-            u = random_vec3(rng, 9)
+            (u,) = random_columns(rng, 1, 9)
             lam = random_rational(rng, 9)
             scaled = vec3(lam * u.x, lam * u.y, lam * u.z)
             assert mixed_volume(a, Zonotope3((u,)), Zonotope3((scaled,))) == 0
@@ -202,7 +202,7 @@ class TestSegmentForm:
         rng = SplitMix64(12)
         for _ in range(30):
             a = random_zonotope(rng, 5, 9)
-            u = random_vec3(rng, 9)
+            (u,) = random_columns(rng, 1, 9)
             seg = Zonotope3((u,))
             assert mixed_volume_repeated(a, seg) == mixed_volume(a, a, seg)
 
@@ -225,7 +225,7 @@ class TestApplyLinear:
     def test_equivariance(self):
         rng = SplitMix64(14)
         for _ in range(25):
-            columns = [random_vec3(rng, 6) for _ in range(3)]
+            columns = random_columns(rng, 3, 6).generators
             a, b, c = (random_zonotope(rng, 4, 6) for _ in range(3))
             assert mixed_volume(_image(columns, a), _image(columns, b),
                                 _image(columns, c)) == \
@@ -276,5 +276,5 @@ class TestFloatLane:
         # The exact kernels sweep at m = 48; the sweep divides exactly, which
         # floats cannot, so a float routed into it misses by far more than this.
         rng = SplitMix64(48)
-        a = Zonotope3(tuple(random_vec3(rng, 9) for _ in range(48)))
+        a = Zonotope3(random_columns(rng, 48, 9).generators)
         assert abs(volume_float(a) - float(volume(a))) <= 1e-9 * float(volume(a))
