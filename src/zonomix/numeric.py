@@ -163,6 +163,13 @@ def det3(a, b, c):
 # with every class it pairs with.  fuzz at its default m_max = 6 never
 # leaves the loop.
 #
+# The lemma check's four sums are a bezout check's with B = [e1] and
+# C = [e2], and its matrix is small in fuzz.  Below SWEEP_MIN
+# `sum_abs_det3_lemma` runs its own loop over index triples: the two pair
+# sums are coordinates of the cross product g_i x g_j that combos dots with
+# each later g_k, and the last sum is that of |z_i|, so the unit classes cost
+# no product.  From SWEEP_MIN on it is the bezout sweep.
+#
 # A large sweep splits its pivots across processes, with the same integer
 # totals.  The first sweep that splits forks helper processes, and they
 # serve every later one; no helper outlives the process.  See SPLIT_MIN
@@ -626,6 +633,33 @@ def sum_abs_det3_af_square(ga, gb, gc, gd):
     """
     kernel = _class_loop if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN else _class_sweep
     return kernel(_Pivots(gd, ga, gb, gc))
+
+
+def sum_abs_det3_lemma(g):
+    """The four sums of a lemma check: `sum_abs_det3_bezout(g, [e1], [e2])`.
+
+    That is combos(g), the sums of |y_i z_j - z_i y_j| and |x_i z_j - z_i x_j|
+    over pairs i < j, and the sum of |z_i|.  Below SWEEP_MIN one loop over
+    index triples takes each w = g_i x g_j once: |w_x| and |w_y| are the two
+    pair terms, and w . g_k each later determinant.
+    """
+    m = len(g)
+    if m >= SWEEP_MIN:
+        return sum_abs_det3_bezout(g, ((1, 0, 0),), ((0, 1, 0),))
+    combos = pairs_yz = pairs_xz = zsum = 0
+    for i in range(m):
+        ux, uy, uz = g[i]
+        zsum += uz if uz >= 0 else -uz
+        for j in range(i + 1, m):
+            vx, vy, vz = g[j]
+            wx, wy, wz = uy * vz - uz * vy, uz * vx - ux * vz, ux * vy - uy * vx
+            pairs_yz += wx if wx >= 0 else -wx
+            pairs_xz += wy if wy >= 0 else -wy
+            for k in range(j + 1, m):
+                px, py, pz = g[k]
+                d = wx * px + wy * py + wz * pz
+                combos += d if d >= 0 else -d
+    return combos, pairs_yz, pairs_xz, zsum
 
 
 def sum_abs_det2_pairs(us, vs):

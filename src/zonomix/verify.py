@@ -29,6 +29,7 @@ from .numeric import (
     render_matrix,
     sum_abs_det3_af_square,
     sum_abs_det3_bezout,
+    sum_abs_det3_lemma,
 )
 from .rng import SplitMix64, random_vectors, random_zonotope, trial_seeds
 from .zonotope import Zonotope3, render_zonotope
@@ -167,12 +168,14 @@ def check_lemma_matrix(a: Zonotope3) -> IneqReport:
     check_bezout with B = [0,e1] and C = [0,e2]: the lhs here is
     6*V(A,A,A)*V(A,B,C) and the rhs is 9*V(A,A,B)*V(A,A,C), so slack scales
     by 6 and the hold/violate verdicts coincide.  The four sums are those of
-    that check, from one `sum_abs_det3_bezout` call: |det(a_i, a_j, e1)| is
+    that check, from one `sum_abs_det3_lemma` call: |det(a_i, a_j, e1)| is
     |y_i z_j - z_i y_j|, |det(a_i, a_j, e2)| is |x_i z_j - z_i x_j| and
-    |det(a_i, e1, e2)| is |z_i|.
+    |det(a_i, e1, e2)| is |z_i|.  Below numeric.SWEEP_MIN columns the lemma
+    has its own loop, which reads the pair sums off the cross products that
+    combos takes; from it on, the bezout sweep gives all four.
     """
     ints, scale = a.scaled
-    combos, pairs_yz, pairs_xz, zsum = sum_abs_det3_bezout(ints, ((1, 0, 0),), ((0, 1, 0),))
+    combos, pairs_yz, pairs_xz, zsum = sum_abs_det3_lemma(ints)
     scale4 = scale ** 4
     return IneqReport(combos * zsum, scale4, pairs_yz * pairs_xz, scale4)
 

@@ -10,7 +10,8 @@ four class-pair totals over (pivot, classes) pairs, from a loop of one
 determinant per triple for small bodies (`numeric._class_loop`) and from an
 O(m^2 log m) angular sweep from `numeric.SWEEP_MIN` generators on
 (`numeric._class_sweep`).  The volumes here read one total each and the
-checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`).
+checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`,
+or `numeric.sum_abs_det3_lemma` for the matrix form).
 They all read a body's integer view, which a parsed or sampled body is built
 from and a body built from rational generators derives once.
 

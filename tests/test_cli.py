@@ -439,7 +439,8 @@ class TestResourceGuards:
                  "mixedvol": [big, small, small], "volume": [big]}[command]
         for module in (zonotope, verify):
             for kernel in ("sum_abs_det3_triples", "sum_abs_det3_pairs", "sum_abs_det3_combos",
-                           "sum_abs_det3_bezout", "sum_abs_det2_pairs", "int_scaled"):
+                           "sum_abs_det3_bezout", "sum_abs_det3_lemma", "sum_abs_det2_pairs",
+                           "int_scaled"):
                 if hasattr(module, kernel):
                     monkeypatch.setattr(module, kernel, self._never)
         assert main([*command.split(), *map(str, files)]) == 2

@@ -36,13 +36,14 @@ from zonomix.numeric import (
     sum_abs_det3_af_square,
     sum_abs_det3_bezout,
     sum_abs_det3_combos,
+    sum_abs_det3_lemma,
     sum_abs_det3_pairs,
     sum_abs_det3_triples,
     vec3,
 )
 from zonomix.rng import SplitMix64, random_zonotope
 from zonomix.zonotope import Zonotope3, parse_zonotope
-from oracles import brute_mixed_volume, brute_volume, leibniz_det3
+from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume, leibniz_det3
 
 E3 = vec3(0, 0, 1)
 rationals = st.fractions(min_value=-50, max_value=50, max_denominator=12)
@@ -271,13 +272,15 @@ def test_class_loop_matches_class_sweep_on_mixed_sizes():
 
 
 class _Counted(int):
-    """An integer coordinate that counts the products it is the right factor of."""
+    """An integer coordinate that counts the products it is a factor of, once each."""
 
     products = 0
 
-    def __rmul__(self, other):
+    def __mul__(self, other):
         _Counted.products += 1
-        return int(self) * other
+        return int(self) * int(other)
+
+    __rmul__ = __mul__
 
 
 def test_class_loop_takes_one_determinant_per_pair():
@@ -369,17 +372,66 @@ def test_check_kernels_agree_on_mixed_sizes():
         _assert_check_kernels_agree(ga, gb, gc, gd)
 
 
+UNITS = ([(1, 0, 0)], [(0, 1, 0)])
+
+
 def test_check_kernels_on_one_generator_b_and_c():
-    # V(A,A,B) and V(A,A,C) through the sweep with B = e1, C = e2 are the
-    # 2D pair sums of the lemma's matrix form.
+    # V(A,A,B) and V(A,A,C) with B = e1, C = e2 are the 2D pair sums of the
+    # lemma's matrix form: through the sweep, and below SWEEP_MIN through the
+    # bezout loop and the lemma's own.
     rnd = random.Random(12)
     ga = [g for g in _random_generators(rnd, 40) if g[2]]
     assert len(ga) >= SWEEP_MIN
-    combos, pairs_ab, pairs_ac, triples = sum_abs_det3_bezout(ga, [(1, 0, 0)], [(0, 1, 0)])
-    xs, ys, zs = zip(*ga)
-    assert pairs_ab == sum_abs_det2_pairs(ys, zs) and pairs_ac == sum_abs_det2_pairs(xs, zs)
-    assert triples == sum(abs(z) for z in zs)
-    assert combos == brute_volume(ga)
+    for g in (ga, ga[:SWEEP_MIN - 1]):
+        four = sum_abs_det3_bezout(g, *UNITS)
+        combos, pairs_ab, pairs_ac, triples = four
+        xs, ys, zs = zip(*g)
+        assert pairs_ab == sum_abs_det2_pairs(ys, zs) and pairs_ac == sum_abs_det2_pairs(xs, zs)
+        assert triples == sum(abs(z) for z in zs)
+        assert combos == brute_volume(g)
+        assert sum_abs_det3_lemma(g) == four
+
+
+# The lemma's four sums are the bezout kernel's with the unit classes [e1]
+# and [e2].  Below SWEEP_MIN they come from the lemma's own loop, from it on
+# from the sweep; on either path they must be the bezout kernel's integers
+# on that path, and the oracles' values.
+
+def _assert_lemma_kernel_agrees(g):
+    xs, ys, zs = zip(*g) if g else ((), (), ())
+    expected = (brute_volume(g), brute_pair_abs_sum(ys, zs), brute_pair_abs_sum(xs, zs),
+                6 * brute_mixed_volume(g, *UNITS))
+    lemma = sum_abs_det3_lemma(g)
+    assert lemma == sum_abs_det3_bezout(g, *UNITS) == expected
+    for path in ("cubic", "sweep"):
+        assert _on_path(path, sum_abs_det3_lemma, g) \
+            == _on_path(path, sum_abs_det3_bezout, g, *UNITS) == expected
+    assert all(type(s) is int for s in lemma)
+
+
+@pytest.mark.parametrize("case", list(EDGE_CASES))
+def test_lemma_kernel_agrees_on_edge_cases(case):
+    for g in EDGE_CASES[case]:
+        _assert_lemma_kernel_agrees(g)
+
+
+@pytest.mark.parametrize("m", sorted(set(range(SWEEP_MIN + 1)) | set(MIXED_SIZES)))
+def test_lemma_kernel_agrees_at_each_size(m):
+    rnd = random.Random(m)
+    for _ in range(3 if m < 40 else 1):
+        _assert_lemma_kernel_agrees(_random_generators(rnd, m))
+
+
+def test_lemma_loop_takes_one_cross_product_per_pair():
+    # The cross product g_i x g_j is 6 products, taken once per pair, and each
+    # determinant (g_i x g_j) . g_k 3 more; the two pair sums read coordinates
+    # of the cross product and the last sum the z coordinates, with none.
+    rnd = random.Random(15)
+    for m in range(SWEEP_MIN):
+        g = [tuple(map(_Counted, v)) for v in _random_generators(rnd, m)]
+        _Counted.products = 0
+        sum_abs_det3_lemma(g)
+        assert _Counted.products == 6 * comb(m, 2) + 3 * comb(m, 3), m
 
 
 # A metamorphic referee at sizes the oracles cannot reach: an integer T with
@@ -477,6 +529,16 @@ def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_cal
     kernel_calls.clear()
     # One list at SWEEP_MIN: one sweep gives all four sums.
     assert getattr(verify, check)(*[small] * (count - 1), big).holds
+    assert kernel_calls == ["sweep"]
+
+
+def test_lemma_check_runs_its_own_loop_below_sweep_min(kernel_calls):
+    g = _random_generators(random.Random(2), SWEEP_MIN)
+    # Below it: the lemma's loop, and neither class kernel.
+    assert verify.check_lemma_matrix(Zonotope3.from_scaled(g[:-1], 1)).holds
+    assert kernel_calls == []
+    # At SWEEP_MIN columns: one sweep gives all four sums.
+    assert verify.check_lemma_matrix(Zonotope3.from_scaled(g, 1)).holds
     assert kernel_calls == ["sweep"]
 
 
