@@ -44,6 +44,7 @@ from .verify import (
     check_bezout,
     check_coeff_bound,
     check_lemma_matrix,
+    check_seed,
     fuzz,
 )
 from .witness import pyramid_equality_report
@@ -243,6 +244,7 @@ def cmd_grassmann_sample(args) -> int:
     if args.n > MAX_COLUMNS:
         raise ValueError(f"--n must be <= {MAX_COLUMNS}, got {args.n}")
     check_coeff_bound(args.coeff_bound)
+    check_seed(args.seed)
     rng = SplitMix64(args.seed)
     columns = random_columns(rng, args.n, args.coeff_bound)
     point = pluecker(columns)
@@ -260,6 +262,7 @@ def cmd_grassmann_sample(args) -> int:
 
 def cmd_report(args) -> int:
     """Run the built-in showcase battery; exit 0 only if everything holds."""
+    check_seed(args.seed)
     checks: list[tuple[str, IneqReport]] = []
 
     equality = extremal_config(SStats(*(Fraction(1),) * 4),

@@ -150,18 +150,23 @@ def det3(a, b, c):
 # projects the classes into the plane along p, so that |det(p, u, v)|
 # becomes a 2D |cross| scaled by a pivot coordinate; over the images in
 # angular order, one pass of prefix sums (`_three_classes2`) gives all four
-# totals.  That is O(m^2 log m).  Each dispatcher picks its kernel by size
-# and reads one total.  For a single sum the sweep overtakes the loop at
-# about m = 7 to 10 (triples first, combos last) and runs 10-16x faster at
-# m = 96 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+# totals.  That is O(m^2 log m).  Each single-sum dispatcher picks its
+# kernel by size and reads one total.  For a single sum the sweep overtakes
+# the loop at about m = 7 to 10 (triples first, combos last) and runs
+# 10-16x faster at m = 96 (Python 3.11, Intel Xeon, coordinates p/q with
+# |p|, q <= 16).
 #
 # A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and
 # `sum_abs_det3_af_square` take all four from one kernel call.  On the sweep
 # each pivot projects and sorts the three classes once: a bezout check
 # projects 2.5 m^2 images instead of 4.5 m^2, an af-square check 3 m^2
-# instead of 7 m^2.  On the loop each cross product is taken once and dotted
-# with every class it pairs with.  fuzz at its default m_max = 6 never
-# leaves the loop.
+# instead of 7 m^2.  The bezout kernel picks by size too: on its loop each
+# cross product is taken once and dotted with every class it pairs with,
+# and fuzz at its default m_max = 6 never leaves it (always sweeping made
+# 3000 default bezout fuzz trials 1.12x slower).  The af-square kernel has
+# one path, the sweep, at every size: on 3000 af-square draws at `report`'s
+# settings (up to 6 generators a body, coefficient bound 12) it took
+# 0.78-0.81x the loop's kernel time.
 #
 # The lemma check's four sums are a bezout check's with B = [e1] and
 # C = [e2], and its matrix is small in fuzz.  Below SWEEP_MIN
@@ -177,8 +182,9 @@ def det3(a, b, c):
 
 # Smallest size at which a sum sweeps instead of looping: the length of ga
 # for pairs and combos, the middle length of the three lists for triples
-# (both kernels pivot over the shortest list), and the longest list for the
-# four sums of a check.
+# (both kernels pivot over the shortest list), the longest list for the
+# four sums of a bezout check and the column count for a lemma check.  An
+# af-square check always sweeps.
 SWEEP_MIN = 9
 
 # Fewest plane images each process of a split sweep projects (see
@@ -629,10 +635,11 @@ def sum_abs_det3_bezout(ga, gb, gc):
 def sum_abs_det3_af_square(ga, gb, gc, gd):
     """The four sums of an af-square check: pairs(A, D) and triples (A, B, D), (A, C, D), (B, C, D).
 
-    Pivoting over D with the classes (A, B, C) gives all four at once.
+    Pivoting over D with the classes (A, B, C) gives all four at once, from
+    one sweep at every size: on the check's own small draws the sweep is the
+    faster kernel too (see the kernel comment).
     """
-    kernel = _class_loop if max(len(ga), len(gb), len(gc), len(gd)) < SWEEP_MIN else _class_sweep
-    return kernel(_Pivots(gd, ga, gb, gc))
+    return _class_sweep(_Pivots(gd, ga, gb, gc))
 
 
 def sum_abs_det3_lemma(g):

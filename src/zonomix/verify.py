@@ -39,8 +39,9 @@ from .zonotope import Zonotope3, render_zonotope
 # O(m^2 log m) sweep, not the cubic |det| loop: a bezout trial with 64
 # generators in each body took 0.011-0.016 s, against 0.20-0.29 s on the loop
 # alone (Python 3.11, Intel Xeon).  The cap stays at 64 and bounds the memory
-# and the time of every trial before any is drawn; the default m_max = 6
-# never reaches the sweep.
+# and the time of every trial before any is drawn.  At the default m_max = 6
+# bezout and lemma trials stay on their loops; an af-square check sweeps at
+# every size.
 MAX_M_MAX = 64
 
 # Largest fuzz coeff_bound B.  A coordinate is one 64-bit draw modulo 2B + 1
@@ -56,6 +57,16 @@ def check_coeff_bound(bound: int) -> None:
         raise ValueError(f"--coeff-bound must be >= 1, got {bound}")
     if bound > MAX_COEFF_BOUND:
         raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {bound}")
+
+
+def check_seed(seed: int) -> None:
+    """Refuse a --seed outside 0..2^64 - 1 (fuzz, grassmann-sample and report).
+
+    `SplitMix64` keeps only the low 64 bits of its seed, so a seed outside
+    that range would replay the trials of the one inside it.
+    """
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"--seed must be between 0 and {(1 << 64) - 1}, got {seed}")
 
 
 @dataclass(frozen=True, init=False)
@@ -148,7 +159,7 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
 
     Holds for arbitrary convex bodies; the constant 2 is sharp in general but
     not on zonotopes.  The four volumes come from one `sum_abs_det3_af_square`
-    call.  With K = la^2 lb lc ld^2, lhs is pairs_ad * triples_bcd / 18K and
+    call, a sweep at every size.  With K = la^2 lb lc ld^2, lhs is pairs_ad * triples_bcd / 18K and
     the rhs product is triples_abd * triples_acd / 36K.
     """
     ga, la = a.scaled
@@ -204,6 +215,7 @@ class FuzzConfig:
         if self.m_max > MAX_M_MAX:
             raise ValueError(f"--m-max must be <= {MAX_M_MAX}, got {self.m_max}")
         check_coeff_bound(self.coeff_bound)
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)

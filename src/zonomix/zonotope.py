@@ -11,7 +11,8 @@ determinant per triple for small bodies (`numeric._class_loop`) and from an
 O(m^2 log m) angular sweep from `numeric.SWEEP_MIN` generators on
 (`numeric._class_sweep`).  The volumes here read one total each and the
 checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`,
-or `numeric.sum_abs_det3_lemma` for the matrix form).
+`numeric.sum_abs_det3_af_square`, which sweeps at every size, or
+`numeric.sum_abs_det3_lemma` for the matrix form).
 They all read a body's integer view, which a parsed or sampled body is built
 from and a body built from rational generators derives once.
 

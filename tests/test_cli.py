@@ -386,6 +386,32 @@ class TestResourceGuards:
         assert main([*command.split(), "--coeff-bound", str(MAX_COEFF_BOUND)]) == 0
         assert capsys.readouterr().err == ""
 
+    SEEDED = ["fuzz --target bezout --trials 2", "fuzz --target lemma --trials 2 --output csv",
+              "fuzz --target af-square --trials 2", "fuzz --target af-square --trials 2 --output csv",
+              "grassmann-sample --n 4", "grassmann-sample --n 4 --output csv",
+              "report --trials 2", "report --trials 2 --output csv"]
+
+    # The generator keeps a seed's low 64 bits: unchecked, -1 replayed the
+    # trials of 2^64 - 1 and 2^64 those of 0, under another printed seed.
+    @pytest.mark.parametrize("seed", [-1, 2 ** 64])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_seed_outside_64_bits(self, command, seed, tmp_path, capsys, monkeypatch):
+        self._trap_fuzz_samplers(monkeypatch)
+        monkeypatch.setattr(cli, "random_columns", self._never)
+        monkeypatch.setattr(cli, "extremal_config", self._never)  # report's first work
+        out = tmp_path / "never.txt"
+        assert main([*command.split(), "--seed", str(seed), "--out", str(out)]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: --seed must be between 0 and {2 ** 64 - 1}, got {seed}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
+    @pytest.mark.parametrize("command", SEEDED)
+    def test_seed_at_either_end_of_64_bits(self, command, seed, capsys):
+        assert main([*command.split(), "--seed", str(seed)]) == 0
+        out, err = capsys.readouterr()
+        assert out and err == ""
+
     def test_check_grassmann_columns(self, tmp_path, capsys, monkeypatch):
         wide = tmp_path / "wide.mat"
         wide.write_text(render_matrix((E1,) * (MAX_COLUMNS + 1)))

@@ -124,9 +124,10 @@ def test_int_scaled_determinant_matches_oracle(a, b, c):
 
 # |det| kernels.  Each dispatcher must equal the oracle exactly on both of
 # its paths, the loop below SWEEP_MIN and the angular sweep at or above it,
-# and so must the two check kernels.  The two paths share one contract:
-# `_class_loop` and `_class_sweep` return the same four totals for the same
-# (pivot, classes) pairs.
+# and so must the bezout check kernel.  The af-square check kernel has one
+# path, the sweep, and must equal the loop's sums.  The two paths share one
+# contract: `_class_loop` and `_class_sweep` return the same four totals for
+# the same (pivot, classes) pairs.
 
 def _expected(ga, gb, gc):
     """(triples, pairs, combos) sums from the oracles; pairs counts i < j once."""
@@ -325,7 +326,8 @@ def test_dispatch_switches_at_sweep_min(kernel, args, kernel_calls):
 
 
 # The four-sum kernels of a check.  Each must equal the separate dispatcher
-# sums and the oracles, on either path.
+# sums and the oracles: the bezout kernel on either path, the af-square
+# kernel, which always sweeps, against the dispatchers on the loop.
 
 def _bezout_parts(ga, gb, gc, kernels):
     combos, pairs, triples = kernels
@@ -346,8 +348,7 @@ def _assert_check_kernels_agree(ga, gb, gc, gd):
         == _on_path("sweep", sum_abs_det3_bezout, ga, gb, gc) \
         == _bezout_parts(ga, gb, gc, DISPATCHERS)
     af_square = sum_abs_det3_af_square(ga, gb, gc, gd)
-    assert af_square == _on_path("cubic", sum_abs_det3_af_square, ga, gb, gc, gd) \
-        == _on_path("sweep", sum_abs_det3_af_square, ga, gb, gc, gd) \
+    assert af_square == _on_path("cubic", _af_square_parts, ga, gb, gc, gd, DISPATCHERS) \
         == _af_square_parts(ga, gb, gc, gd, DISPATCHERS)
     assert all(type(s) is int for s in bezout + af_square)
     return bezout, af_square
@@ -370,6 +371,21 @@ def test_check_kernels_agree_on_mixed_sizes():
         ga, gb, gc, gd = (_random_generators(rnd, m)
                           for m in sizes + (MIXED_SIZES[i % len(MIXED_SIZES)],))
         _assert_check_kernels_agree(ga, gb, gc, gd)
+
+
+@pytest.mark.parametrize("m", range(SWEEP_MIN + 1))
+def test_af_square_sweep_matches_the_loop_at_each_size(m):
+    # Up to SWEEP_MIN, where the other checks still loop: D of m generators,
+    # A, B and C of m or fewer.
+    rnd = random.Random(m)
+    for trial in range(4):
+        gd = _random_generators(rnd, m)
+        ga, gb, gc = (_random_generators(rnd, m if trial == 0 else rnd.randint(0, m))
+                      for _ in range(3))
+        af_square = sum_abs_det3_af_square(ga, gb, gc, gd)
+        assert af_square == _on_path("cubic", _af_square_parts, ga, gb, gc, gd, DISPATCHERS) \
+            == (3 * brute_mixed_volume(ga, ga, gd), 6 * brute_mixed_volume(ga, gb, gd),
+                6 * brute_mixed_volume(ga, gc, gd), 6 * brute_mixed_volume(gb, gc, gd))
 
 
 UNITS = ([(1, 0, 0)], [(0, 1, 0)])
@@ -519,7 +535,7 @@ def test_unimodular_image_keeps_the_single_sums_at_200_generators():
         assert sums(*(_image(t, gens) for gens in (ga, gb, gc))) == expected, t
 
 
-@pytest.mark.parametrize("check, count", [("check_bezout", 3), ("check_af_square", 4)])
+@pytest.mark.parametrize("check, count", [("check_bezout", 3)])
 def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_calls):
     g = _random_generators(random.Random(2), SWEEP_MIN)
     small, big = Zonotope3.from_scaled(g[:-1], 1), Zonotope3.from_scaled(g, 1)
@@ -532,14 +548,24 @@ def test_checks_stay_on_the_cubic_loops_below_sweep_min(check, count, kernel_cal
     assert kernel_calls == ["sweep"]
 
 
-def test_lemma_check_runs_its_own_loop_below_sweep_min(kernel_calls):
-    g = _random_generators(random.Random(2), SWEEP_MIN)
-    # Below it: the lemma's loop, and neither class kernel.
-    assert verify.check_lemma_matrix(Zonotope3.from_scaled(g[:-1], 1)).holds
-    assert kernel_calls == []
-    # At SWEEP_MIN columns: one sweep gives all four sums.
-    assert verify.check_lemma_matrix(Zonotope3.from_scaled(g, 1)).holds
-    assert kernel_calls == ["sweep"]
+# The class kernels each check runs on bodies of m generators, below
+# SWEEP_MIN and at it: the bezout check loops then sweeps, the lemma check
+# runs its own loop (neither class kernel) then sweeps, and the af-square
+# check sweeps once at every size.
+CHECK_PATHS = {
+    "check_bezout": (3, ["cubic"], ["sweep"]),
+    "check_lemma_matrix": (1, [], ["sweep"]),
+    "check_af_square": (4, ["sweep"], ["sweep"]),
+}
+
+
+@pytest.mark.parametrize("m", [0, 1, SWEEP_MIN - 1, SWEEP_MIN])
+@pytest.mark.parametrize("check", list(CHECK_PATHS))
+def test_each_check_runs_its_kernel_path_at_every_size(check, m, kernel_calls):
+    count, below, at = CHECK_PATHS[check]
+    body = Zonotope3.from_scaled(_random_generators(random.Random(2), SWEEP_MIN)[:m], 1)
+    assert getattr(verify, check)(*[body] * count).holds
+    assert kernel_calls == (below if m < SWEEP_MIN else at)
 
 
 # A sweep over at least 2 * SPLIT_MIN plane images splits its pivots across

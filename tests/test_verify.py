@@ -517,6 +517,8 @@ class TestFuzz:
         dict(target="bezout", trials=5, m_max=0),
         dict(target="bezout", trials=5, coeff_bound=0),
         dict(target="bezout", trials=5, coeff_bound=2 ** 32 + 1),
+        dict(target="af_square", trials=1, seed=-1),
+        dict(target="af_square", trials=1, seed=2 ** 64),
     ])
     def test_invalid_config(self, bad):
         with pytest.raises(ValueError):
