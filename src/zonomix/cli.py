@@ -45,6 +45,7 @@ from .verify import (
     check_coeff_bound,
     check_lemma_matrix,
     check_seed,
+    check_trials,
     fuzz,
 )
 from .witness import pyramid_equality_report
@@ -263,6 +264,7 @@ def cmd_grassmann_sample(args) -> int:
 def cmd_report(args) -> int:
     """Run the built-in showcase battery; exit 0 only if everything holds."""
     check_seed(args.seed)
+    check_trials(args.trials)
     checks: list[tuple[str, IneqReport]] = []
 
     equality = extremal_config(SStats(*(Fraction(1),) * 4),

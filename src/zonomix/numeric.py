@@ -12,14 +12,8 @@ returns the common scale with the rows, and one writer, `render_rows`.
 
 from __future__ import annotations
 
-import atexit
-import gc
-import marshal
-import os
 import re
-import signal
 import sys
-import threading
 from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -175,10 +169,10 @@ def det3(a, b, c):
 # each later g_k, and the last sum is that of |z_i|, so the unit classes cost
 # no product.  From SWEEP_MIN on it is the bezout sweep.
 #
-# A large sweep splits its pivots across processes, with the same integer
-# totals.  The first sweep that splits forks helper processes, and they
-# serve every later one; no helper outlives the process.  See SPLIT_MIN
-# and `_split_sweep`.
+# Every sweep runs in the calling process.  Splitting its pivots across
+# forked helpers gained nothing on a 2-vCPU Intel Xeon whose second CPU was
+# shared: a bezout check took 0.99-1.09x the serial time at m = 24 to 96
+# (Python 3.11, in process, interleaved).
 
 # Smallest size at which a sum sweeps instead of looping: the length of ga
 # for pairs and combos, the middle length of the three lists for triples
@@ -186,17 +180,6 @@ def det3(a, b, c):
 # four sums of a bezout check and the column count for a lemma check.  An
 # af-square check always sweeps.
 SWEEP_MIN = 9
-
-# Fewest plane images each process of a split sweep projects (see
-# `_sweep_processes`).  A round trip to a live helper took 25-40 us with
-# bodies of 24 to 96 generators, and a sweep takes about 1 us per image, so
-# a split over two processes breaks even near 100-200 images each.  A bezout
-# sweep split over two processes took a median 0.65-0.7 of the serial time
-# at m = 8 to 20 (156 to 990 images) and 0.52-0.6 at m = 24 to 96 (1428 to
-# 23,000; 2-vCPU Intel Xeon, Python 3.11, in process, interleaved).  The
-# threshold keeps a margin for a busy second CPU.  The first split sweep of
-# a process also pays for forking its helpers.
-SPLIT_MIN = 500
 
 
 def int_scaled(vectors: Sequence[Vec3]) -> tuple[list[tuple[int, int, int]], int]:
@@ -307,46 +290,25 @@ def _three_classes2(items):
             2 * bc - (bx * cy - by * cx))
 
 
-class _Pivots:
+def _pivots(g, a=None, b=(), c=()):
     """The (pivot, classes) pairs (g[i], (A, b, c)) of a sweep, over the indices i of g.
 
     B and C are the lists b and c for every pivot, and A is the list a, or
     the g after the pivot, g[i + 1:], when a is None.  Each pair is built
     when read, so a kernel holds one slice g[i + 1:] at a time, where a list
-    of the pairs would hold all m^2 / 2 references of the slices at once;
-    and a split sweep sends its helpers the four lists, never the pairs.
-    `images` is the class lengths summed over the pivots.
+    of the pairs would hold all m^2 / 2 references of the slices at once.
     """
-
-    def __init__(self, g, a=None, b=(), c=()):
-        self.lists = g, a, b, c
-        m, shared = len(g), len(b) + len(c)
-        self.images = m * (m - 1) // 2 + m * shared if a is None else m * (len(a) + shared)
-
-    def share(self, j, k):
-        """The pairs of the pivots j, j + k, j + 2k, ..."""
-        g, a, b, c = self.lists
-        for i in range(j, len(g), k):
-            yield g[i], (g[i + 1:] if a is None else a, b, c)
-
-    def __iter__(self):
-        return self.share(0, 1)
+    for i, p in enumerate(g):
+        yield p, (g[i + 1:] if a is None else a, b, c)
 
 
-def _class_sweep(pivots):
-    """Sums of |det(p, u, v)| over the (p, (A, B, C)) pairs of a `_Pivots`, by the classes of u and v.
+def _class_sweep(pivoted):
+    """Sums of |det(p, u, v)| over (p, (A, B, C)) pairs, by the classes of u and v.
 
     Returns the four totals over pairs u, v from A x A (i < j), A x B, A x C
     and B x C.  Each pivot projects and sorts its three classes once; an
-    empty class costs nothing.  A large sweep splits its pivots across
-    processes (`_sweep_processes`); the totals are the same integers.
+    empty class costs nothing.
     """
-    k = _sweep_processes(pivots.images)
-    return _sweep_pivots(pivots) if k == 1 else _split_sweep(pivots, k)
-
-
-def _sweep_pivots(pivoted):
-    """`_class_sweep`'s four totals in this process, one pivot after another."""
     aa = ab = ac = bc = 0
     for p, classes in pivoted:
         images, f = _pivot_images(p, classes)
@@ -357,217 +319,6 @@ def _sweep_pivots(pivoted):
             ac += s_ac // f
             bc += s_bc // f
     return aa, ab, ac, bc
-
-
-def _sweep_processes(images):
-    """How many processes sweep pivots that project `images` plane images in all.
-
-    Each process takes at least SPLIT_MIN images, and there is at most one
-    per usable CPU.  A process without `os.fork` sweeps alone, and so does
-    one with a second thread alive: a fork could copy a lock that the other
-    thread holds, and two threads would mix their requests to the helpers.
-    So does a fork child of the process that imported this module, and a
-    sweep started while a split sweep is under way, as from a signal handler.
-    """
-    if (images < 2 * SPLIT_MIN or _pool.busy or os.getpid() != _pool.pid
-            or not hasattr(os, "fork") or _threads() != 1):
-        return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return min(cpus, images // SPLIT_MIN)
-
-
-def _threads():
-    """The threads alive in this process.
-
-    Linux lists every one in /proc/self/task, those started in C included;
-    elsewhere only the threads of the `threading` module are counted.
-    """
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return threading.active_count()
-
-
-def _split_sweep(pivots, k):
-    """`_sweep_pivots` over k interleaved shares of the pivots, shares 1 to k-1 in helpers.
-
-    Share j holds the pivots j, j + k, j + 2k, ...; interleaving balances
-    the shares when the classes shrink along the pivots (the A after each
-    pivot).  Helper j gets the request (j, k, the four lists of `pivots`)
-    and replies with its share's four totals.  This process sweeps share 0
-    while the helpers work, then every share whose helper could not be
-    forked, and every share whose helper died or replied with anything but
-    four integers, after reaping that helper.  Any exception while a
-    request is out stops the whole pool, so that no reply is left to be
-    read as the answer to a later request.
-    """
-    _pool.busy = True
-    try:
-        helpers = _pool.fork(k - 1)
-        sent = []  # (share, helper) of each request out
-        for j, helper in enumerate(helpers, 1):
-            try:
-                _send(helper[1], (j, k, pivots.lists))
-                sent.append((j, helper))
-            except OSError:  # the helper is gone: its read end is closed
-                _pool.reap(helper)
-        served = {j for j, _ in sent}
-        totals = [_sweep_pivots(pivots.share(j, k)) for j in range(k) if j not in served]
-        for j, helper in sent:
-            share = _reply(helper[2])
-            if share is None:
-                _pool.reap(helper)
-                share = _sweep_pivots(pivots.share(j, k))
-            totals.append(share)
-        return tuple(map(sum, zip(*totals)))
-    except BaseException:
-        _pool.stop()
-        raise
-    finally:
-        _pool.busy = False
-
-
-def _reply(fd):
-    """The four integer totals a helper wrote to fd, or None if it wrote anything else."""
-    try:
-        share = _receive(fd)
-    except (OSError, EOFError, ValueError, TypeError):
-        return None
-    if type(share) is tuple and len(share) == 4 and all(type(t) is int for t in share):
-        return share
-    return None
-
-
-def _send(fd, obj):
-    """Write obj to fd as one message: the length of its `marshal` bytes in 8 bytes, then them."""
-    data = marshal.dumps(obj)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _receive(fd):
-    """The object of the next `_send` message on fd; EOFError if the writer closes first."""
-    return marshal.loads(_read(fd, int.from_bytes(_read(fd, 8), "little")))
-
-
-def _read(fd, n):
-    """The next n bytes on fd, read in pieces of at most 64 KiB."""
-    chunks = []
-    while n:
-        chunk = os.read(fd, min(n, 1 << 16))
-        if not chunk:
-            raise EOFError("pipe closed")
-        chunks.append(chunk)
-        n -= len(chunk)
-    return b"".join(chunks)
-
-
-def _serve(requests, replies):
-    """A helper's life: sweep each requested share and reply with its totals, until end of file.
-
-    The end comes when every write end of the request pipe is closed: when
-    this helper's parent stops the pool or exits, however it exits.
-    """
-    gc.freeze()  # a collection here then never writes to the parent's pages
-    while True:
-        try:
-            j, k, lists = _receive(requests)
-        except EOFError:
-            return
-        _send(replies, _sweep_pivots(_Pivots(*lists).share(j, k)))
-
-
-class _Pool:
-    """The helper processes of the split sweeps, forked by the first one to need them.
-
-    Each helper is (pid, write end of its request pipe, read end of its
-    reply pipe) and waits on its request pipe for the next share.  Forks
-    hold every signal, so none can land between a fork and its record; a
-    helper is taken off the record before it is reaped, so it is never
-    reaped or signalled twice.  `stop` runs at exit, and no helper outlives
-    the process: each also leaves when the pipe closes under it.  The exit
-    and fork hooks are registered by the first fork, so a pool that never
-    forks leaves its module free to be collected.
-    """
-
-    def __init__(self):
-        self.helpers = []
-        self.pid = os.getpid()  # the process the helpers serve
-        self.busy = False  # True while a split sweep runs
-        self.hooked = False
-
-    def fork(self, n):
-        """The first n helpers, forking those missing; fewer if a fork fails."""
-        if len(self.helpers) < n:
-            if not self.hooked:
-                atexit.register(self.stop)
-                os.register_at_fork(after_in_child=self.forget)
-                self.hooked = True
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-            try:
-                while len(self.helpers) < n:
-                    fds = []
-                    try:
-                        fds += os.pipe()
-                        fds += os.pipe()
-                        pid = os.fork()
-                    except OSError:
-                        for fd in fds:
-                            os.close(fd)
-                        break
-                    requests, request_end, reply_end, replies = fds
-                    if not pid:
-                        try:
-                            os.close(request_end)
-                            os.close(reply_end)
-                            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                            # Ctrl-C reaches the whole process group; this
-                            # process decides, and the helper ends with its pipe.
-                            signal.signal(signal.SIGINT, signal.SIG_IGN)
-                            _serve(requests, replies)
-                        finally:
-                            os._exit(0)
-                    os.close(requests)
-                    os.close(replies)
-                    self.helpers.append((pid, request_end, reply_end))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        return self.helpers[:n]
-
-    def reap(self, helper):
-        """Take a helper off the record, close its pipes and reap it, killed if it still runs."""
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        try:
-            self.helpers.remove(helper)
-            pid, request_end, reply_end = helper
-            os.close(request_end)
-            os.close(reply_end)
-            if not os.waitpid(pid, os.WNOHANG)[0]:  # still running
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-        except ChildProcessError:  # reaped elsewhere: its pid may be another's now
-            pass
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-
-    def stop(self):
-        """Reap every helper: at exit, and after an error while a request is out."""
-        while self.helpers:
-            self.reap(self.helpers[-1])
-
-    def forget(self):
-        """In a fork child: close the inherited pipe ends, which are the parent's."""
-        for _, request_end, reply_end in self.helpers:
-            os.close(request_end)
-            os.close(reply_end)
-        self.helpers = []
-
-
-_pool = _Pool()
 
 
 def _class_loop(pivoted):
@@ -603,7 +354,7 @@ def sum_abs_det3_triples(ga, gb, gc):
     # Both paths pivot over the shortest list; the size rule reads the middle one.
     ga, gb, gc = sorted((ga, gb, gc), key=len)
     kernel = _class_loop if len(gb) < SWEEP_MIN else _class_sweep
-    return kernel(_Pivots(ga, (), gb, gc))[3]
+    return kernel(_pivots(ga, (), gb, gc))[3]
 
 
 def sum_abs_det3_pairs(ga, gb):
@@ -612,13 +363,13 @@ def sum_abs_det3_pairs(ga, gb):
     # pivots over gb, which sorts ga once per b.
     if len(ga) < SWEEP_MIN:
         return _class_loop((a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga))[3]
-    return _class_sweep(_Pivots(gb, ga))[0]
+    return _class_sweep(_pivots(gb, ga))[0]
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
     kernel = _class_loop if len(g) < SWEEP_MIN else _class_sweep
-    return kernel(_Pivots(g))[0]
+    return kernel(_pivots(g))[0]
 
 
 def sum_abs_det3_bezout(ga, gb, gc):
@@ -629,7 +380,7 @@ def sum_abs_det3_bezout(ga, gb, gc):
     and A x C pairs the two pair sums, and the B x C pairs the triples.
     """
     kernel = _class_loop if max(len(ga), len(gb), len(gc)) < SWEEP_MIN else _class_sweep
-    return kernel(_Pivots(ga, None, gb, gc))
+    return kernel(_pivots(ga, None, gb, gc))
 
 
 def sum_abs_det3_af_square(ga, gb, gc, gd):
@@ -639,7 +390,7 @@ def sum_abs_det3_af_square(ga, gb, gc, gd):
     one sweep at every size: on the check's own small draws the sweep is the
     faster kernel too (see the kernel comment).
     """
-    return _class_sweep(_Pivots(gd, ga, gb, gc))
+    return _class_sweep(_pivots(gd, ga, gb, gc))
 
 
 def sum_abs_det3_lemma(g):
@@ -688,11 +439,9 @@ def sum_abs_det2_pairs(us, vs):
 #   matrix:   "matrix 3 n", then 3 rows of n entries (none when n = 0).
 
 # Most generators one body file may hold, 3 coordinates each.  A check costs
-# O(m^2 log m) through one sweep for its four sums, split across the CPUs:
-# with 2 processes on a 2-vCPU Intel Xeon (Python 3.11, coordinates p/q with
-# |p|, q <= 16), check bezout took 1.0-1.4 s at m = 800 and 8.7-10.5 s at
-# m = 2000, and check af-square 1.2 s and 8.3-10.2 s; in one process, timed
-# alongside, 1.7-2.6 s and 15-17 s, and 2.2-2.9 s and 17-21 s.
+# O(m^2 log m) through one sweep for its four sums: at m = 2000 check bezout
+# took 11.5 s and check af-square 13.0 s (Intel Xeon, Python 3.11,
+# coordinates p/q with |p|, q <= 16).
 MAX_GENERATORS = 2000
 
 # Most bits one body file may clear to: its generator count times the bit
@@ -701,9 +450,9 @@ MAX_GENERATORS = 2000
 # with digits as well as with generators: check bezout took 17 s on 50
 # generators of 4000-digit integers.  Under this limit the generator cap is
 # the slowest input: on 2000 generators of 31-bit integers (64,000 bits) check
-# bezout took 22-23 s and check af-square 26-27 s in one process, about as
-# long as on the cap's p/q with |p|, q <= 16 (50,000 bits), timed alongside
-# (Python 3.11, Intel Xeon); split over 2 CPUs, 12.8 s and 13.7 s.
+# bezout took 11.1 s and check af-square 12.7 s, about as long as on the
+# cap's p/q with |p|, q <= 16 (50,000 bits), timed alongside (Python 3.11,
+# Intel Xeon).
 MAX_CLEARED_BITS = 2 ** 16
 
 # A line of a text file: a run between the line boundaries of str.splitlines.

@@ -59,6 +59,12 @@ def check_coeff_bound(bound: int) -> None:
         raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {bound}")
 
 
+def check_trials(trials: int) -> None:
+    """Refuse a --trials below 1 (fuzz and report)."""
+    if trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {trials}")
+
+
 def check_seed(seed: int) -> None:
     """Refuse a --seed outside 0..2^64 - 1 (fuzz, grassmann-sample and report).
 
@@ -208,8 +214,7 @@ class FuzzConfig:
         if self.target not in TARGETS:
             raise ValueError(f"unknown fuzz target {self.target!r}; "
                              f"expected one of {tuple(TARGETS)}")
-        if self.trials < 1:
-            raise ValueError(f"--trials must be >= 1, got {self.trials}")
+        check_trials(self.trials)
         if self.m_max < 1:
             raise ValueError(f"--m-max must be >= 1, got {self.m_max}")
         if self.m_max > MAX_M_MAX:

@@ -1,4 +1,3 @@
-import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -13,7 +12,6 @@ from zonomix.grassmann import MAX_COLUMNS
 from zonomix.numeric import MAX_CLEARED_BITS, MAX_GENERATORS, E1, E2, render_matrix, vec3
 from zonomix.verify import MAX_COEFF_BOUND, MAX_M_MAX, FuzzSummary, IneqReport
 from zonomix.zonotope import Zonotope3, parse_zonotope, render_zonotope
-from test_numeric import assert_no_child_left, serial, split_forks
 
 
 E3 = vec3(0, 0, 1)
@@ -124,49 +122,6 @@ class TestCheck:
         assert main(["check", target, *(files[n] for n in names)]) == 1
         texts = [Path(files[n]).read_text() for n in names]
         assert capsys.readouterr().err == "violated by input:\n" + "".join(texts)
-
-
-class TestSplitSweep:
-    """check bezout on bodies of about 100 generators sweeps in three processes.
-
-    A helper that flushed this process's buffers, or returned into `main`,
-    would print the report twice; the fd-level capture sees both.  The
-    second run reuses the helpers of the first.
-    """
-
-    @pytest.fixture
-    def bodies(self, tmp_path):
-        rnd = random.Random(23)
-        paths = []
-        for label, m in (("a", 100), ("b", 99), ("c", 101)):
-            gens = [[Fraction(rnd.randint(-16, 16), rnd.randint(1, 16)) for _ in range(3)]
-                    for _ in range(m)]
-            path = tmp_path / f"{label}.zt"
-            path.write_text(render_zonotope(Zonotope3.from_generators(gens)))
-            paths.append(str(path))
-        return paths
-
-    @pytest.mark.parametrize("output", ["text", "csv"])
-    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
-    def test_report_is_printed_once_as_the_serial_run_prints_it(
-            self, bodies, output, to_file, tmp_path, capfd, monkeypatch):
-        def run(path):
-            argv = ["check", "bezout", *bodies, "--output", output]
-            code = main(argv + ["--out", str(path)] if to_file else argv)
-            captured = capfd.readouterr()
-            report = path.read_text() if to_file else captured.out
-            return code, captured.out, captured.err, report
-
-        expected = serial(run, tmp_path / "serial.out")
-        forks = split_forks(monkeypatch)
-        code, out, err, report = run(tmp_path / "split.out")
-        assert len(forks) == 2
-        assert (code, out, err, report) == expected
-        assert report.count(report.splitlines()[0]) == 1
-        assert out == ("" if to_file else report)
-        assert run(tmp_path / "again.out") == expected
-        assert len(forks) == 2
-        assert_no_child_left()
 
 
 class TestFuzzCommand:
@@ -403,6 +358,15 @@ class TestResourceGuards:
         assert main([*command.split(), "--seed", str(seed), "--out", str(out)]) == 2
         assert capsys.readouterr() == \
             ("", f"error: --seed must be between 0 and {2 ** 64 - 1}, got {seed}\n")
+        assert not out.exists()
+
+    # Unchecked until its first fuzz run, report ran the five named checks first.
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_report_trials_below_one(self, trials, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "extremal_config", self._never)  # report's first work
+        out = tmp_path / "never.txt"
+        assert main(["report", "--trials", str(trials), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: --trials must be >= 1, got {trials}\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])

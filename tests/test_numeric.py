@@ -1,15 +1,7 @@
-import gc
-import importlib.util
 import itertools
-import os
 import random
-import signal
-import subprocess
 import sys
-import threading
-import time
 import tracemalloc
-import weakref
 from fractions import Fraction
 from math import comb, lcm
 from types import SimpleNamespace
@@ -231,33 +223,31 @@ def _pivot_lists(ga, gb, gc):
 
     The dispatchers' and check kernels' own shapes, a zero pivot, pivots from
     every list, and every class left empty in turn.  The pair sum's loop
-    shape, with the tail of ga as class B, is no `_Pivots`: it is a list of
-    (pivot, classes) pairs.
+    shape, with the tail of ga as class B, is built in place.  Each is a
+    list, so that it can be run more than once.
     """
     pivots = [(0, 0, 0)] + ga + gb + gc
     return [
-        numeric._Pivots(ga, None, gb, gc),
+        list(numeric._pivots(ga, None, gb, gc)),
         [(a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga)],
-        numeric._Pivots(gc[::-1] + ga, ga, gb, gc),
-        numeric._Pivots(pivots, ga, gb, gc),
-        numeric._Pivots(pivots, (), gb, gc),
-        numeric._Pivots(pivots, gc, (), gb),
-        numeric._Pivots(pivots, gb, ga, ()),
+        list(numeric._pivots(gc[::-1] + ga, ga, gb, gc)),
+        list(numeric._pivots(pivots, ga, gb, gc)),
+        list(numeric._pivots(pivots, (), gb, gc)),
+        list(numeric._pivots(pivots, gc, (), gb)),
+        list(numeric._pivots(pivots, gb, ga, ())),
     ]
 
 
 def _sweep_each(pairs):
     """`_class_sweep` of (pivot, classes) pairs: each pivot swept alone, the totals added."""
-    return tuple(map(sum, zip(*(numeric._class_sweep(numeric._Pivots([p], *classes))
+    return tuple(map(sum, zip(*(numeric._class_sweep([(p, classes)])
                                 for p, classes in pairs), (0, 0, 0, 0))))
 
 
 def _assert_loop_matches_sweep(ga, gb, gc):
     for pivots in _pivot_lists(ga, gb, gc):
         loop = numeric._class_loop(pivots)
-        assert loop == _sweep_each(pivots)
-        if isinstance(pivots, numeric._Pivots):
-            assert loop == numeric._class_sweep(pivots)
+        assert loop == _sweep_each(pivots) == numeric._class_sweep(pivots)
         assert all(type(s) is int for s in loop)
 
 
@@ -473,6 +463,7 @@ def test_unimodular_image_keeps_the_check_sums_at_200_generators():
     kernels = ((sum_abs_det3_bezout, 3), (sum_abs_det3_af_square, 4))
     sums = [kernel(*bodies[:count]) for kernel, count in kernels]
     assert all(all(four) for four in sums)
+    assert all(type(s) is int for four in sums for s in four)
     for t in UNIMODULAR:
         assert det3(*t) == 1
         images = [[tuple(sum(a * c for a, c in zip(row, g)) for row in t) for g in gens]
@@ -568,419 +559,13 @@ def test_each_check_runs_its_kernel_path_at_every_size(check, m, kernel_calls):
     assert kernel_calls == (below if m < SWEEP_MIN else at)
 
 
-# A sweep over at least 2 * SPLIT_MIN plane images splits its pivots across
-# processes: this one and helpers, forked by the first split sweep and
-# reused by the later ones.  The pivots' totals are integers that add
-# exactly, so the split must give the serial sums whatever happens to a
-# share: a fork that fails, a helper that dies or replies with anything but
-# four integers, before a call or during it.  No helper may outlive the
-# pool, and no helper may return into the caller that forked it.
-
-def split_forks(monkeypatch, cpus=3):
-    """Let every sweep use `cpus` CPUs, from an empty pool; returns the list that records each fork."""
-    numeric._pool.stop()
-    forks = []
-    fork = os.fork
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    monkeypatch.setattr(os, "fork", lambda: forks.append(os.getpid()) or fork())
-    return forks
-
-
-def serial(kernel, *args):
-    """kernel(*args) with every sweep in this process."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(numeric, "SPLIT_MIN", 10 ** 9)
-        return kernel(*args)
-
-
-def assert_no_child_left():
-    """Stop the pool as the exit hook does; then no child process may be left, not even unreaped."""
-    numeric._pool.stop()
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """`split_forks` for one test, which must leave every helper it forks on record."""
-    forks = split_forks(monkeypatch)
-    yield forks
-    assert_no_child_left()
-
-
-@pytest.fixture
-def swept_here(monkeypatch):
-    """The shares this process sweeps, in order; helpers forked later record theirs in their own copy."""
-    parent, sweep, here = os.getpid(), numeric._sweep_pivots, []
-
-    def recorded(pairs):
-        pairs = list(pairs)
-        if os.getpid() == parent:
-            here.append(pairs)
-        return sweep(pairs)
-
-    monkeypatch.setattr(numeric, "_sweep_pivots", recorded)
-    return here
-
-
-@pytest.fixture(scope="module")
-def bodies_200():
-    return _sampled_bodies(4, 200)
-
-
-def _images(pivoted):
-    return sum(len(c) for _, classes in pivoted for c in classes)
-
-
-def test_split_sums_equal_the_serial_sums(bodies_200, forks, swept_here):
-    ga, gb, gc, gd = bodies_200
-    cases = ((sum_abs_det3_bezout, (ga, gb, gc)),
-             (sum_abs_det3_af_square, (ga, gb, gc, gd)),
-             (sum_abs_det3_triples, (ga, gb, gc)),
-             (sum_abs_det3_pairs, (ga, gb)),
-             (sum_abs_det3_combos, (ga,)))
-    expected = [serial(kernel, *args) for kernel, args in cases]
-    for (kernel, args), sums in zip(cases, expected):
-        swept_here.clear()
-        assert kernel(*args) == sums, kernel.__name__
-        assert len(swept_here) == 1, kernel.__name__  # share 0; shares 1 and 2 in the helpers
-    assert len(forks) == 2  # three CPUs: two helpers, forked by the first call only
-    assert all(type(s) is int for s in sum_abs_det3_bezout(ga, gb, gc))
-
-
-@pytest.mark.parametrize("failing", [0, 1])
-def test_a_failed_fork_leaves_its_shares_to_this_process(bodies_200, forks, monkeypatch,
-                                                         failing):
-    pivots = numeric._Pivots(bodies_200[0], None, *bodies_200[1:3])
-    expected = numeric._sweep_pivots(pivots)
-    fork = os.fork
-
-    def fork_or_fail():  # the fork numbered `failing`, from 0, fails
-        if len(forks) == failing:
-            raise OSError("no more processes")
-        return fork()
-
-    monkeypatch.setattr(os, "fork", fork_or_fail)
-    assert numeric._class_sweep(pivots) == expected
-    assert len(forks) == failing == len(numeric._pool.helpers)
-    # The next call forks the helpers still missing.
-    monkeypatch.setattr(os, "fork", fork)
-    assert numeric._class_sweep(pivots) == expected
-    assert len(forks) == 2 == len(numeric._pool.helpers)
-
-
-@pytest.mark.parametrize("fault", ["raises", "killed", "three-totals", "killed-after-writing"])
-def test_a_failed_child_share_is_swept_again_here(bodies_200, forks, monkeypatch, tmp_path,
-                                                  fault):
-    pivots = numeric._Pivots(bodies_200[0], None, *bodies_200[1:3])
-    expected = numeric._sweep_pivots(pivots)
-    parent, sweep, send, here = os.getpid(), numeric._sweep_pivots, numeric._send, []
-
-    def faulty(pairs):
-        pairs = list(pairs)
-        if os.getpid() == parent:
-            here.append(pairs)
-            return sweep(pairs)
-        if fault == "raises":
-            raise RuntimeError("helper fault")
-        if fault == "killed":
-            os.kill(os.getpid(), signal.SIGKILL)
-        return sweep(pairs)[:3] if fault == "three-totals" else sweep(pairs)
-
-    def send_then_die(fd, obj):  # a whole reply, then a signal
-        send(fd, obj)
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-
-    monkeypatch.setattr(numeric, "_sweep_pivots", faulty)
-    if fault == "killed-after-writing":
-        monkeypatch.setattr(numeric, "_send", send_then_die)
-    escaped = tmp_path / "escaped"
-    try:
-        assert numeric._class_sweep(pivots) == expected
-        if fault == "killed-after-writing":
-            # The replies stand; the next call finds both helpers gone.
-            assert len(here) == 1
-            here.clear()
-            assert numeric._class_sweep(pivots) == expected
-    finally:
-        if os.getpid() != parent:  # a failed helper came back into its caller
-            escaped.touch()
-            os.kill(os.getpid(), signal.SIGKILL)
-    assert not escaped.exists()
-    # Share 0 here, then the two helper shares again, each exactly once;
-    # both helpers are reaped and off the record.
-    assert len(forks) == 2 and numeric._pool.helpers == []
-    shares = [list(pivots.share(j, 3)) for j in range(3)]
-    assert sorted(map(len, here)) == sorted(map(len, shares))
-    assert here[0] == shares[0]
-
-
-def test_an_error_here_kills_and_reaps_every_child(bodies_200, forks, monkeypatch):
-    pivots = numeric._Pivots(bodies_200[0], None, *bodies_200[1:3])
-    parent, sweep = os.getpid(), numeric._sweep_pivots
-
-    def fails_here(pairs):
-        if os.getpid() == parent:
-            raise RuntimeError("parent fault")
-        return sweep(pairs)
-
-    monkeypatch.setattr(numeric, "_sweep_pivots", fails_here)
-    with pytest.raises(RuntimeError, match="parent fault"):
-        numeric._class_sweep(pivots)
-    # The requests were out: the error stopped the pool itself.
-    assert len(forks) == 2 and numeric._pool.helpers == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class Interrupt(Exception):
-    """Raised by a patched call or a signal handler, as KeyboardInterrupt would be."""
-
-
-def test_an_interrupt_after_a_reap_leaves_the_reaped_child_alone(bodies_200, forks,
-                                                                 monkeypatch):
-    # Both helpers die during the call.  The interrupt lands after os.waitpid
-    # has reaped the first; its pid may already be another process's.
-    parent, sweep = os.getpid(), numeric._sweep_pivots
-    waitpid, kill, reaped, killed = os.waitpid, os.kill, [], []
-
-    def dies_in_helpers(pairs):
-        if os.getpid() != parent:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return sweep(pairs)
-
-    def reap_then_interrupt(pid, options):
-        status = waitpid(pid, options)
-        if status[0] and not reaped:
-            reaped.append(pid)
-            raise Interrupt
-        return status
-
-    def kill_after_the_reap(pid, sig):
-        if reaped:
-            killed.append(pid)
-        kill(pid, sig)
-
-    monkeypatch.setattr(numeric, "_sweep_pivots", dies_in_helpers)
-    monkeypatch.setattr(os, "waitpid", reap_then_interrupt)
-    monkeypatch.setattr(os, "kill", kill_after_the_reap)
-    with pytest.raises(Interrupt):
-        numeric._class_sweep(numeric._Pivots(bodies_200[0], None, *bodies_200[1:3]))
-    assert len(forks) == 2 and len(reaped) == 1
-    assert reaped[0] not in killed
-    assert numeric._pool.helpers == []
-
-
-def test_an_interrupt_at_a_fork_waits_until_the_child_is_on_record(bodies_200, forks,
-                                                                   monkeypatch):
-    def interrupt(signum, frame):
-        raise Interrupt
-
-    fork, parent = os.fork, os.getpid()
-
-    def fork_then_signal():
-        pid = fork()
-        if pid:
-            os.kill(parent, signal.SIGUSR1)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork_then_signal)
-    handler = signal.signal(signal.SIGUSR1, interrupt)
-    try:
-        with pytest.raises(Interrupt):
-            numeric._class_sweep(numeric._Pivots(bodies_200[0], None, *bodies_200[1:3]))
-    finally:
-        signal.signal(signal.SIGUSR1, handler)
-    # Both helpers were on record when the interrupt landed, and it stopped the pool.
-    assert len(forks) == 2 and numeric._pool.helpers == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_a_helper_killed_between_two_calls_is_reaped(bodies_200, forks, swept_here):
-    ga, gb, gc, _ = bodies_200
-    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    (pid, *_), other = numeric._pool.helpers
-    os.kill(pid, signal.SIGKILL)
-    swept_here.clear()
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    assert len(swept_here) == 2  # share 0, then the dead helper's share
-    assert numeric._pool.helpers == [other]
-    with pytest.raises(ChildProcessError):  # reaped
-        os.waitpid(pid, os.WNOHANG)
-    # The next call forks a helper in its place.
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    assert len(forks) == 3 and len(numeric._pool.helpers) == 2
-
-
-def test_a_helper_reaped_elsewhere_is_never_signalled(bodies_200, forks, monkeypatch):
-    ga, gb, gc, _ = bodies_200
-    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    pid = numeric._pool.helpers[0][0]
-    os.kill(pid, signal.SIGKILL)
-    os.waitpid(pid, 0)  # reaped by other code: the pid may be another process's now
-    kill, killed = os.kill, []
-    monkeypatch.setattr(os, "kill", lambda target, sig: killed.append(target) or kill(target, sig))
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    numeric._pool.stop()
-    assert pid not in killed
-
-
-def _closed(fd):
-    try:
-        os.fstat(fd)
-    except OSError:
-        return True
-    return False
-
-
-def test_an_unrelated_fork_child_sweeps_alone(bodies_200, forks, swept_here):
-    ga, gb, gc, _ = bodies_200
-    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    helpers = list(numeric._pool.helpers)
-    assert len(forks) == len(helpers) == 2
-    pid = os.fork()
-    if not pid:  # the child: its parent's pipe ends closed, no helper of its own
-        ok = False
-        try:
-            ok = (all(_closed(fd) for _, *ends in helpers for fd in ends)
-                  and numeric._pool.helpers == []
-                  and sum_abs_det3_bezout(ga, gb, gc) == expected
-                  and len(forks) == 3 and numeric._pool.helpers == [])
-        finally:
-            os._exit(0 if ok else 1)
-    assert os.waitpid(pid, 0)[1] == 0
-    # The parent's helpers still serve: one share here, no fork.
-    swept_here.clear()
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    assert len(swept_here) == 1
-    assert numeric._pool.helpers == helpers and len(forks) == 3
-
-
-# Runs a split sweep in a fresh process on two patched-in CPUs, prints its
-# helpers' pids, then exits or waits to be killed.
-LIFETIME_SCRIPT = """
-import os, random, sys
-os.sched_getaffinity = lambda pid: {0, 1}
-from zonomix import numeric
-rnd = random.Random(24)
-ga, gb, gc = ([tuple(rnd.randint(-99, 99) for _ in range(3)) for _ in range(40)] for _ in "abc")
-assert numeric.sum_abs_det3_bezout(ga, gb, gc) == numeric._sweep_pivots(numeric._Pivots(ga, None, gb, gc))
-print(*(pid for pid, _, _ in numeric._pool.helpers), flush=True)
-if sys.argv[1] == "wait":
-    sys.stdin.read()
-"""
-
-
-def _alive(pid):
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    return True
-
-
-def _running(pid):
-    """Alive and not a zombie: an orphan's reaping is up to its new parent, not to zonomix."""
-    try:
-        with open(f"/proc/{pid}/stat") as stat:
-            return _alive(pid) and stat.read().rpartition(")")[2].split()[0] != "Z"
-    except OSError:
-        return _alive(pid)
-
-
-@pytest.mark.parametrize("end", ["exit", "killed"])
-def test_no_helper_outlives_its_process(end):
-    src = os.path.dirname(os.path.dirname(numeric.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    with subprocess.Popen([sys.executable, "-c", LIFETIME_SCRIPT, "wait" if end == "killed" else end],
-                          stdin=subprocess.PIPE, stdout=subprocess.PIPE, env=env) as proc:
-        pids = [int(pid) for pid in proc.stdout.readline().split()]
-        assert len(pids) == 1  # two CPUs: one helper
-        if end == "killed":
-            proc.kill()
-        assert proc.wait(timeout=60) == (-signal.SIGKILL if end == "killed" else 0)
-    if end == "exit":  # reaped before the process ended
-        assert not any(map(_alive, pids))
-    else:  # each helper leaves when its request pipe closes
-        deadline = time.monotonic() + 5
-        while any(map(_running, pids)) and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert not any(map(_running, pids))
-
-
-def test_a_pool_that_never_forked_keeps_its_module_collectable():
-    # Long-lived callers such as perfbench import zonomix afresh; an exit or
-    # fork hook registered at import would keep every copy alive.
-    spec = importlib.util.find_spec("zonomix.numeric")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    pool = weakref.ref(module._pool)
-    del module
-    gc.collect()
-    assert pool() is None
-
-
-def test_no_fork_while_a_second_thread_is_alive(bodies_200, forks):
-    ga, gb, gc, _ = bodies_200
-    expected = serial(sum_abs_det3_bezout, ga, gb, gc)
-    done = threading.Event()
-    waiter = threading.Thread(target=done.wait)
-    waiter.start()
-    try:
-        assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    finally:
-        done.set()
-        waiter.join(timeout=10)
-    assert not waiter.is_alive()
-    assert forks == []
-    assert sum_abs_det3_bezout(ga, gb, gc) == expected
-    assert len(forks) == 2
-
-
-@pytest.mark.parametrize("listed", [True, False])
-def test_threads_are_counted_where_the_os_lists_them(bodies_200, forks, monkeypatch, listed):
-    # Linux lists a thread started in C, which `threading` never sees;
-    # elsewhere the count falls back to `threading`.
-    listdir = os.listdir
-
-    def tasks(path):
-        if path != "/proc/self/task":
-            return listdir(path)
-        if listed:
-            return ["1", "2"]
-        raise FileNotFoundError(path)
-
-    monkeypatch.setattr(os, "listdir", tasks)
-    ga, gb, gc, _ = bodies_200
-    assert sum_abs_det3_bezout(ga, gb, gc) == serial(sum_abs_det3_bezout, ga, gb, gc)
-    assert len(forks) == (0 if listed else 2)
-
-
-def test_one_process_per_cpu_and_per_split_min_images(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-    assert numeric._sweep_processes(10 ** 6) == 16
-    assert numeric._sweep_processes(3 * numeric.SPLIT_MIN + 1) == 3
-    assert numeric._sweep_processes(2 * numeric.SPLIT_MIN - 1) == 1
-
-
 def test_tails_are_the_pairs_of_a_pivot_over_its_own_list():
     rnd = random.Random(16)
     for sizes in itertools.product((0, 1, 5), repeat=4):
         ga, gb, gc, gd = (_random_generators(rnd, m) for m in sizes)
-        for pivots, pairs in ((numeric._Pivots(ga, None, gb, gc),
-                               [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)]),
-                              (numeric._Pivots(gd, ga, gb, gc),
-                               [(d, (ga, gb, gc)) for d in gd])):
-            assert list(pivots) == pairs
-            assert pivots.images == _images(pairs)
-            for k in (1, 2, 3):
-                assert [list(pivots.share(j, k)) for j in range(k)] == \
-                    [pairs[j::k] for j in range(k)]
+        assert list(numeric._pivots(ga, None, gb, gc)) == \
+            [(a, (ga[i + 1:], gb, gc)) for i, a in enumerate(ga)]
+        assert list(numeric._pivots(gd, ga, gb, gc)) == [(d, (ga, gb, gc)) for d in gd]
 
 
 def test_a_tail_sweep_holds_one_slice_at_a_time():
@@ -988,40 +573,13 @@ def test_a_tail_sweep_holds_one_slice_at_a_time():
     slices = sum(sys.getsizeof(g[i + 1:]) for i in range(len(g)))
     tracemalloc.start()
     try:
-        serial(sum_abs_det3_combos, g)
+        sum_abs_det3_combos(g)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     # A list of all the (pivot, classes) pairs peaked at 435 KB, above the
     # 371 KB of the slices; one pair at a time, 105 KB.
     assert peak < slices / 2
-
-
-def _pivots_projecting(gens, images):
-    """Pivots from `gens`, each with the gens after it and one shared class, that project
-    `images` plane images in all."""
-    n = next(n for n in range(2, len(gens)) if (images - n * (n - 1) // 2) % n == 0)
-    shared = (images - n * (n - 1) // 2) // n
-    return numeric._Pivots(gens[:n], None, [gens[i % len(gens)] for i in range(shared)])
-
-
-def test_a_split_starts_at_twice_split_min_images(forks):
-    rnd = random.Random(15)
-    gens = [tuple(rnd.randint(-9, 9) for _ in range(3)) for _ in range(99)]
-    threshold = 2 * numeric.SPLIT_MIN
-    below, at = _pivots_projecting(gens, threshold - 1), _pivots_projecting(gens, threshold)
-    assert (below.images, at.images) == (_images(below), _images(at)) == (threshold - 1, threshold)
-    assert numeric._class_sweep(below) == numeric._sweep_pivots(below)
-    assert forks == []
-    assert numeric._class_sweep(at) == numeric._sweep_pivots(at)
-    assert len(forks) == 1  # 2 * SPLIT_MIN images: two processes
-
-
-def test_one_cpu_sweeps_alone(bodies_200, monkeypatch):
-    forks = split_forks(monkeypatch, cpus=1)
-    ga, gb, gc, _ = bodies_200
-    assert sum_abs_det3_bezout(ga, gb, gc) == serial(sum_abs_det3_bezout, ga, gb, gc)
-    assert forks == [] and numeric._pool.helpers == []
 
 
 class TestRationalLiterals:
