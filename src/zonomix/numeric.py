@@ -7,6 +7,7 @@ the |det| kernels work on plain integers, and results are divided back as
 one `Fraction`.  The two text formats (zonotope, matrix) share one reader,
 `parse_rows`, which reads each literal straight to a reduced integer pair and
 returns the common scale with the rows, and one writer, `render_rows`.
+`parse_rational` reads a flag's literal through the same loop.
 `int_scaled` clears a body built from rational generators, once.
 """
 
@@ -19,7 +20,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import compress, islice
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from operator import eq, itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
@@ -27,35 +28,11 @@ from typing import Iterable, NamedTuple, Sequence
 _RATIONAL_RE = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
-def _rational_pair(text: str) -> tuple[int, int]:
-    """A rational literal as its reduced (numerator, denominator > 0) pair.
-
-    The one literal rule and its three refusals, in order of precedence;
-    `parse_rows` reads the literals that pass all three inline.
-    """
-    s = text.strip()
-    match = _RATIONAL_RE.fullmatch(s)
-    if match is None:
-        raise ValueError(f"invalid rational literal: {text!r}")
-    num, den = match.groups()
-    # int() refuses more digits than the interpreter's limit, with advice
-    # meant for programmers; name the limit in the literal's terms instead.
-    limit = sys.get_int_max_str_digits()
-    if limit and len(s) > limit:
-        digits = max(len(num.lstrip("+-")), len(den or ""))
-        if digits > limit:
-            raise ValueError(f"integer in rational literal has {digits} digits, "
-                             f"more than the limit ({limit} digits)")
-    n, d = int(num), int(den or 1)
-    if not d:
-        raise ValueError(f"zero denominator in rational literal: {text!r}")
-    g = gcd(n, d)
-    return n // g, d // g
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse a rational literal: optional sign, integer, optional '/' integer."""
-    return Fraction(*_rational_pair(text))
+    row = [text]
+    _read_literals([row])
+    return Fraction(*row[0])
 
 
 def int_str(n: int) -> str:
@@ -483,28 +460,47 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[tuple[int, int]]], 
             raise ValueError(f"{kind}: at most {MAX_GENERATORS} generators "
                              f"({3 * MAX_GENERATORS} coordinates) per file")
         rows.append(row)
-    generators = max(1, -(-literals // 3))
-    budget = MAX_CLEARED_BITS // generators
-    # `_rational_pair` read inline: a literal no longer than the digit limit
-    # (0 is no limit) that matches has no refusal left but a zero denominator.
-    limit = sys.get_int_max_str_digits() or len(text)
+    return header, rows, _read_literals(rows, kind, max(1, -(-literals // 3)))
+
+
+def _read_literals(rows: list[list], kind: str = "", generators: int = 0) -> int:
+    """Replace each rational literal in rows by its reduced (numerator, denominator > 0) pair.
+
+    Returns the lcm of the denominators.  This is the one literal rule, for
+    files and flags alike: surrounding whitespace is ignored, and the
+    refusals come literal by literal, in order of precedence: an invalid
+    literal, an integer of more digits than the interpreter's limit, a zero
+    denominator.  The `generators` of a `kind` file also share
+    MAX_CLEARED_BITS: reading stops at the first literal that takes the
+    bit length of the scale plus that of the largest numerator past
+    MAX_CLEARED_BITS // generators, before the scale grows further.
+    """
+    limit = sys.get_int_max_str_digits()
+    budget = MAX_CLEARED_BITS // generators if generators else inf
     fullmatch = _RATIONAL_RE.fullmatch
     scale, top = 1, 0
     for row in rows:
-        for i, literal in enumerate(row):
+        for i, text in enumerate(row):
+            literal = text.strip()
             match = fullmatch(literal)
-            if match is None or len(literal) > limit:
-                n, d = _rational_pair(literal)
-            else:
-                num, den = match.groups()
-                if den is None:
-                    n, d = int(num), 1
-                else:
-                    n, d = int(num), int(den)
-                    if not d:
-                        _rational_pair(literal)  # raises its zero-denominator refusal
-                    g = gcd(n, d)
-                    n, d = n // g, d // g
+            if match is None:
+                raise ValueError(f"invalid rational literal: {text!r}")
+            num, den = match.groups()
+            # int() refuses more digits than the interpreter's limit (0 is no
+            # limit), with advice meant for programmers; name the limit in
+            # the literal's terms instead.
+            if limit and len(literal) > limit:
+                digits = max(len(num.lstrip("+-")), len(den or ""))
+                if digits > limit:
+                    raise ValueError(f"integer in rational literal has {digits} digits, "
+                                     f"more than the limit ({limit} digits)")
+            n, d = int(num), 1
+            if den is not None:
+                d = int(den)
+                if not d:
+                    raise ValueError(f"zero denominator in rational literal: {text!r}")
+                g = gcd(n, d)
+                n, d = n // g, d // g
             row[i] = n, d
             if scale % d or abs(n) > top:
                 scale, top = lcm(scale, d), max(top, abs(n))
@@ -512,7 +508,7 @@ def parse_rows(text: str, kind: str) -> tuple[str, list[list[tuple[int, int]]], 
                     raise ValueError(f"{kind}: {generators} generators cleared to integers "
                                      f"need more than {budget} bits each; at most "
                                      f"{MAX_CLEARED_BITS} bits per file (generators times bits)")
-    return header, rows, scale
+    return scale
 
 
 def render_rows(header: str, rows: Iterable[Iterable[Fraction]]) -> str:

@@ -34,14 +34,11 @@ from .numeric import (
 from .rng import SplitMix64, random_vectors, random_zonotope, trial_seeds
 from .zonotope import Zonotope3, render_zonotope
 
-# Largest fuzz m_max.  A trial draws up to m_max generators per body.  A
-# check on bodies of at least numeric.SWEEP_MIN generators takes the
-# O(m^2 log m) sweep, not the cubic |det| loop: a bezout trial with 64
-# generators in each body took 0.011-0.016 s, against 0.20-0.29 s on the loop
-# alone (Python 3.11, Intel Xeon).  The cap stays at 64 and bounds the memory
-# and the time of every trial before any is drawn.  At the default m_max = 6
-# bezout and lemma trials stay on their loops; an af-square check sweeps at
-# every size.
+# Largest fuzz m_max.  A trial draws up to m_max generators per body, so the
+# cap bounds the memory and the time of every trial before any is drawn: a
+# bezout trial with 64 generators in each body took 0.011-0.016 s (Python
+# 3.11, Intel Xeon).  Which kernel a check runs at which size is stated in
+# `numeric`'s kernel comment.
 MAX_M_MAX = 64
 
 # Largest fuzz coeff_bound B.  A coordinate is one 64-bit draw modulo 2B + 1
@@ -57,12 +54,6 @@ def check_coeff_bound(bound: int) -> None:
         raise ValueError(f"--coeff-bound must be >= 1, got {bound}")
     if bound > MAX_COEFF_BOUND:
         raise ValueError(f"--coeff-bound must be <= {MAX_COEFF_BOUND}, got {bound}")
-
-
-def check_trials(trials: int) -> None:
-    """Refuse a --trials below 1 (fuzz and report)."""
-    if trials < 1:
-        raise ValueError(f"--trials must be >= 1, got {trials}")
 
 
 def check_seed(seed: int) -> None:
@@ -165,8 +156,9 @@ def check_af_square(a: Zonotope3, b: Zonotope3, c: Zonotope3, d: Zonotope3) -> I
 
     Holds for arbitrary convex bodies; the constant 2 is sharp in general but
     not on zonotopes.  The four volumes come from one `sum_abs_det3_af_square`
-    call, a sweep at every size.  With K = la^2 lb lc ld^2, lhs is pairs_ad * triples_bcd / 18K and
-    the rhs product is triples_abd * triples_acd / 36K.
+    call (its kernel: see `numeric`).  With K = la^2 lb lc ld^2, lhs is
+    pairs_ad * triples_bcd / 18K and the rhs product is
+    triples_abd * triples_acd / 36K.
     """
     ga, la = a.scaled
     gb, lb = b.scaled
@@ -187,9 +179,8 @@ def check_lemma_matrix(a: Zonotope3) -> IneqReport:
     by 6 and the hold/violate verdicts coincide.  The four sums are those of
     that check, from one `sum_abs_det3_lemma` call: |det(a_i, a_j, e1)| is
     |y_i z_j - z_i y_j|, |det(a_i, a_j, e2)| is |x_i z_j - z_i x_j| and
-    |det(a_i, e1, e2)| is |z_i|.  Below numeric.SWEEP_MIN columns the lemma
-    has its own loop, which reads the pair sums off the cross products that
-    combos takes; from it on, the bezout sweep gives all four.
+    |det(a_i, e1, e2)| is |z_i|.  Which kernel that call runs at which size
+    is stated in `numeric`'s kernel comment.
     """
     ints, scale = a.scaled
     combos, pairs_yz, pairs_xz, zsum = sum_abs_det3_lemma(ints)
@@ -202,7 +193,11 @@ def check_lemma_matrix(a: Zonotope3) -> IneqReport:
 
 @dataclass(frozen=True)
 class FuzzConfig:
-    """Random-trial configuration; every field participates in determinism."""
+    """Random-trial configuration; every field participates in determinism.
+
+    A config is checked when it is made, so one that exists is valid: a bad
+    field raises ValueError, the first bad one in field order.
+    """
 
     target: str
     trials: int
@@ -210,11 +205,12 @@ class FuzzConfig:
     coeff_bound: int = 16
     seed: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise ValueError(f"unknown fuzz target {self.target!r}; "
                              f"expected one of {tuple(TARGETS)}")
-        check_trials(self.trials)
+        if self.trials < 1:
+            raise ValueError(f"--trials must be >= 1, got {self.trials}")
         if self.m_max < 1:
             raise ValueError(f"--m-max must be >= 1, got {self.m_max}")
         if self.m_max > MAX_M_MAX:
@@ -285,7 +281,6 @@ def fuzz(config: FuzzConfig,
     end.  Slack and ratio are compared as integer pairs (`IneqReport._pairs`);
     the summary's two `Fraction`s are made once, at the end too.
     """
-    config.validate()
     run_trial = TARGETS[config.target]
     seeds = trial_seeds(config.seed)
     failures = 0

@@ -5,16 +5,12 @@ vectors a_i, each encoding the segment [0, a_i]: mixed volumes are invariant
 under translation, so a base point would carry no information.  All mixed
 volumes reduce, by multilinearity, to sums of |det| over generator triples,
 with V([0,a],[0,b],[0,c]) = |det(a,b,c)| / 6 as the atomic case.  The
-kernels in `numeric` take those sums exactly on two paths with one contract:
-four class-pair totals over (pivot, classes) pairs, from a loop of one
-determinant per triple for small bodies (`numeric._class_loop`) and from an
-O(m^2 log m) angular sweep from `numeric.SWEEP_MIN` generators on
-(`numeric._class_sweep`).  The volumes here read one total each and the
-checks in `verify` all four, from one call (`numeric.sum_abs_det3_bezout`,
-`numeric.sum_abs_det3_af_square`, which sweeps at every size, or
-`numeric.sum_abs_det3_lemma` for the matrix form).
-They all read a body's integer view, which a parsed or sampled body is built
-from and a body built from rational generators derives once.
+kernels in `numeric` take those sums exactly, in O(m^2 log m) integer
+arithmetic on large bodies; its kernel comment says which kernel each sum
+and check runs at which size, and why.  The volumes here read one sum each
+and the checks in `verify` four, from one call.  They all read a body's
+integer view, which a parsed or sampled body is built from and a body built
+from rational generators derives once.
 
 A 3 x n generator matrix is a body too: its columns are the generators, in
 order, duplicates and zero columns kept, so `parse_matrix`,

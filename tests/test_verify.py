@@ -511,15 +511,32 @@ class TestFuzz:
         assert summary.max_ratio is not None
         assert len(built) == 2  # min_slack and max_ratio, once each
 
-    @pytest.mark.parametrize("bad", [
-        dict(target="nope", trials=10),
-        dict(target="bezout", trials=0),
-        dict(target="bezout", trials=5, m_max=0),
-        dict(target="bezout", trials=5, coeff_bound=0),
-        dict(target="bezout", trials=5, coeff_bound=2 ** 32 + 1),
-        dict(target="af_square", trials=1, seed=-1),
-        dict(target="af_square", trials=1, seed=2 ** 64),
-    ])
-    def test_invalid_config(self, bad):
-        with pytest.raises(ValueError):
-            fuzz(FuzzConfig(**bad))
+    # Each bad field alone, then two at once: the first in field order is named.
+    BAD_CONFIGS = [
+        (dict(target="nope", trials=10),
+         "unknown fuzz target 'nope'; expected one of ('bezout', 'lemma', 'af_square')"),
+        (dict(target="bezout", trials=0), "--trials must be >= 1, got 0"),
+        (dict(target="bezout", trials=5, m_max=0), "--m-max must be >= 1, got 0"),
+        (dict(target="bezout", trials=5, coeff_bound=0), "--coeff-bound must be >= 1, got 0"),
+        (dict(target="bezout", trials=5, coeff_bound=2 ** 32 + 1),
+         f"--coeff-bound must be <= {2 ** 32}, got {2 ** 32 + 1}"),
+        (dict(target="af_square", trials=1, seed=-1),
+         f"--seed must be between 0 and {2 ** 64 - 1}, got -1"),
+        (dict(target="af_square", trials=1, seed=2 ** 64),
+         f"--seed must be between 0 and {2 ** 64 - 1}, got {2 ** 64}"),
+        (dict(target="lemma", trials=1, m_max=65), "--m-max must be <= 64, got 65"),
+        (dict(target="nope", trials=0), "unknown fuzz target 'nope'; "
+                                        "expected one of ('bezout', 'lemma', 'af_square')"),
+        (dict(target="lemma", trials=-1, seed=-1), "--trials must be >= 1, got -1"),
+        (dict(target="lemma", trials=1, m_max=0, coeff_bound=0), "--m-max must be >= 1, got 0"),
+        (dict(target="lemma", trials=1, coeff_bound=0, seed=2 ** 64),
+         "--coeff-bound must be >= 1, got 0"),
+    ]
+
+    @pytest.mark.parametrize("bad,message", BAD_CONFIGS,
+                             ids=[f"bad{i}" for i in range(len(BAD_CONFIGS))])
+    def test_invalid_config(self, bad, message):
+        # Refused when made, so no caller can run or hold an invalid config.
+        with pytest.raises(ValueError) as info:
+            FuzzConfig(**bad)
+        assert str(info.value) == message
