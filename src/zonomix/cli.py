@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 from fractions import Fraction
 from math import gcd
@@ -370,9 +371,31 @@ def build_parser() -> argparse.ArgumentParser:
 # Built at the first `main` call and kept: building costs more than a small check.
 _parser = functools.cache(build_parser)
 
+# argparse reads an argument that starts with "-" as a flag unless it looks
+# like a negative decimal number, so it would take the -1/2 of
+# `extremal --lo -1/2` for one.  `main` passes a rational flag followed by
+# "-<digit>..." on as "--lo=-1/2"; the rational reader then accepts or
+# refuses the value as it does in that form.
+_RATIONAL_FLAGS = frozenset({"--s1", "--s2", "--s3", "--s4", "--lo", "--hi", "--lo2", "--hi2"})
+_NEGATIVE = re.compile(r"-[0-9]")
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """`extremal` arguments with each rational flag joined to a negative value after it."""
+    if argv[:1] != ["extremal"]:
+        return argv
+    joined: list[str] = []
+    for arg in argv:
+        if joined and joined[-1] in _RATIONAL_FLAGS and _NEGATIVE.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parser().parse_args(_join_negative_values(argv))
     args.stream = None
     try:
         try:

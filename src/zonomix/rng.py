@@ -5,30 +5,32 @@ mix.  It produces the same stream on every platform and Python version, which
 makes fuzz summaries and CSV outputs byte-reproducible.
 
 splitmix64 is counter-based: output k of a stream at state s is
-`mix(s + k * gamma)` and depends on k alone.  `SplitMix64.take(n)` uses that
-to mix a block of n outputs at once: it packs the n states into the 128-bit
-lanes of one Python int and runs the xor-shift-multiply mix on the whole int,
-masking each lane back to 64 bits before every multiply so that a 64 x 64-bit
-product stays inside its own lane.  `next64` runs the same `_mix` on a single
-lane; both give the same stream.
+`mix(s + k * gamma)` and depends on k alone.  `SplitMix64._block(n)` uses
+that to mix a block of n outputs at once: it packs the n states into the
+128-bit lanes of one Python int and runs the xor-shift-multiply mix on the
+whole int, masking each lane back to 64 bits before every multiply so that a
+64 x 64-bit product stays inside its own lane.  `next64` runs the same `_mix`
+on a single lane; `take` and `_block` give the same stream.
 
-Every sampler reads coordinates through one draw routine, `_draw`: one
-`take` for a block of coordinates, two outputs per coordinate, numerator then
-denominator.  `random_columns` draws n columns and keeps the draws as
-integers: it clears them to a common scale (the lcm of the drawn
-denominators) with integer arithmetic only and builds the body from that
-integer view (`Zonotope3.from_scaled`), so no `Fraction` is made until the
-body's rational generators are read.  A matrix is the body of its columns:
-`random_zonotope` and `random_vectors` (the lemma fuzz target's 3 x m
-matrix) are `random_columns` at a drawn count, and `grassmann-sample` calls
-it at a fixed one.
+Every sampler draws through that one block and builds its bodies with one
+routine, `_body`: two outputs per coordinate, numerator then denominator,
+read straight from the block's words and cleared to a common scale (the lcm
+of the drawn denominators) with integer arithmetic only.  The body is built
+from that integer view (`Zonotope3.from_scaled`), so no `Fraction` is made
+until its rational generators are read.  `random_columns` draws n columns in
+one block.  `random_bodies` draws a fuzz trial's bodies, each a generator
+count and then its coordinates: it reads the counts first, each on its own at
+its stream position, and then mixes every output of the trial in one block,
+so a trial pays the block's fixed cost once.  A matrix is the body of its
+columns: `random_zonotope` and `random_vectors` (the lemma fuzz target's
+3 x m matrix) are `random_bodies` of one body, and `grassmann-sample` calls
+`random_columns` at a fixed count.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
 from math import lcm
 
 from .zonotope import Zonotope3
@@ -37,7 +39,7 @@ _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # the golden-ratio increment of splitmix64
 _LANE_BITS = 128  # room for a 64 x 64-bit product per lane
 
-# `take` unpacks its lanes as 64-bit words.
+# `_block` unpacks its lanes as 64-bit words.
 assert array("Q").itemsize == 8
 
 
@@ -55,18 +57,20 @@ def _mix(z: int, mask: int) -> int:
     return z ^ (z >> 31)
 
 
-# A fuzz body takes blocks of n = 6m for m up to verify.MAX_M_MAX = 64, so the
-# cache holds every block size the CLI asks for, about 0.6 MB at most.
-@lru_cache(maxsize=256)
-def _lanes(n: int) -> tuple[int, int, int]:
-    """(ONES, gamma * RAMP, lane mask) for a block of n lanes.
-
-    Lane k (from 0) of ONES is 1, of RAMP is k + 1 and of the mask is 2^64 - 1,
-    so s * ONES + gamma * RAMP holds s + (k + 1) * gamma in lane k.
-    """
-    ones = sum(1 << (_LANE_BITS * k) for k in range(n))
-    ramp = sum((k + 1) << (_LANE_BITS * k) for k in range(n))
-    return ones, _GAMMA * ramp, _MASK * ones
+# The largest block the CLI draws is one af-square trial at m_max =
+# verify.MAX_M_MAX = 64: four bodies of 6 * 64 lanes and their four count
+# draws.  The lane constants hold that many lanes, 79 KB in all, made once at
+# import in O(n) from bytes (0.3 ms).  A block of n lanes is their top n
+# lanes, cut off with shifts in O(n), so nothing is built or kept per block
+# size: 300 af-square trials at m_max 64 peak at 0.17 MB under tracemalloc
+# (Python 3.11.7).  Longer blocks are drawn in pieces of this size.
+_MAX_LANES = 6 * 4 * 64 + 4
+_LANE_BYTES = _LANE_BITS // 8
+# Lane k of ONES is 1, of GAMMA_RAMP gamma * (k + 1) and of LANE_MASKS 2^64 - 1.
+_ONES = int.from_bytes((b"\x01" + bytes(_LANE_BYTES - 1)) * _MAX_LANES, "little")
+_GAMMA_RAMP = _GAMMA * int.from_bytes(
+    b"".join(k.to_bytes(_LANE_BYTES, "little") for k in range(1, _MAX_LANES + 1)), "little")
+_LANE_MASKS = _MASK * _ONES
 
 
 class SplitMix64:
@@ -81,13 +85,27 @@ class SplitMix64:
 
     def take(self, n: int) -> list[int]:
         """The next n outputs, in order; the state ends where n `next64` calls leave it."""
-        ones, gamma_ramp, mask = _lanes(n)
-        z = _mix((self._state * ones + gamma_ramp) & mask, mask)
+        return self._block(n)[::2].tolist()
+
+    def _block(self, n: int) -> array:
+        """The next n outputs, mixed as one block: output k + 1 is word 2k.
+
+        Word 2k + 1 is the high half of lane k, not an output.  The state
+        ends where n `next64` calls leave it.
+        """
+        if n > _MAX_LANES:
+            return self._block(_MAX_LANES) + self._block(n - _MAX_LANES)
+        # Lane k of the top n lanes of GAMMA_RAMP holds (MAX - n + 1 + k) * gamma,
+        # so the block starts MAX - n gammas back: lane k holds s + (k + 1) * gamma.
+        shift = _LANE_BITS * (_MAX_LANES - n)
+        mask = _LANE_MASKS >> shift
+        start = (self._state - (_MAX_LANES - n) * _GAMMA) & _MASK
+        z = _mix((start * (_ONES >> shift) + (_GAMMA_RAMP >> shift)) & mask, mask)
         self._state = (self._state + n * _GAMMA) & _MASK
-        words = array("Q", z.to_bytes(_LANE_BITS // 8 * n, "little"))
+        words = array("Q", z.to_bytes(_LANE_BYTES * n, "little"))
         if sys.byteorder == "big":
             words.byteswap()
-        return words[::2].tolist()
+        return words
 
     def below(self, n: int) -> int:
         # Modulo bias of order 2^-60 is irrelevant for input sampling.
@@ -117,17 +135,24 @@ def trial_seeds(seed: int) -> SplitMix64:
     return SplitMix64(SplitMix64(seed).next64())
 
 
-def _draw(rng: SplitMix64, count: int, bound: int) -> tuple[list[int], list[int]]:
-    """`count` coordinates as numerators and denominators, in stream order.
+def _body(words: array, at: int, n: int, bound: int) -> Zonotope3:
+    """The body of n columns whose coordinates are drawn from `words` from word `at` on.
 
-    Numerator in [-bound, bound], denominator in [1, bound]: the same two
-    draws, in the same order, as `randint(-bound, bound)` and
-    `randint(1, bound)` per coordinate, from one `take(2 * count)`.  The
-    pairs are not reduced.
+    Coordinate j is a / b with a = draw % (2 bound + 1) - bound from word
+    at + 4j and b = draw % bound + 1 from word at + 4j + 2: the two draws, in
+    the same order, of `randint(-bound, bound)` and `randint(1, bound)`.
+    The body is built from its integer view: the 3n numerators, each
+    multiplied up to the lcm of the denominators.
     """
-    draws = rng.take(2 * count)
+    end = at + 12 * n
     span = 2 * bound + 1
-    return [d % span - bound for d in draws[0::2]], [d % bound + 1 for d in draws[1::2]]
+    dens = [d % bound + 1 for d in words[at + 2:end:4]]
+    scale = lcm(*dens)
+    ints = iter([(d % span - bound) * (scale // den) for d, den in zip(words[at:end:4], dens)])
+    # A list, not the zip: `tuple` of an iterator with no length resizes its
+    # result, and freeing such tuples filled CPython's per-size tuple free
+    # lists, about 0.8 MB held for the life of a fuzz process.
+    return Zonotope3.from_scaled(list(zip(ints, ints, ints)), scale)
 
 
 def random_vectors(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
@@ -136,20 +161,33 @@ def random_vectors(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
 
 
 def random_zonotope(rng: SplitMix64, m_max: int, bound: int) -> Zonotope3:
-    """A body of 1 to m_max generators, the count drawn first: `random_columns`."""
-    return random_columns(rng, rng.randint(1, m_max), bound)
+    """A body of 1 to m_max generators, the count drawn first: `random_bodies` of one."""
+    return random_bodies(rng, 1, m_max, bound)[0]
+
+
+def random_bodies(rng: SplitMix64, count: int, m_max: int, bound: int) -> list[Zonotope3]:
+    """`count` bodies of 1 to m_max generators, drawn one after another from one block.
+
+    Each body takes one output for its generator count n, drawn as
+    `randint(1, m_max)`, then 6n for its coordinates, so the bodies and the
+    final state are those of `count` calls of `random_zonotope`.  The counts
+    are read first, each on its own at its stream position; then every output
+    of the draw is mixed in one block and each body is built from its words.
+    """
+    state = rng._state
+    sizes, pos = [], 1  # pos: the stream position of the next count draw
+    for _ in range(count):
+        n = _mix((state + pos * _GAMMA) & _MASK, _MASK) % m_max + 1
+        sizes.append(n)
+        pos += 6 * n + 1
+    words = rng._block(pos - 1)
+    bodies, at = [], 2  # at: the first coordinate word of the next body
+    for n in sizes:
+        bodies.append(_body(words, at, n, bound))
+        at += 12 * n + 2
+    return bodies
 
 
 def random_columns(rng: SplitMix64, n: int, bound: int) -> Zonotope3:
-    """The body of n columns, each coordinate a / b with |a|, b <= bound.
-
-    Built from its integer view: the 3n drawn numerators, each multiplied up
-    to the lcm of the drawn denominators.
-    """
-    nums, dens = _draw(rng, 3 * n, bound)
-    scale = lcm(*dens)
-    ints = [num * (scale // den) for num, den in zip(nums, dens)]
-    # A list, not the zip: `tuple` of an iterator with no length resizes its
-    # result, and freeing such tuples filled CPython's per-size tuple free
-    # lists, about 0.8 MB held for the life of a fuzz process.
-    return Zonotope3.from_scaled(list(zip(ints[0::3], ints[1::3], ints[2::3])), scale)
+    """The body of n columns, each coordinate a / b with |a|, b <= bound."""
+    return _body(rng._block(6 * n), 0, n, bound)

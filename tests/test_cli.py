@@ -230,9 +230,29 @@ class TestExtremalCommand:
         assert main(["extremal", "--s1", "-1"]) == 2
 
     def test_rational_flags(self, capsys):
-        # values starting with "-" need the --flag=value spelling
         assert main(["extremal", "--s1", "1/2", "--s4", "1/2", "--lo=-1/3",
                      "--hi", "2/3"]) == 0
+
+    # argparse took "-1/2" for a flag: "--lo -1/2" exited 2 with "expected one argument".
+    @pytest.mark.parametrize("flag", ["--s1", "--s2", "--s3", "--s4",
+                                      "--lo", "--hi", "--lo2", "--hi2"])
+    @pytest.mark.parametrize("value", ["-1/2", "-1", "-3/-2", "-0/5"])
+    def test_negative_value_as_its_own_argument(self, flag, value, capsys):
+        joined = main(["extremal", f"{flag}={value}"]), capsys.readouterr()
+        assert (main(["extremal", flag, value]), capsys.readouterr()) == joined
+
+    def test_negative_values_among_other_flags(self, capsys):
+        code = main(["extremal", "--lo", "-1/3", "--hi", "2/3", "--lo2", "-5/4"])
+        assert (code, capsys.readouterr()) == \
+            (main(["extremal", "--lo=-1/3", "--hi", "2/3", "--lo2=-5/4"]), capsys.readouterr())
+        assert code == 0
+
+    @pytest.mark.parametrize("value", ["-x", "--hi"])
+    def test_flag_like_value_is_a_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["extremal", "--lo", value])
+        assert exc.value.code == 2
+        assert "argument --lo: expected one argument" in capsys.readouterr().err
 
     def test_vanishing_factor(self, capsys):
         assert main(["extremal", "--lo2", "1", "--hi2", "1"]) == 0
@@ -317,6 +337,7 @@ class TestResourceGuards:
         # The samplers the fuzz trials call, by the names they call them in verify.
         monkeypatch.setattr(verify, "random_zonotope", cls._never)
         monkeypatch.setattr(verify, "random_vectors", cls._never)
+        monkeypatch.setattr(verify, "random_bodies", cls._never)
 
     # The control for the fuzz guards: a valid run does reach the trap.
     @pytest.mark.parametrize("target", ["bezout", "lemma", "af-square"])

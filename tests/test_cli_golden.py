@@ -275,7 +275,7 @@ def test_sampler_stream_is_pinned(seed):
     rng, rational = SplitMix64(seed), SplitMix64(seed)
     drawn = " ".join(str(q) for column in random_columns(rng, 4, 16) for q in column)
     assert drawn == SAMPLER_STREAM[seed]
-    # One `Fraction` per coordinate, numerator then denominator, as `rng._draw` documents.
+    # One `Fraction` per coordinate, numerator then denominator, as `rng._body` documents.
     assert drawn == " ".join(str(random_rational(rational, 16)) for _ in range(12))
 
 

@@ -1,11 +1,15 @@
 """splitmix64 and its block draw, and the integer sampler against the rational one it replaces."""
 
 import hashlib
+import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, strategies as st
 
+from zonomix import rng as rng_module
 from zonomix.cli import main
-from zonomix.rng import SplitMix64, random_vectors, random_zonotope
+from zonomix.rng import SplitMix64, random_bodies, random_vectors, random_zonotope
 from zonomix.zonotope import Zonotope3, mixed_volume, mixed_volume_repeated, volume
 from oracles import brute_mixed_volume, brute_volume, random_rational
 
@@ -27,8 +31,10 @@ def test_reference_outputs(seed, outputs):
 
 
 # 2^64 - 1 wraps on the first step; -(3 * GAMMA) wraps inside a block of 7 and more.
+# A block longer than the lane constants is drawn in pieces.
 @pytest.mark.parametrize("seed", [0, 2 ** 64 - 1, -3 * GAMMA % 2 ** 64])
-@pytest.mark.parametrize("n", [0, 1, 2, 7, 384])
+@pytest.mark.parametrize("n", [0, 1, 2, 7, 384, rng_module._MAX_LANES, rng_module._MAX_LANES + 1,
+                               3001])
 def test_take_is_n_calls_of_next64(seed, n):
     rng, ref = SplitMix64(seed), SplitMix64(seed)
     assert rng.take(n) == [ref.next64() for _ in range(n)]
@@ -63,6 +69,37 @@ def test_random_zonotope_is_the_body_of_random_vectors(bound, m_max, seeds):
             else mixed_volume_repeated(expected, other))
         assert mixed_volume_repeated(other, body) == brute_mixed_volume(OTHER, OTHER, gens)
         assert mixed_volume(body, other, other) == brute_mixed_volume(gens, OTHER, OTHER)
+
+
+@given(seed=st.integers(0, 2 ** 64 - 1), count=st.integers(1, 4),
+       m_max=st.integers(1, 64), bound=st.integers(1, 2 ** 32))
+@example(seed=2 ** 64 - 1, count=4, m_max=64, bound=2 ** 32)  # the longest block, wrapping
+@example(seed=0, count=1, m_max=1, bound=1)
+@example(seed=5, count=0, m_max=6, bound=16)  # draws nothing
+def test_random_bodies_is_count_random_zonotope_calls(seed, count, m_max, bound):
+    rng, twin, rational = SplitMix64(seed), SplitMix64(seed), SplitMix64(seed)
+    bodies = random_bodies(rng, count, m_max, bound)
+    expected = [random_zonotope(twin, m_max, bound) for _ in range(count)]
+    assert [body.scaled for body in bodies] == [body.scaled for body in expected]
+    assert rng._state == twin._state
+    # Both are the draws of `next64` one at a time: a count, then a
+    # numerator and a denominator per coordinate.
+    for body in bodies:
+        m = rational.randint(1, m_max)
+        assert body.generators == tuple(tuple(random_rational(rational, bound) for _ in range(3))
+                                        for _ in range(m))
+    assert rng._state == rational._state
+
+
+# The words of a block are little-endian bytes read as native 64-bit words;
+# a big-endian host swaps them.  Faked here on a little-endian one.
+@pytest.mark.skipif(sys.byteorder != "little", reason="fakes a big-endian host")
+def test_block_words_are_swapped_on_a_big_endian_host(monkeypatch):
+    words = SplitMix64(7)._block(9)
+    monkeypatch.setattr(rng_module, "sys", SimpleNamespace(byteorder="big"))
+    swapped = SplitMix64(7)._block(9)
+    swapped.byteswap()
+    assert swapped == words
 
 
 # Digests of whole outputs, taken with the rational sampler that built every
