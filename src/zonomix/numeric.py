@@ -121,11 +121,18 @@ def det3(a, b, c):
 # projects the classes into the plane along p, so that |det(p, u, v)|
 # becomes a 2D |cross| scaled by a pivot coordinate; over the images in
 # angular order, one pass of prefix sums (`_three_classes2`) gives all four
-# totals.  That is O(m^2 log m).  Each single-sum dispatcher picks its
-# kernel by size and reads one total.  For a single sum the sweep overtakes
-# the loop at about m = 7 to 10 (triples first, combos last) and runs
-# 10-16x faster at m = 96 (Python 3.11, Intel Xeon, coordinates p/q with
-# |p|, q <= 16).
+# totals.  That is O(m^2 log m).  The pass sorts the images by a float key
+# of their angle and checks each run of equal keys as it goes; only a run
+# out of exact order sends them through `_angular_order`, which re-sorts
+# such runs by exact cross products, and through the pass again.  No pivot
+# of `rng.random_columns` bodies of 24 or 96 generators at coefficient bound
+# 16 needs it: their runs of equal keys are exact parallels.  Images at 2^60
+# whose keys collide do.  Each single-sum dispatcher picks its kernel by
+# size and reads one total.  For a single sum the sweep overtakes the loop
+# at about m = 6 to 9 (triples first, combos last) and runs 12-19x faster
+# at m = 96; on three bodies of m generators the bezout kernel's sweep
+# overtakes its loop at m = 5, and the lemma's sweep overtakes its own loop
+# at m = 11 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
 #
 # A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and
 # `sum_abs_det3_af_square` take all four from one kernel call.  On the sweep
@@ -223,7 +230,9 @@ def _angular_order(items):
     int / int division is correctly rounded, so the float keys are in exact
     angular order except inside runs of equal keys, which are re-sorted by
     the sign of the cross product.  Most runs are single items or exact
-    parallels; only the runs of two or more are touched.
+    parallels; only the runs of two or more are touched.  `_three_classes2`
+    calls it only when its own float-key order leaves a run out of exact
+    order; `witness._zonogon` calls it on every zonogon.
     """
     items.sort(key=_key)
     if len(set(map(_key, items))) == len(items):
@@ -238,18 +247,28 @@ def _angular_order(items):
 def _three_classes2(items):
     """Pair-class sums AA, AB, AC, BC of |u x v| over items tagged 0 (A), 1 (B), 2 (C).
 
-    The items are upper half-plane vectors (key, x, y, tag).  In angular
-    order every u before v has u x v >= 0, so the sum of |u x v| over pairs
-    within A is that of P_A(v) x v over the A items v, with P_A(v) the sum
-    of the A items before v.  Across two classes X, Y, |x x y| is x x y for
-    the x before y and y x x for the x after it, so each y adds
-    (2 P_X(y) - T_X) x y, with T_X the sum of all of X; the T_X part is
-    taken once, against the sum of all of Y, at the end.  Parallel vectors
-    add 0 in either order.  All four sums come from one pass.
+    The items are upper half-plane vectors (key, x, y, tag), sorted here by
+    the float key.  int / int division is correctly rounded and rounding is
+    monotone, so distinct keys are in exact angular order; a run of equal
+    keys is in it when no neighbour pair u, v in the run has u x v < 0, which
+    the pass checks as it goes.  At the first such pair the items go through
+    `_angular_order` and the pass runs again.  In angular order every u
+    before v has u x v >= 0, so the sum of |u x v| over pairs within A is
+    that of P_A(v) x v over the A items v, with P_A(v) the sum of the A items
+    before v.  Across two classes X, Y, |x x y| is x x y for the x before y
+    and y x x for the x after it, so each y adds (2 P_X(y) - T_X) x y, with
+    T_X the sum of all of X; the T_X part is taken once, against the sum of
+    all of Y, at the end.  Parallel vectors add 0 in either order.  All four
+    sums come from one pass.
     """
+    items.sort(key=_key)
     aa = ab = ac = bc = 0
     ax = ay = bx = by = cx = cy = 0
-    for _, x, y, tag in _angular_order(items):
+    lk = lx = ly = None
+    for k, x, y, tag in items:
+        if k == lk and lx * y < ly * x:
+            return _three_classes2(_angular_order(items))
+        lk, lx, ly = k, x, y
         if not tag:
             aa += ax * y - ay * x
             ax += x

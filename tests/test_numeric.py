@@ -33,7 +33,7 @@ from zonomix.numeric import (
     sum_abs_det3_triples,
     vec3,
 )
-from zonomix.rng import SplitMix64, random_zonotope
+from zonomix.rng import SplitMix64, random_columns, random_zonotope
 from zonomix.zonotope import Zonotope3, parse_zonotope
 from oracles import brute_mixed_volume, brute_pair_abs_sum, brute_volume, leibniz_det3
 
@@ -213,6 +213,90 @@ def test_kernels_agree_on_each_side_of_the_crossover(m):
 def test_collision_reaches_the_sweep_at_its_natural_size():
     assert len(COLLIDING) >= SWEEP_MIN
     _assert_kernels_agree(COLLIDING, COLLIDING[::-1], COLLIDING[1:SWEEP_MIN + 1])
+
+
+# The sweep's pass sorts its images by the float key alone and checks each
+# run of equal keys as it goes: only a run out of exact angular order sends
+# the images through `_angular_order`.
+
+@pytest.fixture
+def exact_orders(monkeypatch):
+    """The list of item counts `numeric._angular_order` is called on, in order."""
+    calls = []
+    order = numeric._angular_order
+    monkeypatch.setattr(numeric, "_angular_order",
+                        lambda items: calls.append(len(items)) or order(items))
+    return calls
+
+
+def _item(x, y, tag):
+    """A sweep item (key, x, y, tag) for an upper half-plane vector, keyed as `_pivot_images` keys it."""
+    assert y > 0 or (y == 0 and x > 0)
+    return -x / (abs(x) + y), x, y, tag
+
+
+def _brute_class_pairs(items):
+    """`_three_classes2`'s sums AA, AB, AC, BC, one |u x v| per pair of items."""
+    sums = dict.fromkeys(((0, 0), (0, 1), (0, 2), (1, 2)), 0)
+    for (_, ux, uy, s), (_, vx, vy, t) in itertools.combinations(items, 2):
+        if (min(s, t), max(s, t)) in sums:
+            sums[min(s, t), max(s, t)] += abs(ux * vy - uy * vx)
+    return tuple(sums.values())
+
+
+# Runs of equal float keys, each with the count of `_angular_order` calls it
+# needs: exact parallels need none in either insertion order; 2^60 images
+# listed by falling angle are out of exact order; in the run of three only
+# the second neighbour pair is.
+KEY_RUNS = {
+    "parallel": ([(1, 2, 0), (2, 4, 1), (3, 6, 2), (-1, 3, 0), (5, 10, 2)], 0),
+    "parallel-reversed": ([(3, 6, 2), (2, 4, 1), (1, 2, 0), (4, 8, 0), (-2, 6, 1)], 0),
+    "parallel-2^60": ([(P60, 3, 0), (2 * P60, 6, 2), (3 * P60, 9, 1), (P60, 3, 1)], 0),
+    "colliding": ([(P60, k, k % 3) for k in range(12, 0, -1)], 1),
+    "colliding-rising": ([(P60, k, k % 3) for k in range(1, 13)], 0),
+    "second-pair-only": ([(P60, 1, 0), (P60, 3, 1), (P60, 2, 2)], 1),
+    "second-pair-only-one-class": ([(P60, 1, 0), (P60, 3, 0), (P60, 2, 0)], 1),
+}
+
+
+@pytest.mark.parametrize("case", list(KEY_RUNS))
+def test_three_classes_meet_the_brute_sums_on_key_runs(case, exact_orders):
+    vectors, fallbacks = KEY_RUNS[case]
+    items = [_item(*v) for v in vectors]
+    assert len({k for k, *_ in items}) < len(items)
+    assert numeric._three_classes2(list(items)) == _brute_class_pairs(items)
+    assert len(exact_orders) == fallbacks
+
+
+def test_three_classes_meet_the_brute_sums_in_any_order(exact_orders):
+    # Key runs of each kind among distinct keys, in random insertion orders.
+    rnd = random.Random(17)
+    for trial in range(200):
+        vectors = [v for case in rnd.sample(list(KEY_RUNS), 3) for v in KEY_RUNS[case][0]]
+        for _ in range(rnd.randint(0, 12)):
+            x, y = rnd.randint(-9, 9), rnd.randint(0, 9)
+            if y or x > 0:
+                vectors.append((x, y, rnd.randrange(3)))
+        rnd.shuffle(vectors)
+        items = [_item(*v) for v in vectors]
+        assert numeric._three_classes2(list(items)) == _brute_class_pairs(items), trial
+    assert 0 < len(exact_orders) < 200
+
+
+@pytest.mark.parametrize("m", [24, 96])
+def test_sweep_keeps_the_float_order_of_random_bodies(m, exact_orders):
+    rng = SplitMix64(m)
+    bodies = [random_columns(rng, m, 16).scaled[0] for _ in range(3)]
+    sums = sum_abs_det3_bezout(*bodies)
+    assert exact_orders == []
+    if m < 48:
+        assert sums == _on_path("cubic", sum_abs_det3_bezout, *bodies)
+
+
+def test_sweep_orders_colliding_keys_exactly(exact_orders):
+    ga, gb, gc = EDGE_CASES["colliding-float-keys"]
+    assert sum_abs_det3_bezout(ga, gb, gc) == _on_path("cubic", sum_abs_det3_bezout, ga, gb, gc)
+    assert exact_orders
 
 
 MIXED_SIZES = (1, 2, SWEEP_MIN - 1, SWEEP_MIN, 40)
