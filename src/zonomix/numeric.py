@@ -436,19 +436,22 @@ def sum_abs_det2_pairs(us, vs):
 
 # Most generators one body file may hold, 3 coordinates each.  A check costs
 # O(m^2 log m) through one sweep for its four sums: at m = 2000 check bezout
-# took 11.5 s and check af-square 13.0 s (Intel Xeon, Python 3.11,
-# coordinates p/q with |p|, q <= 16).
+# took 10.2 s and check af-square 11.4 s (coordinates p/q with |p|, q <= 16).
+# A file whose images collide at every pivot, so that every pivot goes
+# through `_angular_order` and a second pass, took 13.6 s and 18.6 s
+# (2000 generators (2^30 + i, 1, 0) beside 2000 random ones; Python 3.11,
+# 2-vCPU Intel Xeon, medians of 4 runs).
 MAX_GENERATORS = 2000
 
 # Most bits one body file may clear to: its generator count times the bit
 # length of its common scale L plus that of its largest numerator, a bound on
 # the bit length of every integer `int_scaled` makes of it.  Kernel cost grows
-# with digits as well as with generators: check bezout took 17 s on 50
-# generators of 4000-digit integers.  Under this limit the generator cap is
-# the slowest input: on 2000 generators of 31-bit integers (64,000 bits) check
-# bezout took 11.1 s and check af-square 12.7 s, about as long as on the
-# cap's p/q with |p|, q <= 16 (50,000 bits), timed alongside (Python 3.11,
-# Intel Xeon).
+# with digits as well as with generators: `check_bezout` took 7.4 s on three
+# bodies of 50 generators of 4000-digit integers.  Under this limit the
+# generator cap is the slowest input: on 2000 generators of 31-bit integers
+# (64,000 bits) check bezout took 12.6 s and check af-square 16.1 s, against
+# 10.2 s and 11.4 s on the cap's p/q with |p|, q <= 16 (50,000 bits), timed
+# alongside (Python 3.11, 2-vCPU Intel Xeon, medians of 4 runs).
 MAX_CLEARED_BITS = 2 ** 16
 
 # A line of a text file: a run between the line boundaries of str.splitlines.
