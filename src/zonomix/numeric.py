@@ -302,8 +302,9 @@ def _class_sweep(pivoted):
     """Sums of |det(p, u, v)| over (p, (A, B, C)) pairs, by the classes of u and v.
 
     Returns the four totals over pairs u, v from A x A (i < j), A x B, A x C
-    and B x C.  Each pivot projects and sorts its three classes once; an
-    empty class costs nothing.
+    and B x C.  Each pivot projects its three classes once and sorts them
+    once, unless `_three_classes2` finds a run of equal keys out of exact
+    order; an empty class costs nothing.
     """
     aa = ab = ac = bc = 0
     for p, classes in pivoted:
