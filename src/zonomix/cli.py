@@ -263,7 +263,7 @@ def cmd_report(args) -> int:
     """Run the built-in showcase battery; exit 0 only if everything holds."""
     check_seed(args.seed)
     configs = [FuzzConfig(target=target, trials=args.trials, m_max=6, coeff_bound=12,
-                          seed=args.seed) for target in ("bezout", "lemma", "af_square")]
+                          seed=args.seed) for target in TARGETS]
     checks: list[tuple[str, IneqReport]] = []
 
     equality = extremal_config(SStats(*(Fraction(1),) * 4),
@@ -344,14 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("extremal", parents=[out],
                        help="build the 4-generator tight configuration and report it")
-    p.add_argument("--s1", default="1")
-    p.add_argument("--s2", default="1")
-    p.add_argument("--s3", default="1")
-    p.add_argument("--s4", default="1")
-    p.add_argument("--lo", default="0", help="first x-slope value")
-    p.add_argument("--hi", default="1", help="second x-slope value")
-    p.add_argument("--lo2", default="0", help="first y-slope value")
-    p.add_argument("--hi2", default="1", help="second y-slope value")
+    for flag, (default, text) in _RATIONAL_FLAGS.items():
+        p.add_argument(flag, default=default, help=text)
     p.set_defaults(func=cmd_extremal)
 
     p = sub.add_parser("grassmann-sample", parents=[out, output, seed],
@@ -375,8 +369,12 @@ _parser = functools.cache(build_parser)
 # like a negative decimal number, so it would take the -1/2 of
 # `extremal --lo -1/2` for one.  `main` passes a rational flag followed by
 # "-<digit>..." on as "--lo=-1/2"; the rational reader then accepts or
-# refuses the value as it does in that form.
-_RATIONAL_FLAGS = frozenset({"--s1", "--s2", "--s3", "--s4", "--lo", "--hi", "--lo2", "--hi2"})
+# refuses the value as it does in that form.  `build_parser` adds the same
+# flags, from this table of flag: (default, help).
+_RATIONAL_FLAGS = {"--s1": ("1", None), "--s2": ("1", None), "--s3": ("1", None),
+                   "--s4": ("1", None),
+                   "--lo": ("0", "first x-slope value"), "--hi": ("1", "second x-slope value"),
+                   "--lo2": ("0", "first y-slope value"), "--hi2": ("1", "second y-slope value")}
 _NEGATIVE = re.compile(r"-[0-9]")
 
 

@@ -9,6 +9,8 @@ one `Fraction`.  The two text formats (zonotope, matrix) share one reader,
 returns the common scale with the rows, and one writer, `render_rows`.
 `parse_rational` reads a flag's literal through the same loop.
 `int_scaled` clears a body built from rational generators, once.
+Every sum of |det| is a total of `_class_loop` or `_class_sweep` over a
+`_pivots` stream, but for the lemma's small-matrix loop (kernel comment).
 """
 
 from __future__ import annotations
@@ -113,9 +115,12 @@ def det3(a, b, c):
 # builds the body from its integer view; `unscaled` makes its rational
 # generators only when they are read.
 #
-# Every 3D sum is a total of one kernel contract: given (p, (A, B, C))
-# pairs, return the sums of |det(p, u, v)| over the pairs u, v from A x A
-# (i < j), A x B, A x C and B x C.  Two kernels keep it.  The loop,
+# Every sum of |det| is a total of one kernel contract: given the
+# (p, (A, B, C)) pairs of a `_pivots` stream, return the sums of
+# |det(p, u, v)| over the pairs u, v from A x A (i < j), A x B, A x C and
+# B x C.  Each sum fixes its stream and the size picks only the kernel; the
+# 2D sum of |u_i v_j - u_j v_i| is the A x A total for the one pivot e3
+# over the lifted (u_i, v_i, 0).  Two kernels keep the contract.  The loop,
 # `_class_loop`, takes one determinant per pair, a cross product p x u
 # dotted with v: O(m^3) for a single sum.  The sweep, `_class_sweep`,
 # projects the classes into the plane along p, so that |det(p, u, v)|
@@ -127,8 +132,7 @@ def det3(a, b, c):
 # such runs by exact cross products, and through the pass again.  No pivot
 # of `rng.random_columns` bodies of 24 or 96 generators at coefficient bound
 # 16 needs it: their runs of equal keys are exact parallels.  Images at 2^60
-# whose keys collide do.  Each single-sum dispatcher picks its kernel by
-# size and reads one total.  For a single sum the sweep overtakes the loop
+# whose keys collide do.  For a single sum the sweep overtakes the loop
 # at about m = 6 to 9 (triples first, combos last) and runs 12-19x faster
 # at m = 96; on three bodies of m generators the bezout kernel's sweep
 # overtakes its loop at m = 5, and the lemma's sweep overtakes its own loop
@@ -151,7 +155,16 @@ def det3(a, b, c):
 # `sum_abs_det3_lemma` runs its own loop over index triples: the two pair
 # sums are coordinates of the cross product g_i x g_j that combos dots with
 # each later g_k, and the last sum is that of |z_i|, so the unit classes cost
-# no product.  From SWEEP_MIN on it is the bezout sweep.
+# no product.  From SWEEP_MIN on it is the bezout sweep.  It is the one
+# determinant loop outside the class kernels: it raised perfbench's
+# `fuzz_csv` ops/s by 23%, and on 4000 default lemma draws `_class_loop`
+# with the unit classes takes 1.47-1.53x its time.
+#
+# The pairs sum pivots over B on both kernels.  Against a loop over A, which
+# takes each a_i x a_j once, its loop takes 0.45-0.89x the time at |B| = 1,
+# 0.51-1.21x at 2, 0.99-1.76x at 4 and 1.27-3.38x at 8, for |A| = 3-8; its
+# one caller, `extremal`, has |B| = 1.  The 2D sum takes 1.3-2.0x the time
+# of a 2D loop at n = 6-50; only tests reach it, through `reduction.g_direct`.
 #
 # Every sweep runs in the calling process.  Splitting its pivots across
 # forked helpers gained nothing on a 2-vCPU Intel Xeon whose second CPU was
@@ -159,10 +172,10 @@ def det3(a, b, c):
 # (Python 3.11, in process, interleaved).
 
 # Smallest size at which a sum sweeps instead of looping: the length of ga
-# for pairs and combos, the middle length of the three lists for triples
-# (both kernels pivot over the shortest list), the longest list for the
-# four sums of a bezout check and the column count for a lemma check.  An
-# af-square check always sweeps.
+# for pairs; the middle length of the three lists for triples (both kernels
+# pivot over the shortest list); the longest list for the four sums of a
+# bezout check, and so the length of g for combos, the bezout kernel's first
+# total; the column count for a lemma check.  An af-square check always sweeps.
 SWEEP_MIN = 9
 
 
@@ -235,8 +248,6 @@ def _angular_order(items):
     order; `witness._zonogon` calls it on every zonogon.
     """
     items.sort(key=_key)
-    if len(set(map(_key, items))) == len(items):
-        return items
     keys = list(map(_key, items))
     for key in set(compress(keys, map(eq, keys, islice(keys, 1, None)))):
         lo, hi = bisect_left(keys, key), bisect_right(keys, key)
@@ -356,17 +367,13 @@ def sum_abs_det3_triples(ga, gb, gc):
 
 def sum_abs_det3_pairs(ga, gb):
     """Sum of |det(a_i, a_j, b)| over pairs i < j from ga and all b in gb."""
-    # The loop pivots over ga, which takes each a_i x a_j once; the sweep
-    # pivots over gb, which sorts ga once per b.
-    if len(ga) < SWEEP_MIN:
-        return _class_loop((a, ((), ga[i + 1:], gb)) for i, a in enumerate(ga))[3]
-    return _class_sweep(_pivots(gb, ga))[0]
+    kernel = _class_loop if len(ga) < SWEEP_MIN else _class_sweep
+    return kernel(_pivots(gb, ga))[0]
 
 
 def sum_abs_det3_combos(g):
     """Sum of |det(a_i, a_j, a_k)| over index triples i < j < k."""
-    kernel = _class_loop if len(g) < SWEEP_MIN else _class_sweep
-    return kernel(_pivots(g))[0]
+    return sum_abs_det3_bezout(g, (), ())[0]
 
 
 def sum_abs_det3_bezout(ga, gb, gc):
@@ -418,15 +425,8 @@ def sum_abs_det3_lemma(g):
 
 
 def sum_abs_det2_pairs(us, vs):
-    """Sum of |u_i v_j - u_j v_i| over index pairs i < j."""
-    total = 0
-    n = len(us)
-    for i in range(n):
-        ui, vi = us[i], vs[i]
-        for j in range(i + 1, n):
-            d = ui * vs[j] - us[j] * vi
-            total += d if d >= 0 else -d
-    return total
+    """Sum of |u_i v_j - u_j v_i| = |det(e3, (u_i, v_i, 0), (u_j, v_j, 0))| over pairs i < j."""
+    return _class_loop(_pivots(((0, 0, 1),), [(u, v, 0) for u, v in zip(us, vs)]))[0]
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,7 @@ from .numeric import (
     sum_abs_det3_bezout,
     sum_abs_det3_lemma,
 )
-# `random_zonotope` has no caller here either.  The resource-guard tests trap
-# every sampler by its name in this module, this one too, so a trial that
-# drew through it again would still be caught.
-from .rng import SplitMix64, random_bodies, random_vectors, random_zonotope, trial_seeds
+from .rng import SplitMix64, random_bodies, random_vectors, trial_seeds
 from .zonotope import Zonotope3, render_zonotope
 
 # Largest fuzz m_max.  A trial draws up to m_max generators per body, so the

@@ -107,9 +107,9 @@ def polytope_of_zonotope(zono: Zonotope3) -> PolytopeV:
     ints, scale = zono.scaled
     gens = [g for g in ints if g != (0, 0, 0)]
     normals = {}
-    for i, (ax, ay, az) in enumerate(gens):
-        for bx, by, bz in gens[i + 1:]:
-            n = (ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx)
+    for i, a in enumerate(gens):
+        for b in gens[i + 1:]:
+            n = cross(a, b)
             if n != (0, 0, 0):
                 d = gcd(*n) if n > (0, 0, 0) else -gcd(*n)
                 normals[n[0] // d, n[1] // d, n[2] // d] = None

@@ -28,6 +28,7 @@ from typing import Iterable
 from .numeric import (
     Vec3,
     _class_loop,
+    _pivots,
     int_scaled,
     parse_rows,
     render_rows,
@@ -144,7 +145,7 @@ def volume(a: Zonotope3) -> Fraction:
 
 def volume_float(a: Zonotope3) -> float:
     g = [(float(x), float(y), float(z)) for x, y, z in a.generators]
-    return float(_class_loop((p, (g[i + 1:], (), ())) for i, p in enumerate(g))[0])
+    return float(_class_loop(_pivots(g))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -335,7 +335,6 @@ class TestResourceGuards:
     @classmethod
     def _trap_fuzz_samplers(cls, monkeypatch):
         # The samplers the fuzz trials call, by the names they call them in verify.
-        monkeypatch.setattr(verify, "random_zonotope", cls._never)
         monkeypatch.setattr(verify, "random_vectors", cls._never)
         monkeypatch.setattr(verify, "random_bodies", cls._never)
 

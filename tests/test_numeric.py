@@ -203,6 +203,32 @@ def _random_generators(rnd, m):
     return gens
 
 
+@pytest.mark.parametrize("nb", [0, 1, 2, 8])
+@pytest.mark.parametrize("na", range(13))
+def test_pairs_sum_is_three_mixed_volumes_on_either_path(na, nb, forced_path):
+    # Both kernels pivot over B, with A as the class whose pairs they sum.
+    rnd = random.Random(100 * na + nb)
+    ga, gb = _random_generators(rnd, na), _random_generators(rnd, nb)
+    assert sum_abs_det3_pairs(ga, gb) == 3 * brute_mixed_volume(ga, ga, gb)
+
+
+# The 2D pair sum is the loop's A x A total for the pivot e3 over the lifted
+# (u, v, 0); any numbers serve, since the loop divides nothing.
+PAIR_SUM_DRAWS = {
+    "fractions": lambda rnd: Fraction(rnd.randint(-20, 20), rnd.randint(1, 9)),
+    "small-integers": lambda rnd: rnd.randint(-3, 3),
+    "near-2^60": lambda rnd: rnd.choice((-1, 1)) * (P60 + rnd.randint(-5, 5)),
+}
+
+
+@pytest.mark.parametrize("draw", list(PAIR_SUM_DRAWS))
+@pytest.mark.parametrize("n", range(15))
+def test_pair_sum_2d_matches_the_oracle(n, draw):
+    rnd = random.Random(n)
+    us, vs = ([PAIR_SUM_DRAWS[draw](rnd) for _ in range(n)] for _ in range(2))
+    assert sum_abs_det2_pairs(us, vs) == brute_pair_abs_sum(us, vs)
+
+
 @pytest.mark.parametrize("m", [SWEEP_MIN - 1, SWEEP_MIN, SWEEP_MIN + 3])
 def test_kernels_agree_on_each_side_of_the_crossover(m):
     rnd = random.Random(m)

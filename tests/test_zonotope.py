@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -277,4 +278,12 @@ class TestFloatLane:
         # floats cannot, so a float routed into it misses by far more than this.
         rng = SplitMix64(48)
         a = Zonotope3(random_columns(rng, 48, 9).generators)
+        assert abs(volume_float(a) - float(volume(a))) <= 1e-9 * float(volume(a))
+
+    @pytest.mark.parametrize("m", [24, 48, 96])
+    def test_tracks_exact_values_at_the_float_lanes_sizes(self, m):
+        # The float lane's bodies: m generators p/q with |p|, q <= 16.
+        rnd = random.Random(m)
+        a = Zonotope3.from_generators([[random_rational(rnd, 16) for _ in range(3)]
+                                       for _ in range(m)])
         assert abs(volume_float(a) - float(volume(a))) <= 1e-9 * float(volume(a))
