@@ -3,14 +3,14 @@
 The vector of all 3 x 3 minors of a 3 x n matrix, indexed by 3-subsets of
 column indices in lexicographic order, determines a point whose componentwise
 absolute value carries all the minor sums the zonotope inequality compares.
-Realizable vectors satisfy the quadratic exchange relations checked here;
-appending the two unit columns e1, e2 to a generator matrix turns the
-zonotope inequality into a quadratic inequality in these coordinates.
+`check_gp3` decides whether a vector is realizable, that is the minor vector
+of some matrix; appending the two unit columns e1, e2 to a generator matrix
+turns the zonotope inequality into a quadratic inequality in these
+coordinates.
 
 A matrix is the body of its columns, a `Zonotope3`, as everywhere in the
 package.  Its minor vector is integers with one scale, the cube of the
-body's (`Zonotope3.scaled`), and every check reads those integers; an
-exchange residual is an integer over the scale squared.
+body's (`Zonotope3.scaled`), and every check reads those integers.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
 
 from .numeric import det3, render_rational
 from .verify import IneqReport
@@ -26,13 +25,10 @@ from .zonotope import Zonotope3
 
 Subset3 = tuple[int, int, int]
 
-# Largest column count `pluecker` accepts.  check_gp3 settles a realizable
-# vector, which every `pluecker` output is, with C(n,3) integer determinants
-# in O(n^3), but still returns its C(n,2) * C(n-2,4) integer zeros as one
-# list, 120,120 at n = 16 and 813,960 at n = 21: 0.3 ms at n = 12 and 0.5 ms
-# at n = 16 with the list.  Only a vector that fails that test is walked
-# relation by relation, O(n^6): 6 ms at n = 12, 46 ms at 16 (best of 7,
-# Python 3.11.7, 2-core Intel Xeon).
+# Largest column count `pluecker` accepts.  check_gp3 tests any vector with
+# C(n,3) integer determinants, O(n^3): 0.2 ms at n = 12 and 0.6 ms at
+# n = 16, realizable or not (best of 30, Python 3.11.7, 2-core Intel Xeon),
+# so its cost is far from binding this cap.
 MAX_COLUMNS = 16
 
 
@@ -74,41 +70,35 @@ def abs_map(p: PlueckerVector) -> PlueckerVector:
     return PlueckerVector(p.n, {k: abs(v) for k, v in p.coords.items()}, p.scale)
 
 
-def check_gp3(p: PlueckerVector) -> list[int]:
-    """Residuals of the quadratic exchange relations, one per (2-subset, 4-subset) pair.
+def check_gp3(p: PlueckerVector) -> list[Subset3]:
+    """The triples at which p fails the affine-chart test, in lexicographic order.
 
-    Write q[i,j,k] for distinct indices in any order: the coordinate of the
-    sorted triple, negated when the order is an odd permutation of it.  For
-    each 2-subset S and each disjoint 4-subset T = {t1 < t2 < t3 < t4},
+    The list is empty exactly when p is realizable: when some 3 x n matrix
+    has p as its minor vector.  Write q[i,j,k] for distinct indices in any
+    order: the coordinate of the sorted triple, negated when the order is an
+    odd permutation of it.  With q_abc the lexicographically first nonzero
+    coordinate and C_j = (q[j,b,c], q[a,j,c], q[a,b,j]), p fails the test at
+    each triple ijk where det(C_i, C_j, C_k) differs from q_abc^2 q_ijk.
+    Proof: for any matrix M of q, Cramer's rule gives M_abc^-1 M the columns
+    C_j / q_abc, whose minors are q / q_abc; conversely C, one row divided
+    by q_abc^2, is a matrix of q.  The zero vector is realizable.
 
-        q[S+t1] q[t2,t3,t4] - q[S+t2] q[t1,t3,t4]
-            + q[S+t3] q[t1,t2,t4] - q[S+t4] q[t1,t2,t3]
-
-    vanishes on every minor vector of an actual matrix.  Returns the residuals
-    on the integer coordinates, C(n,2) * C(n-2,4) of them, ordered by S and
-    then by T, both lexicographically; a residual r stands for r / scale^2.
-    Nonempty only for n >= 6.
-
-    A vector that passes the affine-chart test (`_chart_realizable`, O(n^3))
-    is realizable, so it gets that many integer zeros without a relation
-    being visited.  Test: with q_abc the lexicographically first nonzero
-    coordinate and C_j = (q[j,b,c], q[a,j,c], q[a,b,j]), every
-    det(C_i, C_j, C_k) must equal q_abc^2 q_ijk.  Proof: for any matrix M of q, Cramer's rule gives
-    M_abc^-1 M the columns C_j / q_abc; conversely C, one row divided by
-    q_abc^2, is one.
-
-    Both the test and the relations are homogeneous, so they run on the
-    integer coordinates.  A vector that fails the test is not realizable,
-    but its residuals may still all vanish (at n = 6, when every coordinate
-    with one index is 0, so is every residual).  It is walked relation by
-    relation, O(n^6).
+    The test is homogeneous, so it runs on the integer coordinates: C(n,3)
+    integer determinants, O(n^3).  A realizable vector also satisfies every
+    quadratic exchange relation, and the relations of 6 or more columns
+    vanish on some vectors that fail the test (at n = 6, on any vector whose
+    coordinates with one index are all 0).
     """
-    n = p.n
-    if n < 6:
+    q = p.coords
+    base = min((t for t, v in q.items() if v), default=None)
+    if base is None:
         return []
-    if _chart_realizable(n, p.coords):
-        return [0] * (comb(n, 2) * comb(n - 2, 4))
-    return _relation_residuals(n, p.coords)
+    a, b, c = base
+    cols = [None] + [(_signed(q, j, b, c), _signed(q, a, j, c), _signed(q, a, b, j))
+                     for j in range(1, p.n + 1)]
+    square = q[base] * q[base]
+    return [(i, j, k) for i, j, k in combinations(range(1, p.n + 1), 3)
+            if det3(cols[i], cols[j], cols[k]) != square * q[i, j, k]]
 
 
 def _signed(q: dict[Subset3, int], i: int, j: int, k: int) -> int:
@@ -124,36 +114,6 @@ def _signed(q: dict[Subset3, int], i: int, j: int, k: int) -> int:
     if i > j:
         i, j, sign = j, i, -sign
     return sign * q[i, j, k]
-
-
-def _chart_realizable(n: int, q: dict[Subset3, int]) -> bool:
-    """Whether the integer minor vector q (ascending triples as keys) is the
-    minor vector of some 3 x n matrix, by the chart test of `check_gp3`; the
-    zero vector is."""
-    base = min((t for t, v in q.items() if v), default=None)
-    if base is None:
-        return True
-    a, b, c = base
-    cols = [None] + [(_signed(q, j, b, c), _signed(q, a, j, c), _signed(q, a, b, j))
-                     for j in range(1, n + 1)]
-    square = q[base] * q[base]
-    return all(det3(cols[i], cols[j], cols[k]) == square * v for (i, j, k), v in q.items())
-
-
-def _relation_residuals(n: int, q: dict[Subset3, int]) -> list[int]:
-    """Every exchange-relation residual of the integer vector q (ascending
-    triples as keys), as `check_gp3` orders them."""
-    indices = range(1, n + 1)
-    # The signed cofactor of each S + t_k, one tuple per 4-subset T.
-    cofactors = {(t1, t2, t3, t4): (q[t2, t3, t4], -q[t1, t3, t4], q[t1, t2, t4], -q[t1, t2, t3])
-                 for t1, t2, t3, t4 in combinations(indices, 4)}
-    residuals = []
-    for a, b in combinations(indices, 2):
-        row = [0] + [_signed(q, a, b, t) for t in indices]
-        for t in combinations([i for i in indices if i != a and i != b], 4):
-            c1, c2, c3, c4 = cofactors[t]
-            residuals.append(row[t[0]] * c1 + row[t[1]] * c2 + row[t[2]] * c3 + row[t[3]] * c4)
-    return residuals
 
 
 def check_quad_ineq(q: PlueckerVector) -> IneqReport:

@@ -17,13 +17,11 @@ from __future__ import annotations
 
 import re
 import sys
-from bisect import bisect_left, bisect_right
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import compress, islice
 from math import gcd, inf, lcm
-from operator import eq, itemgetter
+from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
 
 # A rational literal: signed integer (group 1), then optionally "/" integer (group 2).
@@ -128,15 +126,15 @@ def det3(a, b, c):
 # angular order, one pass of prefix sums (`_three_classes2`) gives all four
 # totals.  That is O(m^2 log m).  The pass sorts the images by a float key
 # of their angle and checks each run of equal keys as it goes; only a run
-# out of exact order sends them through `_angular_order`, which re-sorts
-# such runs by exact cross products, and through the pass again.  No pivot
-# of `rng.random_columns` bodies of 24 or 96 generators at coefficient bound
-# 16 needs it: their runs of equal keys are exact parallels.  Images at 2^60
-# whose keys collide do.  For a single sum the sweep overtakes the loop
-# at about m = 6 to 9 (triples first, combos last) and runs 12-19x faster
-# at m = 96; on three bodies of m generators the bezout kernel's sweep
-# overtakes its loop at m = 5, and the lemma's sweep overtakes its own loop
-# at m = 11 (Python 3.11, Intel Xeon, coordinates p/q with |p|, q <= 16).
+# out of exact order makes it sort them again by exact cross products and
+# run the pass again.  No pivot of `rng.random_columns` bodies of 24 or 96
+# generators at coefficient bound 16 needs it: their runs of equal keys are
+# exact parallels.  Images at 2^60 whose keys collide do.  For a single sum
+# the sweep overtakes the loop at about m = 6 to 9 (triples first, combos
+# last) and runs 12-19x faster at m = 96; on three bodies of m generators
+# the bezout kernel's sweep overtakes its loop at m = 5, and the lemma's
+# sweep overtakes its own loop at m = 11 (Python 3.11, Intel Xeon,
+# coordinates p/q with |p|, q <= 16).
 #
 # A check needs four sums of the same bodies, and `sum_abs_det3_bezout` and
 # `sum_abs_det3_af_square` take all four from one kernel call.  On the sweep
@@ -237,24 +235,6 @@ _key = itemgetter(0)
 _exact_angle = cmp_to_key(_cross_order)
 
 
-def _angular_order(items):
-    """Sort (key, x, y, tag) items by the exact angle of (x, y), in place.
-
-    int / int division is correctly rounded, so the float keys are in exact
-    angular order except inside runs of equal keys, which are re-sorted by
-    the sign of the cross product.  Most runs are single items or exact
-    parallels; only the runs of two or more are touched.  `_three_classes2`
-    calls it only when its own float-key order leaves a run out of exact
-    order; `witness._zonogon` calls it on every zonogon.
-    """
-    items.sort(key=_key)
-    keys = list(map(_key, items))
-    for key in set(compress(keys, map(eq, keys, islice(keys, 1, None)))):
-        lo, hi = bisect_left(keys, key), bisect_right(keys, key)
-        items[lo:hi] = sorted(items[lo:hi], key=_exact_angle)
-    return items
-
-
 def _three_classes2(items):
     """Pair-class sums AA, AB, AC, BC of |u x v| over items tagged 0 (A), 1 (B), 2 (C).
 
@@ -262,11 +242,13 @@ def _three_classes2(items):
     the float key.  int / int division is correctly rounded and rounding is
     monotone, so distinct keys are in exact angular order; a run of equal
     keys is in it when no neighbour pair u, v in the run has u x v < 0, which
-    the pass checks as it goes.  At the first such pair the items go through
-    `_angular_order` and the pass runs again.  In angular order every u
-    before v has u x v >= 0, so the sum of |u x v| over pairs within A is
-    that of P_A(v) x v over the A items v, with P_A(v) the sum of the A items
-    before v.  Across two classes X, Y, |x x y| is x x y for the x before y
+    the pass checks as it goes.  At the first such pair the items are sorted
+    by the exact angle, the sign of the cross product, and the pass runs
+    again: the list is in float-key order and the sort is stable, so it moves
+    items only within runs of equal keys.  In angular order every u before v
+    has u x v >= 0, so the sum of |u x v| over pairs within A is that of
+    P_A(v) x v over the A items v, with P_A(v) the sum of the A items before
+    v.  Across two classes X, Y, |x x y| is x x y for the x before y
     and y x x for the x after it, so each y adds (2 P_X(y) - T_X) x y, with
     T_X the sum of all of X; the T_X part is taken once, against the sum of
     all of Y, at the end.  Parallel vectors add 0 in either order.  All four
@@ -278,7 +260,8 @@ def _three_classes2(items):
     lk = lx = ly = None
     for k, x, y, tag in items:
         if k == lk and lx * y < ly * x:
-            return _three_classes2(_angular_order(items))
+            items.sort(key=_exact_angle)
+            return _three_classes2(items)
         lk, lx, ly = k, x, y
         if not tag:
             aa += ax * y - ay * x
@@ -438,10 +421,10 @@ def sum_abs_det2_pairs(us, vs):
 # Most generators one body file may hold, 3 coordinates each.  A check costs
 # O(m^2 log m) through one sweep for its four sums: at m = 2000 check bezout
 # took 10.2 s and check af-square 11.4 s (coordinates p/q with |p|, q <= 16).
-# A file whose images collide at every pivot, so that every pivot goes
-# through `_angular_order` and a second pass, took 13.6 s and 18.6 s
-# (2000 generators (2^30 + i, 1, 0) beside 2000 random ones; Python 3.11,
-# 2-vCPU Intel Xeon, medians of 4 runs).
+# A file whose images collide at every pivot, so that every pivot sorts its
+# images a second time, exactly, and runs a second pass, took 11.8 s and
+# 16.7 s (2000 generators (2^30 + i, 1, 0) beside 2000 random ones; Python
+# 3.11, 2-vCPU Intel Xeon, medians of 4 runs).
 MAX_GENERATORS = 2000
 
 # Most bits one body file may clear to: its generator count times the bit

@@ -36,7 +36,7 @@ from .numeric import (
     E1,
     E2,
     Vec3,
-    _angular_order,
+    _exact_angle,
     cross,
     det3,
     int_scaled,
@@ -140,12 +140,13 @@ def _zonogon(gens: list[_IntPoint], n: _IntPoint) -> list[_IntPoint]:
 
     Each g is read through the two coordinates other than one where n is
     nonzero, a projection that is one to one on the plane, and flipped into
-    the upper half-plane of them, which moves the body by g.  In the angular
-    order of `numeric._angular_order` the partial sums at each change of
-    direction are the vertices of one chain, from the lowest point to the
-    highest; the body is symmetric about their midpoint, which gives the
-    other chain.  Parallel generators lie in one run of that order and give
-    no vertex between them.  No generators give the origin.
+    the upper half-plane of them, which moves the body by g.  Sorted into
+    angular order by the sign of their cross products
+    (`numeric._exact_angle`), their partial sums at each change of direction
+    are the vertices of one chain, from the lowest point to the highest; the
+    body is symmetric about their midpoint, which gives the other chain.
+    Parallel generators lie in one run of that order and give no vertex
+    between them.  No generators give the origin.
     """
     p, q = (0, 1) if n[2] else (2, 0) if n[1] else (1, 2)
     items = []
@@ -153,14 +154,14 @@ def _zonogon(gens: list[_IntPoint], n: _IntPoint) -> list[_IntPoint]:
     for g in gens:
         u, v = g[p], g[q]
         if v > 0 or (v == 0 and u > 0):
-            items.append((-u / ((u if u >= 0 else -u) + v), u, v, g))
+            items.append((g, u, v))
         else:
             x, y, z = g
             ox, oy, oz = ox + x, oy + y, oz + z
-            items.append((u / ((u if u >= 0 else -u) - v), -u, -v, (-x, -y, -z)))
-    _angular_order(items)
+            items.append(((-x, -y, -z), -u, -v))
+    items.sort(key=_exact_angle)
     chain = [(ox, oy, oz)]
-    for k, (_, u, v, (x, y, z)) in enumerate(items, 1):
+    for k, ((x, y, z), u, v) in enumerate(items, 1):
         ox, oy, oz = ox + x, oy + y, oz + z
         if k == len(items) or u * items[k][2] != v * items[k][1]:
             chain.append((ox, oy, oz))

@@ -289,13 +289,15 @@ class TestGrassmannSample:
         monkeypatch.setattr(cli, "pluecker", perturbed)
         assert main(argv) == 1
         out = capsys.readouterr().out
-        # Only the coordinate (1, 2, 3) changes, and in text the verdict line.
+        # Only the coordinate (1, 2, 3) changes, and in text the verdict line, which
+        # names the first triple where the chart test fails.
         changed = [(old, new) for old, new in zip(expected.splitlines(), out.splitlines())
                    if old != new]
         assert len(out.splitlines()) == len(expected.splitlines())
         assert [old.split(",")[:3] for old, _ in changed[:1]] == [["1", "2", "3"]]
         assert [new for _, new in changed[1:]] == (
-            ["# exchange relations checked = 15, nonzero residuals = 6"] if output == "text" else [])
+            ["# exchange relations checked = 15, not realizable at (1, 4, 5)"]
+            if output == "text" else [])
 
 
 class TestResourceGuards:

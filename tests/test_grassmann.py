@@ -4,7 +4,7 @@ from math import comb, lcm
 
 import pytest
 
-from zonomix import grassmann
+from zonomix import cli, grassmann
 from zonomix.grassmann import (
     MAX_COLUMNS,
     PlueckerVector,
@@ -45,11 +45,6 @@ def _vector(n, coords):
 def _minors(p):
     """The rational coordinates of a minor vector."""
     return {t: F(v, p.scale) for t, v in p.coords.items()}
-
-
-def _residuals(p):
-    """The exchange residuals of a minor vector as rationals: each integer over scale^2."""
-    return [F(r, p.scale ** 2) for r in check_gp3(p)]
 
 
 class TestPluecker:
@@ -133,17 +128,16 @@ class TestPlueckerAgainstTheOracle:
         # Anywhere in the package: the reader, the minors and both verdicts.
         built = count_fractions(monkeypatch)
         p = pluecker(parse_matrix(text))
-        assert check_gp3(p) == [0] * (comb(12, 2) * comb(10, 4))
+        assert check_gp3(p) == []
         assert check_quad_ineq(abs_map(p)).holds
-        assert built == []
-        # A vector that fails the chart test is walked, on integers too.
+        # A vector that fails the chart test is rejected on integers too.
         rng = SplitMix64(47)
-        for n in range(6, 10):
+        for n in range(5, 10):
             q = pluecker(random_columns(rng, n, 9))
             coords = dict(q.coords)
             coords[1, 2, 3] += 1
-            residuals = check_gp3(PlueckerVector(n, coords, q.scale))
-            assert any(residuals) and all(type(r) is int for r in residuals)
+            assert check_gp3(PlueckerVector(n, coords, q.scale))
+        assert built == []
         assert abs_map(p).scale == p.scale > 1
         assert check_quad_ineq(abs_map(pluecker(Zonotope3(mat.generators[:-2] + (E1, E2))))).holds
         assert main(["check", "grassmann", str(path)]) == 0
@@ -172,32 +166,33 @@ class TestExchangeRelations:
     def test_zero_on_realizable(self):
         rng = SplitMix64(43)
         for n in (6, 7, 8):
-            residuals = check_gp3(pluecker(random_columns(rng, n, 9)))
-            assert residuals and all(r == 0 for r in residuals)
+            assert check_gp3(pluecker(random_columns(rng, n, 9))) == []
 
     def test_relation_count(self):
         rng = SplitMix64(44)
-        for n in (6, 7, 8, 9):
-            residuals = check_gp3(pluecker(random_columns(rng, n, 9)))
-            # one relation per 2-subset and disjoint 4-subset: 15, 105, 420, 1260
-            assert len(residuals) == comb(n, 2) * comb(n - 2, 4)
+        # One relation per 2-subset and disjoint 4-subset: C(n,2) * C(n-2,4).
+        for n, count in zip(range(3, 10), (0, 0, 0, 15, 105, 420, 1260)):
+            assert cli._relation_verdict(pluecker(random_columns(rng, n, 9))) == (
+                f"exchange relations checked = {count}, nonzero residuals = 0", True)
 
     def test_perturbation_breaks_realizability(self):
         rng = SplitMix64(45)
-        p = pluecker(random_columns(rng, 6, 9))
-        coords = _minors(p)
-        coords[(1, 2, 3)] += 1
-        perturbed = _vector(6, coords)
-        assert any(r != 0 for r in check_gp3(perturbed))
+        for n in (5, 6):
+            p = pluecker(random_columns(rng, n, 9))
+            coords = _minors(p)
+            coords[(1, 2, 3)] += 1
+            assert check_gp3(_vector(n, coords)) != []
 
-    @pytest.fixture
-    def walked(self, monkeypatch):
-        """The argument tuples of each walk of the relations, which still runs."""
-        calls = []
-        relation_residuals = grassmann._relation_residuals
-        monkeypatch.setattr(grassmann, "_relation_residuals",
-                            lambda *args: calls.append(args) or relation_residuals(*args))
-        return calls
+    def test_failures_are_the_triples_off_the_chart(self):
+        # With q123 = 1 the chart's columns C_4, C_5 are the matrix's own, so a change
+        # to q345 fails at (3, 4, 5) alone.  With q123 = 2 they stay, C_1..C_3 double,
+        # and det(C_i, C_4, C_5) is half of 4 q_i45 for i = 1, 2, 3.
+        mat = Zonotope3((E1, E2, E3, vec3(1, 1, 1), vec3(1, 2, 3)))
+        for triple, failures in (((3, 4, 5), [(3, 4, 5)]),
+                                 ((1, 2, 3), [(1, 4, 5), (2, 4, 5), (3, 4, 5)])):
+            coords = dict(pluecker(mat).coords)
+            coords[triple] += 1
+            assert check_gp3(PlueckerVector(5, coords, 1)) == failures
 
     @staticmethod
     def _vectors(rng, n):
@@ -232,68 +227,60 @@ class TestExchangeRelations:
         rng = SplitMix64(49)
         for n in (6, 7, 8, 9):
             for name, coords, realizable in self._vectors(rng, n):
-                residuals = _residuals(_vector(n, coords))
-                assert residuals == exchange_residuals(n, coords), (n, name)
-                assert any(r != 0 for r in residuals) != realizable, (n, name)
+                oracle = exchange_residuals(n, coords)
+                assert (check_gp3(_vector(n, coords)) == []) == realizable, (n, name)
+                assert all(r == 0 for r in oracle) == realizable, (n, name)
                 assert (set(coords.values()) == {0}) == (name == "rank 2")
         # Pairwise coprime denominators: the cleared scale is a product of many primes.
         n = 7
         primes = iter(_PRIMES_NEAR_10K[3 * n:])
         realizable = _minors(pluecker(_coprime_matrix(rng, n)))
         perturbed = {k: v + F(rng.below(5) - 2, next(primes)) for k, v in realizable.items()}
-        for coords, nonzero in ((realizable, False), (perturbed, True)):
+        for coords, accepted in ((realizable, True), (perturbed, False)):
             vector = _vector(n, coords)
             assert vector.scale.bit_length() > 150
-            residuals = _residuals(vector)
-            assert residuals == exchange_residuals(n, coords)
-            assert any(r != 0 for r in residuals) == nonzero
+            assert (check_gp3(vector) == []) == accepted
+            assert all(r == 0 for r in exchange_residuals(n, coords)) == accepted
 
-    def test_chart_decides_what_the_relations_decide(self, walked):
+    def test_chart_decides_what_the_relations_decide(self):
         rng = SplitMix64(51)
         for n in (6, 7, 8, 9):
             for _ in range(3):
                 for name, coords, _ in self._vectors(rng, n):
-                    del walked[:]
-                    check_gp3(_vector(n, coords))
                     oracle = exchange_residuals(n, coords)
-                    assert bool(walked) == any(r != 0 for r in oracle), (n, name)
+                    assert (check_gp3(_vector(n, coords)) == []) == all(r == 0 for r in oracle), (
+                        n, name)
 
-    def test_relations_miss_a_vector_the_chart_rejects(self, walked):
+    def test_relations_miss_a_vector_the_chart_rejects(self):
         # With column 1 zero, every product in a 6-index relation has a factor whose
-        # triple contains 1, so every residual is 0; columns 2..6 are not realizable.
+        # triple contains 1, so every residual is 0; columns 2..6 are not realizable,
+        # and the chart, based at (2, 3, 4), fails at the changed triple alone.
         cols = (vec3(0, 0, 0),) + random_columns(SplitMix64(53), 5, 9).generators
         coords = _minors(pluecker(Zonotope3(cols)))
         coords[4, 5, 6] += 1
-        assert check_gp3(_vector(6, coords)) == exchange_residuals(6, coords) == [0] * 15
-        assert walked
+        assert exchange_residuals(6, coords) == [0] * 15
+        assert check_gp3(_vector(6, coords)) == [(4, 5, 6)]
 
-    def test_realizable_cli_paths_never_walk_the_relations(self, monkeypatch, tmp_path, capsys):
+    def test_zero_at_column_limit(self, tmp_path, capsys):
+        columns = random_columns(SplitMix64(50), MAX_COLUMNS, 16)
+        line = "exchange relations checked = 120120, nonzero residuals = 0"
+        assert comb(MAX_COLUMNS, 2) * comb(MAX_COLUMNS - 2, 4) == 120_120
+        assert check_gp3(pluecker(columns)) == []
+        assert cli._relation_verdict(pluecker(columns)) == (line, True)
         path = tmp_path / "sixteen.mat"
-        path.write_text(render_matrix(random_columns(SplitMix64(52), MAX_COLUMNS, 16)))
-        runs = (["grassmann-sample", "--n", "12", "--seed", "3"], ["check", "grassmann", str(path)])
-        expected = []
-        for argv in runs:
-            assert main(argv) == 0
-            expected.append(capsys.readouterr())
-
-        def walk(*args):
-            raise AssertionError("the exchange relations were walked")
-
-        monkeypatch.setattr(grassmann, "_relation_residuals", walk)
-        for argv, output in zip(runs, expected):
-            assert main(argv) == 0
-            assert capsys.readouterr() == output
-        assert "nonzero residuals = 0" in expected[0].out
-
-    def test_zero_at_column_limit(self):
-        residuals = check_gp3(pluecker(random_columns(SplitMix64(50), MAX_COLUMNS, 16)))
-        assert len(residuals) == comb(MAX_COLUMNS, 2) * comb(MAX_COLUMNS - 2, 4) == 120_120
-        assert all(r == 0 for r in residuals)
+        path.write_text(render_matrix(columns))
+        assert main(["check", "grassmann", str(path)]) == 0
+        assert f"\n{line}\n" in capsys.readouterr().out
 
     def test_small_n_has_no_relations(self):
         rng = SplitMix64(46)
-        assert check_gp3(pluecker(random_columns(rng, 4, 9))) == []
-        assert check_gp3(pluecker(random_columns(rng, 5, 9))) == []
+        for n in (3, 4, 5):
+            assert check_gp3(pluecker(random_columns(rng, n, 9))) == []
+        # Every vector of 3 or 4 columns is realizable, whatever its coordinates.
+        for n in (3, 4):
+            for _ in range(20):
+                coords = {t: rng.below(19) - 9 for t in combinations(range(1, n + 1), 3)}
+                assert check_gp3(PlueckerVector(n, coords, 1)) == []
 
 
 class TestQuadIneq:

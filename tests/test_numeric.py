@@ -242,16 +242,27 @@ def test_collision_reaches_the_sweep_at_its_natural_size():
 
 
 # The sweep's pass sorts its images by the float key alone and checks each
-# run of equal keys as it goes: only a run out of exact angular order sends
-# the images through `_angular_order`.
+# run of equal keys as it goes: only a run out of exact angular order makes
+# it sort the images by exact angle and enter itself again.
 
 @pytest.fixture
 def exact_orders(monkeypatch):
-    """The list of item counts `numeric._angular_order` is called on, in order."""
+    """The item counts of the re-entries of `numeric._three_classes2`, in order."""
     calls = []
-    order = numeric._angular_order
-    monkeypatch.setattr(numeric, "_angular_order",
-                        lambda items: calls.append(len(items)) or order(items))
+    depth = 0
+    three_classes = numeric._three_classes2
+
+    def counting(items):
+        nonlocal depth
+        if depth:
+            calls.append(len(items))
+        depth += 1
+        try:
+            return three_classes(items)
+        finally:
+            depth -= 1
+
+    monkeypatch.setattr(numeric, "_three_classes2", counting)
     return calls
 
 
@@ -270,10 +281,10 @@ def _brute_class_pairs(items):
     return tuple(sums.values())
 
 
-# Runs of equal float keys, each with the count of `_angular_order` calls it
-# needs: exact parallels need none in either insertion order; 2^60 images
-# listed by falling angle are out of exact order; in the run of three only
-# the second neighbour pair is.
+# Runs of equal float keys, each with the count of exact re-sorts it needs:
+# exact parallels need none in either insertion order; 2^60 images listed by
+# falling angle are out of exact order; in the run of three only the second
+# neighbour pair is.
 KEY_RUNS = {
     "parallel": ([(1, 2, 0), (2, 4, 1), (3, 6, 2), (-1, 3, 0), (5, 10, 2)], 0),
     "parallel-reversed": ([(3, 6, 2), (2, 4, 1), (1, 2, 0), (4, 8, 0), (-2, 6, 1)], 0),
